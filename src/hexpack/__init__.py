@@ -53,7 +53,7 @@ from .layout import (
     min_face_orientation,
     ring_ratio_bound,
 )
-from .render import RenderStyle, render_field_csv, render_svg
+from .render import RenderStyle, render_svg
 from .solver import (
     InvalidPatch,
     NonConvergence,
@@ -87,7 +87,7 @@ __all__ = [
     "check_local_univalence", "check_univalent_flower", "circles_from_json",
     "develop", "develop_flower", "flower_ratio_check", "layout_to_json",
     "max_tangency_residual", "min_face_orientation", "ring_ratio_bound",
-    "RenderStyle", "render_field_csv", "render_svg",
+    "RenderStyle", "render_svg",
     "InvalidPatch", "NonConvergence", "SolveOptions", "SolveReport",
     "angle_defect", "angle_sum", "harmonic_interpolation", "solve_patch",
     "Classification", "SpiralParams", "classify", "flower_angle_sum",

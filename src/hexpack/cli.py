@@ -14,6 +14,7 @@ import math
 import os
 
 import click
+import numpy as np
 from click.core import ParameterSource
 
 from .harmonic import (
@@ -33,7 +34,7 @@ from .solver import (
     InvalidPatch,
     NonConvergence,
     SolveOptions,
-    angle_defect,
+    angle_defects,
     solve_patch,
 )
 from .spiral import SpiralParams, classify, spiral_field
@@ -153,14 +154,8 @@ def _write_text(path: str, text: str) -> None:
 
 
 @click.group()
-@click.option(
-    "--threads", type=int, default=1, show_default=True, envvar="HEXPACK_THREADS",
-    help="Cap on worker threads (this build runs everything sequentially).",
-)
-def main(threads: int) -> None:
+def main() -> None:
     """Doyle spirals and circle packings on the hexagonal lattice."""
-    if threads < 1:
-        raise click.UsageError(f"--threads must be at least 1, got {threads}")
 
 
 @main.command()
@@ -237,7 +232,8 @@ def verify(ctx: click.Context, **_kwargs) -> None:
     quad = _build(Quadrature, order=p["order"])
 
     interior = window.interior_vertices()
-    max_defect = max((abs(angle_defect(u, v)) for v in interior), default=None)
+    defects = angle_defects(u)
+    max_defect = float(np.abs(defects).max()) if defects.size else None
 
     weights = compute_edge_weights(u, quad)
     etas = [value for (_, _, value) in weights.edges()]

@@ -30,6 +30,11 @@ The partial derivative with respect to x1 has the closed form
 evaluated the same way.  It is strictly positive and strictly below 1 for
 all finite arguments.
 
+``flower_angles`` is the vectorized kernel every six-angle sum in the
+package goes through: it evaluates the six faces around many vertices at
+once, with their partials, in the same arithmetic.  The scalar ``theta``
+and ``dtheta_dx1`` are its reference implementation.
+
 All functions are pure and thread-safe.
 """
 
@@ -81,14 +86,47 @@ def dtheta_dx1(x1: float, x2: float) -> float:
     return math.exp(0.5 * (x1 + x2 - ell) - _softplus(x1))
 
 
+def _half_exponent(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
+    """(x1 + x2 - log(1 + e^x1 + e^x2)) / 2, evaluated in shifted log space."""
+    m = np.maximum(0.0, np.maximum(x1, x2))
+    ell = m + np.log(np.exp(-m) + np.exp(x1 - m) + np.exp(x2 - m))
+    return 0.5 * (x1 + x2 - ell)
+
+
+def _softplus_array(x: np.ndarray) -> np.ndarray:
+    return np.maximum(x, 0.0) + np.log1p(np.exp(-np.abs(x)))
+
+
 def dtheta_dx1_array(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorized ``dtheta_dx1`` for quadrature along log-radius segments."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    m = np.maximum(0.0, np.maximum(x1, x2))
-    ell = m + np.log(np.exp(-m) + np.exp(x1 - m) + np.exp(x2 - m))
-    softplus = np.maximum(x1, 0.0) + np.log1p(np.exp(-np.abs(x1)))
-    return np.exp(0.5 * (x1 + x2 - ell) - softplus)
+    return np.exp(_half_exponent(x1, x2) - _softplus_array(x1))
+
+
+def flower_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The six inner angles at each of N flower centers, with their partials.
+
+    ``x`` has shape (N, 6): the finite log-radius differences
+    neighbor-minus-center of the six petals in counterclockwise order.
+    Face k is the triangle of the center with petals k and k+1 (mod 6).
+    Returns three (N, 6) arrays: ``theta(x[:, k], x[:, k+1])``, its partial
+    in the first argument ``dtheta_dx1(x[:, k], x[:, k+1])``, and its
+    partial in the second argument ``dtheta_dx1(x[:, k+1], x[:, k])``.
+
+    Nothing overflows for any finite input: angles with a positive half
+    exponent h are evaluated as pi - 2 atan(e^-h).
+    """
+    x = np.asarray(x, dtype=float)
+    x_next = np.roll(x, -1, axis=1)
+    half = _half_exponent(x, x_next)
+    small = 2.0 * np.arctan(np.exp(-np.abs(half)))
+    angles = np.where(half > 0.0, math.pi - small, small)
+    return (
+        angles,
+        np.exp(half - _softplus_array(x)),
+        np.exp(half - _softplus_array(x_next)),
+    )
 
 
 def inner_angles(u: Triple) -> tuple[float, float, float]:

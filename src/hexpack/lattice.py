@@ -212,6 +212,18 @@ class ScalarField:
         return f"ScalarField({self.window}, shape={self.values.shape})"
 
 
+def interior_rings(window: Window) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a field's ``values.ravel()``: the interior
+    vertices in ``interior_vertices()`` order, shape (N,), and their six
+    neighbors in ``NEIGHBOR_OFFSETS`` order, shape (N, 6)."""
+    mc = window.m_count
+    rows = np.arange(1, window.n_count - 1)
+    cols = np.arange(1, mc - 1)
+    centre = (rows[:, None] * mc + cols[None, :]).ravel()
+    offsets = np.array([dm + dn * mc for dm, dn in NEIGHBOR_OFFSETS])
+    return centre, centre[:, None] + offsets
+
+
 def d1(f: ScalarField) -> ScalarField:
     """Forward difference in m: out(m, n) = f(m+1, n) - f(m, n)."""
     w = f.window

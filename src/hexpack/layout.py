@@ -19,16 +19,19 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 
-from .geometry import theta
+import numpy as np
+
+from .geometry import flower_angles, theta
 from .lattice import (
     NEIGHBOR_OFFSETS,
     ScalarField,
     Vertex,
     Window,
     d1,
+    interior_rings,
     neighbors,
 )
-from .solver import TWO_PI, angle_defect
+from .solver import TWO_PI
 
 # Largest angle defect a field may carry into the developing map.
 DEVELOP_DEFECT_TOL = 1e-8
@@ -110,10 +113,13 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     the defect precondition.
     """
     window = u.window
-    for v in window.interior_vertices():
-        d = abs(angle_defect(u, v))
-        if d > DEVELOP_DEFECT_TOL:
-            raise DefectTooLarge(v, d)
+    centre, ring = interior_rings(window)
+    vals = u.values.ravel()
+    angles = flower_angles(vals[ring] - vals[centre, None])[0]
+    defects = np.abs(TWO_PI - angles.sum(axis=1))
+    bad = np.flatnonzero(defects > DEVELOP_DEFECT_TOL)
+    if bad.size:
+        raise DefectTooLarge(window.interior_vertices()[bad[0]], float(defects[bad[0]]))
 
     if base is None:
         base = Anchor(window.center_vertex())
@@ -145,32 +151,21 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
                     queue.append((nb, z))
 
     circles = {v: Circle(centers[v], radius[v]) for v in sorted(centers)}
-    layout = Layout(window, circles, base, 0.0)
     worst = 0.0
-    for v in window.interior_vertices():
-        gap = _loop_closure_gap(layout, u, v)
-        if gap > PLACEMENT_TOL:
-            raise InconsistentPlacement(v, gap)
-        if gap > worst:
-            worst = gap
-    layout.monodromy_residual = worst
-    return layout
-
-
-def _loop_closure_gap(layout: Layout, u: ScalarField, v: Vertex) -> float:
-    """Develop the six petals once around a placed circle and return the
-    relative distance by which the walk misses the first petal's center."""
-    c_v = layout.circles[v].center
-    ring = neighbors(v)
-    start = layout.circles[ring[0]].center - c_v
-    rot = start / abs(start)
-    for k in range(6):
-        w1, w2 = ring[k], ring[(k + 1) % 6]
-        rot *= cmath.exp(1j * theta(u[w1] - u[v], u[w2] - u[v]))
-    closed = c_v + abs(start) * rot
-    return abs(closed - layout.circles[ring[0]].center) / (
-        layout.circles[v].radius + layout.circles[ring[0]].radius
-    )
+    if centre.size:
+        # Turn the first petal around each interior circle by its six inner
+        # angles and measure how far the walk misses that petal.
+        verts = window.vertices()
+        z = np.array([centers[v] for v in verts])
+        r = np.array([radius[v] for v in verts])
+        petal = ring[:, 0]
+        closed = z[centre] + (z[petal] - z[centre]) * np.exp(1j * angles.sum(axis=1))
+        gaps = np.abs(closed - z[petal]) / (r[centre] + r[petal])
+        bad = np.flatnonzero(gaps > PLACEMENT_TOL)
+        if bad.size:
+            raise InconsistentPlacement(window.interior_vertices()[bad[0]], float(gaps[bad[0]]))
+        worst = float(gaps.max())
+    return Layout(window, circles, base, worst)
 
 
 def max_tangency_residual(layout: Layout) -> float:
@@ -210,9 +205,8 @@ def min_face_orientation(layout: Layout) -> float:
 def _flower_angles(u: ScalarField, v: Vertex) -> list[float]:
     if not u.window.is_interior(v):
         raise ValueError(f"flower checks need an interior vertex, got {v}")
-    uv = u[v]
-    ring = [u[w] for w in neighbors(v)]
-    return [theta(ring[k] - uv, ring[(k + 1) % 6] - uv) for k in range(6)]
+    x = np.array([[u[w] for w in neighbors(v)]]) - u[v]
+    return flower_angles(x)[0][0].tolist()
 
 
 def check_local_univalence(u: ScalarField, v: Vertex) -> bool:

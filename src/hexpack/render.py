@@ -1,4 +1,4 @@
-"""Deterministic SVG figures of layouts and CSV export of fields.
+"""Deterministic SVG figures of layouts.
 
 The SVG contains one circle element per placed circle, in vertex order,
 with the y axis flipped so counterclockwise faces render counterclockwise.
@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import ScalarField, translate, write_field_csv
+from .lattice import translate
 from .layout import Layout
 
 COLOR_MAPS = ("uniform", "log-radius", "d1u", "residual")
@@ -121,8 +121,3 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle(), values=None) 
     lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def render_field_csv(f: ScalarField) -> str:
-    """Field CSV in the standard window format (exact round trip)."""
-    return write_field_csv(f)

@@ -4,28 +4,42 @@ At every interior vertex the six inner angles collected from its incident
 faces must sum to 2*pi.  With the boundary log radii held fixed this is a
 nonlinear system in the interior log radii.  The local angle sum is
 strictly decreasing in the vertex's own log radius (growing the circle
-shrinks all six angles at it) and ranges from 6*pi down to 0, so each
-one-dimensional subproblem has a unique root; Gauss-Seidel and Jacobi
-sweeps exploit that with a safeguarded Newton step per vertex, and the
-Newton mode solves the assembled symmetric linear system per iteration.
+shrinks all six angles at it), so each one-dimensional subproblem has a
+unique root, and it lies between the smallest and the largest neighbor
+value: theta increases in both arguments and theta(0, 0) = pi/3.
+
+Two modes share one engine built on ``geometry.flower_angles``:
+
+- "gauss-seidel" (default) is the per-vertex iteration of Collins and
+  Stephenson, "A circle packing algorithm" (Comput. Geom. 25, 2003),
+  ordered by the colouring (m + 2n) mod 3 of the triangular lattice, in
+  which no two neighbors share a colour.  Each sweep solves the 1-D
+  problems of one colour at a time, all of its vertices at once, with
+  Newton steps kept inside the neighbor bracket and bisection as the
+  fallback.
+- "newton" solves the assembled sparse linear system per iteration
+  (Orick, Stephenson and Collins, "A linearized circle packing
+  algorithm", Comput. Geom. 64, 2017), with a backtracking line search on
+  the largest defect.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .geometry import theta
-from .lattice import NEIGHBOR_OFFSETS, ScalarField, Vertex, Window
+from .geometry import flower_angles
+from .lattice import ScalarField, Vertex, Window, interior_rings, neighbors
 
 TWO_PI = 2.0 * math.pi
 
-MODES = ("gauss-seidel", "jacobi", "newton")
+MODES = ("gauss-seidel", "newton")
 INITS = ("harmonic", "keep", "zero")
 
 DEFAULT_TOLERANCE = 1e-10
@@ -58,7 +72,8 @@ class SolveReport:
 
 
 class NonConvergence(RuntimeError):
-    """Raised when the iteration budget runs out; carries the last iterate."""
+    """Raised when the iteration budget runs out, or when a Newton step is
+    not finite; carries the last iterate."""
 
     def __init__(self, report: SolveReport, field: ScalarField) -> None:
         super().__init__(
@@ -91,17 +106,45 @@ def angle_sum(u: ScalarField, v: Vertex) -> float:
     """Sum of the six inner angles at an interior vertex."""
     if not u.window.is_interior(v):
         raise ValueError(f"angle sum needs an interior vertex, got {v}")
-    uv = u[v]
-    vals = [u[(v[0] + dm, v[1] + dn)] for dm, dn in NEIGHBOR_OFFSETS]
-    return sum(
-        theta(vals[k] - uv, vals[(k + 1) % 6] - uv) for k in range(6)
-    )
+    x = np.array([[u[w] for w in neighbors(v)]]) - u[v]
+    return float(flower_angles(x)[0].sum())
 
 
 def angle_defect(u: ScalarField, v: Vertex) -> float:
     """2*pi minus the angle sum; zero exactly when the packing equation
     holds at ``v``."""
     return TWO_PI - angle_sum(u, v)
+
+
+def angle_defects(u: ScalarField) -> np.ndarray:
+    """``angle_defect`` at every interior vertex, in ``interior_vertices()``
+    order."""
+    centre, ring = interior_rings(u.window)
+    return _defects(u.values.ravel(), centre, ring)
+
+
+def _defects(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    return TWO_PI - flower_angles(vals[ring] - vals[centre, None])[0].sum(axis=1)
+
+
+class _Grid:
+    """Flat-index view of a window: the interior vertices, their six
+    neighbors, each neighbor's position among the interior vertices (-1 on
+    the boundary), and the interior split into the three colour classes."""
+
+    def __init__(self, window: Window) -> None:
+        self.centre, self.ring = interior_rings(window)
+        pos = np.full(window.num_vertices, -1)
+        pos[self.centre] = np.arange(self.centre.size)
+        self.ring_pos = pos[self.ring]
+        m = window.m_min + self.centre % window.m_count
+        n = window.n_min + self.centre // window.m_count
+        colour = (m + 2 * n) % 3
+        self.colours = [(self.centre[colour == c], self.ring[colour == c]) for c in range(3)]
+
+
+def _max_defect(vals: np.ndarray, grid: _Grid) -> float:
+    return float(np.abs(_defects(vals, grid.centre, grid.ring)).max())
 
 
 def harmonic_interpolation(u0: ScalarField) -> ScalarField:
@@ -111,217 +154,98 @@ def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     Exact for fields linear in (m, n), hence for spiral boundaries.
     Boundary entries are returned bit for bit.
     """
-    window = u0.window
-    interior = window.interior_vertices()
-    if not interior:
+    grid = _Grid(u0.window)
+    n = grid.centre.size
+    if n == 0:
         return u0.copy()
-    index = {v: i for i, v in enumerate(interior)}
-    n = len(interior)
-    rows, cols, data = [], [], []
-    b = np.zeros(n)
-    for i, (m, nn) in enumerate(interior):
-        rows.append(i)
-        cols.append(i)
-        data.append(6.0)
-        for dm, dn in NEIGHBOR_OFFSETS:
-            w = (m + dm, nn + dn)
-            j = index.get(w)
-            if j is None:
-                b[i] += u0[w]
-            else:
-                rows.append(i)
-                cols.append(j)
-                data.append(-1.0)
-    mat = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    x = scipy.sparse.linalg.spsolve(mat, b)
-    out = u0.copy()
-    for v, xi in zip(interior, x):
-        out[v] = float(xi)
-    return out
+    vals = u0.values.ravel()
+    inner = grid.ring_pos >= 0
+    b = np.where(inner, 0.0, vals[grid.ring]).sum(axis=1)
+    mat = _interior_matrix(grid, np.full(n, 6.0), np.full(inner.shape, -1.0))
+    out = vals.copy()
+    out[grid.centre] = scipy.sparse.linalg.spsolve(mat, b)
+    return ScalarField(u0.window, out.reshape(u0.values.shape))
 
 
-class _Grid:
-    """Flat-array view of a field: interior flat indices plus the constant
-    flat offsets of the six neighbors (valid at interior vertices only)."""
-
-    def __init__(self, window: Window) -> None:
-        mc = window.m_count
-        self.window = window
-        self.offsets = (1, mc, mc - 1, -1, -mc, -mc + 1)
-        self.interior = [
-            (n - window.n_min) * mc + (m - window.m_min)
-            for (m, n) in window.interior_vertices()
-        ]
+def _interior_matrix(grid: _Grid, diag: np.ndarray, coeff: np.ndarray):
+    """CSR matrix over the interior with ``diag`` on the diagonal and
+    ``coeff[a, k]`` in row a at the column of interior neighbor k."""
+    n = grid.centre.size
+    inner = grid.ring_pos >= 0
+    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), 6)[inner.ravel()]])
+    cols = np.concatenate([np.arange(n), grid.ring_pos[inner]])
+    data = np.concatenate([diag, coeff[inner]])
+    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _local_sum_slope(vals: list, i: int, offs: tuple, t: float) -> tuple[float, float]:
-    """Angle sum at flat index ``i`` when its log radius is ``t``, and the
-    derivative of that sum in ``t``."""
-    exp = math.exp
-    atan = math.atan
-    sqrt = math.sqrt
-    p = [exp(vals[i + o] - t) for o in offs]
-    s_total = 0.0
-    d_total = 0.0
-    for k in range(6):
-        pk = p[k]
-        pk1 = p[k - 5]  # (k+1) mod 6
-        g = pk * pk1 / (1.0 + pk + pk1)
-        s = sqrt(g)
-        s_total += 2.0 * atan(s)
-        d_total -= s * (1.0 / (1.0 + pk) + 1.0 / (1.0 + pk1))
-    return s_total, d_total
+def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> None:
+    """Set every vertex of one colour class to the root of its monotone
+    1-D problem angle_sum(t) = 2*pi, its neighbors held fixed.
 
-
-def _solve_vertex(vals: list, i: int, offs: tuple, t: float) -> float:
-    """Root of the monotone 1-D problem angle_sum(t) = 2*pi at one vertex.
-
-    Newton steps are kept inside a sign-changing bracket, with bisection
-    as the fallback, so convergence is unconditional.
+    Newton steps are kept inside a bracket that starts at the smallest and
+    largest neighbor value, with bisection as the fallback, so convergence
+    is unconditional.  A vertex whose residual is already within
+    ``_VERTEX_TOL`` keeps its value bit for bit.
     """
-    s, ds = _local_sum_slope(vals, i, offs, t)
-    f = s - TWO_PI
-    if abs(f) <= _VERTEX_TOL:
-        return t
-    # The sum decreases in t, so f > 0 means the root lies above t.
-    step = 1.0
-    if f > 0.0:
-        lo = t
-        while True:
-            t = t + step
-            step *= 2.0
-            s, ds = _local_sum_slope(vals, i, offs, t)
-            f = s - TWO_PI
-            if f <= 0.0:
-                hi = t
-                break
-            lo = t
-    else:
-        hi = t
-        while True:
-            t = t - step
-            step *= 2.0
-            s, ds = _local_sum_slope(vals, i, offs, t)
-            f = s - TWO_PI
-            if f >= 0.0:
-                lo = t
-                break
-            hi = t
+    petals = vals[ring]
+    t = vals[centre]
+    lo = petals.min(axis=1)
+    hi = petals.max(axis=1)
+    active = np.arange(centre.size)
     for _ in range(100):
-        if abs(f) <= _VERTEX_TOL:
-            return t
-        if f > 0.0:
-            lo = t
-        else:
-            hi = t
-        if ds != 0.0:
-            t_new = t - f / ds
-            if not (lo < t_new < hi):
-                t_new = 0.5 * (lo + hi)
-        else:
-            t_new = 0.5 * (lo + hi)
-        if hi - lo <= 4.0 * math.ulp(max(abs(lo), abs(hi))):
-            return t_new
-        t = t_new
-        s, ds = _local_sum_slope(vals, i, offs, t)
-        f = s - TWO_PI
-    return t
+        ta = t[active]
+        angles, d_first, d_second = flower_angles(petals[active] - ta[:, None])
+        f = angles.sum(axis=1) - TWO_PI
+        slope = -(d_first + d_second).sum(axis=1)
+        unsolved = np.abs(f) > _VERTEX_TOL
+        active, ta, f, slope = active[unsolved], ta[unsolved], f[unsolved], slope[unsolved]
+        if active.size == 0:
+            break
+        # The sum decreases in t, so f > 0 means the root lies above t.
+        above = f > 0.0
+        lo_a = np.where(above, np.maximum(lo[active], ta), lo[active])
+        hi_a = np.where(above, hi[active], np.minimum(hi[active], ta))
+        step = np.divide(f, slope, out=np.full_like(f, np.nan), where=slope != 0.0)
+        t_new = ta - step
+        t_new = np.where((lo_a < t_new) & (t_new < hi_a), t_new, 0.5 * (lo_a + hi_a))
+        lo[active], hi[active], t[active] = lo_a, hi_a, t_new
+        narrow = hi_a - lo_a <= 4.0 * np.spacing(np.maximum(np.abs(lo_a), np.abs(hi_a)))
+        active = active[~narrow]
+    vals[centre] = t
 
 
-def _max_defect(vals: list, grid: _Grid) -> float:
-    exp = math.exp
-    atan = math.atan
-    sqrt = math.sqrt
-    offs = grid.offsets
-    worst = 0.0
-    for i in grid.interior:
-        t = vals[i]
-        p = [exp(vals[i + o] - t) for o in offs]
-        s_total = 0.0
-        for k in range(6):
-            pk = p[k]
-            pk1 = p[k - 5]
-            s_total += 2.0 * atan(sqrt(pk * pk1 / (1.0 + pk + pk1)))
-        d = abs(TWO_PI - s_total)
-        if d > worst:
-            worst = d
-    return worst
+def _sweep(vals: np.ndarray, grid: _Grid, defect: float) -> bool:
+    """One Gauss-Seidel sweep: the three colour classes in turn."""
+    for centre, ring in grid.colours:
+        _solve_colour(vals, centre, ring)
+    return True
 
 
-def _sweep_gauss_seidel(vals: list, grid: _Grid) -> None:
-    offs = grid.offsets
-    for i in grid.interior:
-        vals[i] = _solve_vertex(vals, i, offs, vals[i])
-
-
-def _sweep_jacobi(vals: list, grid: _Grid) -> list:
-    offs = grid.offsets
-    new_vals = vals.copy()
-    for i in grid.interior:
-        new_vals[i] = _solve_vertex(vals, i, offs, vals[i])
-    return new_vals
-
-
-def _newton_step(vals: list, grid: _Grid) -> np.ndarray:
-    """One full Newton correction for the interior residual vector."""
-    exp = math.exp
-    sqrt = math.sqrt
-    atan = math.atan
-    offs = grid.offsets
-    interior = grid.interior
-    pos = {i: a for a, i in enumerate(interior)}
-    n = len(interior)
-    resid = np.zeros(n)
-    rows, cols, data = [], [], []
-    for a, i in enumerate(interior):
-        t = vals[i]
-        p = [exp(vals[i + o] - t) for o in offs]
-        s_faces = []
-        s_total = 0.0
-        diag = 0.0
-        for k in range(6):
-            pk = p[k]
-            pk1 = p[k - 5]
-            s = sqrt(pk * pk1 / (1.0 + pk + pk1))
-            s_faces.append(s)
-            s_total += 2.0 * atan(s)
-            diag -= s * (1.0 / (1.0 + pk) + 1.0 / (1.0 + pk1))
-        resid[a] = s_total - TWO_PI
-        rows.append(a)
-        cols.append(a)
-        data.append(diag)
-        for k in range(6):
-            b = pos.get(i + offs[k])
-            if b is None:
-                continue
-            # d(angle sum)/d(u_neighbor k): the two faces sharing that edge.
-            coeff = (s_faces[k - 1] + s_faces[k]) / (1.0 + p[k])
-            rows.append(a)
-            cols.append(b)
-            data.append(coeff)
-    jac = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
-    return scipy.sparse.linalg.spsolve(jac, -resid)
-
-
-def _run_newton(vals: list, grid: _Grid, tol: float, max_iterations: int):
-    interior = grid.interior
-    iterations = 0
-    while True:
-        defect = _max_defect(vals, grid)
-        if defect <= tol:
-            return iterations, defect, True
-        if iterations >= max_iterations:
-            return iterations, defect, False
-        delta = _newton_step(vals, grid)
-        scale = 1.0
-        base = [vals[i] for i in interior]
-        for _ in range(40):
-            for a, i in enumerate(interior):
-                vals[i] = base[a] + scale * delta[a]
-            if _max_defect(vals, grid) < defect:
-                break
-            scale *= 0.5
-        iterations += 1
+def _newton_update(vals: np.ndarray, grid: _Grid, defect: float) -> bool:
+    """One Newton step, halved until the largest defect drops below
+    ``defect`` (at most 40 times).  Returns False, leaving ``vals`` as it
+    was, when the step is not finite."""
+    centre = grid.centre
+    angles, d_first, d_second = flower_angles(vals[grid.ring] - vals[centre, None])
+    resid = angles.sum(axis=1) - TWO_PI
+    # d(angle sum)/d(u of neighbor k): the two faces sharing that edge,
+    # face k (first argument) and face k-1 (second argument).
+    coeff = d_first + np.roll(d_second, 1, axis=1)
+    jac = _interior_matrix(grid, -coeff.sum(axis=1), coeff)
+    with warnings.catch_warnings():
+        # A singular Jacobian shows up as a non-finite step, handled below.
+        warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
+        delta = scipy.sparse.linalg.spsolve(jac, -resid)
+    if not np.all(np.isfinite(delta)):
+        return False
+    base = vals[centre]
+    scale = 1.0
+    for _ in range(40):
+        vals[centre] = base + scale * delta
+        if _max_defect(vals, grid) < defect:
+            break
+        scale *= 0.5
+    return True
 
 
 def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
@@ -332,49 +256,33 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     interpolates the boundary harmonically in (m, n), "keep" uses the
     interior of ``u0`` as given, "zero" starts from zero.  Returns the
     solved field and a report; raises :class:`NonConvergence` (which still
-    carries the last iterate) when the budget runs out, and
-    :class:`InvalidPatch` when the window has no interior.
+    carries the last iterate) when the budget runs out or a Newton step is
+    not finite, and :class:`InvalidPatch` when the window has no interior.
     """
     opts = options or SolveOptions()
     window = u0.window
-    interior_vertices = window.interior_vertices()
-    if not interior_vertices:
+    grid = _Grid(window)
+    if grid.centre.size == 0:
         raise InvalidPatch(f"window {window} has no interior vertices")
 
-    if opts.init == "harmonic":
-        u = harmonic_interpolation(u0)
-    else:
-        u = u0.copy()
-        if opts.init == "zero":
-            for v in interior_vertices:
-                u[v] = 0.0
+    u = harmonic_interpolation(u0) if opts.init == "harmonic" else u0
+    vals = u.values.ravel().copy()
+    if opts.init == "zero":
+        vals[grid.centre] = 0.0
 
-    grid = _Grid(window)
-    vals = [float(x) for x in u.values.ravel()]
+    update = _newton_update if opts.mode == "newton" else _sweep
+    iterations = 0
+    while True:
+        defect = _max_defect(vals, grid)
+        converged = defect <= opts.tolerance
+        if converged or iterations >= opts.max_iterations:
+            break
+        if not update(vals, grid, defect):
+            break
+        iterations += 1
 
-    if opts.mode == "newton":
-        iterations, defect, converged = _run_newton(
-            vals, grid, opts.tolerance, opts.max_iterations
-        )
-    else:
-        iterations = 0
-        while True:
-            defect = _max_defect(vals, grid)
-            if defect <= opts.tolerance:
-                converged = True
-                break
-            if iterations >= opts.max_iterations:
-                converged = False
-                break
-            if opts.mode == "gauss-seidel":
-                _sweep_gauss_seidel(vals, grid)
-            else:
-                vals = _sweep_jacobi(vals, grid)
-            iterations += 1
-
-    for i, v in zip(grid.interior, interior_vertices):
-        u[v] = vals[i]
+    solved = ScalarField(window, vals.reshape(u0.values.shape))
     report = SolveReport(iterations=iterations, final_defect=defect, converged=converged)
     if not converged:
-        raise NonConvergence(report, u)
-    return u, report
+        raise NonConvergence(report, solved)
+    return solved, report

@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .geometry import theta
+import numpy as np
+
+from .geometry import flower_angles
 from .lattice import ScalarField, Window, d1, d2
 
 TWO_PI = 2.0 * math.pi
@@ -52,27 +54,19 @@ def flower_angle_sum(a: float, b: float) -> float:
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"arguments must be finite, got {(a, b)!r}")
-    return (
-        theta(a, b)
-        + theta(b, b - a)
-        + theta(b - a, -a)
-        + theta(-a, -b)
-        + theta(-b, a - b)
-        + theta(a - b, a)
-    )
+    return _ring_angle_sum(a, b, b - a, -a, -b, a - b)
 
 
 def _closure_angle_sum(a1: float, k1: float, a2: float) -> float:
     """Angle sum at (0,0) of the flower with rows u(m,0) = k1*m,
     u(m,1) = a1 + k1*m, u(m,-1) = a2 + k1*m."""
-    return (
-        theta(k1, a1)
-        + theta(a1, a1 - k1)
-        + theta(a1 - k1, -k1)
-        + theta(-k1, a2)
-        + theta(a2, a2 + k1)
-        + theta(a2 + k1, k1)
-    )
+    return _ring_angle_sum(k1, a1, a1 - k1, -k1, a2, a2 + k1)
+
+
+def _ring_angle_sum(*ring: float) -> float:
+    """Angle sum at a center whose six petals, counterclockwise, have the
+    given log-radius offsets."""
+    return float(flower_angles(np.array([ring]))[0].sum())
 
 
 def solve_flower_closure(a1: float, k1: float) -> float:

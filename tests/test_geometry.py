@@ -1,6 +1,6 @@
 """Angle function, inner angles, and gradient checks against independent
 oracles: the law of cosines on explicit side lengths, and central finite
-differences."""
+differences; the vectorized flower kernel against the scalar functions."""
 
 import math
 
@@ -13,6 +13,7 @@ from hexpack.geometry import (
     angle_gradient,
     dtheta_dx1,
     dtheta_dx1_array,
+    flower_angles,
     inner_angles,
     theta,
 )
@@ -152,6 +153,33 @@ class TestDthetaDx1:
         vec = dtheta_dx1_array(x1, x2)
         for a, b, v in zip(x1, x2, vec):
             assert v == pytest.approx(dtheta_dx1(a, b), abs=1e-15)
+
+
+class TestFlowerAngles:
+    @given(st.lists(st.floats(-1e3, 1e3), min_size=6, max_size=6))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_faces_match_scalar_reference(self, ring):
+        # face k of the ring is theta on the consecutive petals k, k+1
+        angles, d_first, d_second = flower_angles(np.array([ring]))
+        for k in range(6):
+            a, b = ring[k], ring[(k + 1) % 6]
+            assert abs(angles[0, k] - theta(a, b)) <= 1e-14
+            assert abs(d_first[0, k] - dtheta_dx1(a, b)) <= 1e-14
+            assert abs(d_second[0, k] - dtheta_dx1(b, a)) <= 1e-14
+
+    def test_regular_flower(self):
+        angles, d_first, d_second = flower_angles(np.zeros((3, 6)))
+        assert angles.shape == d_first.shape == d_second.shape == (3, 6)
+        assert np.allclose(angles, math.pi / 3.0, rtol=0.0, atol=1e-15)
+        assert np.allclose(d_first, dtheta_dx1(0.0, 0.0), rtol=0.0, atol=1e-15)
+
+    def test_extreme_differences_do_not_overflow(self):
+        rows = np.array([[s1 * 1e3, s2 * 1e3, s3 * 1e3, -1e3, 0.0, 1e3]
+                         for s1 in (-1, 1) for s2 in (-1, 1) for s3 in (-1, 1)])
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            angles, d_first, d_second = flower_angles(rows)
+        assert np.all((angles >= 0.0) & (angles <= math.pi))
+        assert np.all(np.isfinite(d_first)) and np.all(np.isfinite(d_second))
 
 
 class TestAngleGradient:

@@ -5,9 +5,9 @@ import re
 
 import pytest
 
-from hexpack.lattice import ScalarField, Window, read_field_csv
+from hexpack.lattice import ScalarField, Window, read_field_csv, write_field_csv
 from hexpack.layout import Anchor, Layout, develop
-from hexpack.render import RenderStyle, render_field_csv, render_svg
+from hexpack.render import RenderStyle, render_svg
 from hexpack.spiral import SpiralParams, spiral_field
 
 CIRCLE_RE = re.compile(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)" stroke="([^"]+)"/>')
@@ -117,7 +117,7 @@ class TestRenderSvg:
 class TestRenderFieldCsv:
     def test_constant_three_by_three(self):
         f = ScalarField.constant(Window(0, 2, 0, 2), 0.0)
-        text = render_field_csv(f)
+        text = write_field_csv(f)
         lines = text.strip().splitlines()
         assert lines[0] == "# window 0 2 0 2"
         assert len(lines) == 4
@@ -126,11 +126,11 @@ class TestRenderFieldCsv:
 
     def test_round_trip_bit_exact(self):
         f = spiral_field(SpiralParams(1.0, 1.2, 0.8), Window(-4, 4, -3, 3))
-        assert read_field_csv(render_field_csv(f)) == f
+        assert read_field_csv(write_field_csv(f)) == f
 
     def test_spiral_cell_values(self):
         f = spiral_field(SpiralParams(2.0, 1.5, 0.75), Window(-2, 2, -2, 2))
-        parsed = read_field_csv(render_field_csv(f))
+        parsed = read_field_csv(write_field_csv(f))
         for v in f.window.vertices():
             expected = math.log(2.0) + v[0] * math.log(1.5) + v[1] * math.log(0.75)
             assert parsed[v] == pytest.approx(expected, abs=1e-14)
