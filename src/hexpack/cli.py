@@ -18,15 +18,14 @@ import numpy as np
 from click.core import ParameterSource
 
 from .harmonic import (
-    MissingEdgeError,
+    EdgeWeights,
     Quadrature,
-    WindowTooSmallError,
     compute_edge_weights,
-    harmonic_residual,
+    harmonic_residuals,
     random_walk_return,
 )
 from .lattice import ScalarField, Window, read_field_csv, write_field_csv
-from .layout import Anchor, DefectTooLarge, develop, ring_ratio_bound
+from .layout import Anchor, develop, ring_ratio_bound
 from .render import COLOR_MAPS, RenderStyle, render_svg
 from .solver import (
     INITS,
@@ -139,13 +138,19 @@ def _read_field(path: str) -> ScalarField:
         raise click.UsageError(f"cannot parse field CSV {path}: {exc}") from exc
 
 
-def _build(factory, **kwargs):
-    """Construct a validated options object, mapping rejections to usage
-    errors (exit code 2)."""
+def _checked(fn, **kwargs):
+    """Call ``fn``, mapping the ValueError with which it rejects its input
+    to a usage error (exit code 2)."""
     try:
-        return factory(**kwargs)
+        return fn(**kwargs)
     except ValueError as exc:
         raise click.UsageError(str(exc)) from exc
+
+
+def _edge_weights(u: ScalarField, order: int) -> EdgeWeights:
+    """Edge weights at the given quadrature order; a weight outside (0, 2),
+    such as one that underflows to zero, is an input error."""
+    return _checked(compute_edge_weights, u=u, quad=_checked(Quadrature, order=order))
 
 
 def _write_text(path: str, text: str) -> None:
@@ -199,8 +204,8 @@ def solve(ctx: click.Context, **_kwargs) -> None:
     _require(p, "in_path", "out")
     _require_positive(p, "tol")
     u0 = _read_field(p["in_path"])
-    opts = _build(SolveOptions, tolerance=p["tol"], max_iterations=p["max_iter"],
-                  mode=p["mode"], init=p["init"])
+    opts = _checked(SolveOptions, tolerance=p["tol"], max_iterations=p["max_iter"],
+                    mode=p["mode"], init=p["init"])
     try:
         solved, report = solve_patch(u0, opts)
     except InvalidPatch as exc:
@@ -229,25 +234,15 @@ def verify(ctx: click.Context, **_kwargs) -> None:
     _require_positive(p, "tol")
     u = _read_field(p["in_path"])
     window = u.window
-    quad = _build(Quadrature, order=p["order"])
-
-    interior = window.interior_vertices()
     defects = angle_defects(u)
     max_defect = float(np.abs(defects).max()) if defects.size else None
 
-    weights = compute_edge_weights(u, quad)
+    weights = _edge_weights(u, p["order"])
     etas = [value for (_, _, value) in weights.edges()]
     min_eta = min(etas) if etas else None
     max_eta = max(etas) if etas else None
-
-    max_residual = None
-    for v in interior:
-        try:
-            r = abs(harmonic_residual(u, v, quad, weights=weights))
-        except (WindowTooSmallError, MissingEdgeError):
-            continue
-        if max_residual is None or r > max_residual:
-            max_residual = r
+    residuals = [abs(r) for r in harmonic_residuals(u, weights).values()]
+    max_residual = max(residuals) if residuals else None
 
     min_d1_ratio = ring_ratio_bound(u) if window.m_count >= 2 else None
 
@@ -281,8 +276,7 @@ def harmonic(ctx: click.Context, **_kwargs) -> None:
     p = _merged_params(ctx)
     _require(p, "in_path", "out")
     u = _read_field(p["in_path"])
-    weights = compute_edge_weights(u, _build(Quadrature, order=p["order"]))
-    _write_text(p["out"], weights.to_csv())
+    _write_text(p["out"], _edge_weights(u, p["order"]).to_csv())
 
 
 @main.command()
@@ -306,22 +300,12 @@ def render(ctx: click.Context, **_kwargs) -> None:
     _require(p, "in_path", "out")
     u = _read_field(p["in_path"])
     base = Anchor(p["base"]) if p["base"] is not None else None
-    try:
-        lay = develop(u, base)
-    except DefectTooLarge as exc:
-        raise click.UsageError(str(exc)) from exc
-    style = _build(RenderStyle, stroke_width=p["stroke_width"], color_map=p["color_map"],
-                   padding=p["padding"])
+    lay = _checked(develop, u=u, base=base)
+    style = _checked(RenderStyle, stroke_width=p["stroke_width"], color_map=p["color_map"],
+                     padding=p["padding"])
     values = None
     if p["color_map"] == "residual":
-        quad = _build(Quadrature, order=p["order"])
-        weights = compute_edge_weights(u, quad)
-        values = {}
-        for v in u.window.interior_vertices():
-            try:
-                values[v] = harmonic_residual(u, v, quad, weights=weights)
-            except (WindowTooSmallError, MissingEdgeError):
-                continue
+        values = harmonic_residuals(u, _edge_weights(u, p["order"]))
     _write_text(p["out"], render_svg(lay, style, values))
 
 
@@ -351,7 +335,7 @@ def walk(ctx: click.Context, **_kwargs) -> None:
         raise click.UsageError(
             f"--start {p['start'][0]},{p['start'][1]} is outside window {u.window}"
         )
-    weights = compute_edge_weights(u, _build(Quadrature, order=p["order"]))
+    weights = _edge_weights(u, p["order"])
     report = random_walk_return(weights, p["start"], p["steps"], p["trials"], p["seed"])
     click.echo(report.to_json())
 

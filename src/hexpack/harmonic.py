@@ -13,6 +13,12 @@ right side vanishes, so D1u is harmonic for these weights.  The integrand
 is analytic in the segment parameter, so Gauss-Legendre quadrature
 converges spectrally; for spiral fields it is constant and any order is
 exact.  The weights are symmetric and lie strictly between 0 and 2.
+
+``compute_edge_weights`` integrates every face of the window in one pass
+and stores the weights as three window-shaped arrays, one per edge
+direction; the residuals and the random walk read those arrays.  The
+per-edge ``eta`` and per-vertex ``harmonic_residual`` are the scalar
+reference implementations.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from .lattice import (
     Window,
     are_adjacent,
     faces_containing_edge,
+    interior_rings,
     neighbors,
     translate,
 )
@@ -116,50 +123,75 @@ def eta(u: ScalarField, v: Vertex, w: Vertex,
     return total
 
 
+# Edge directions in the order that sorts the far endpoints of a fixed v.
+DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
+
+
 class EdgeWeights:
-    """Symmetric positive weights on the undirected edges of a window,
-    stored once per edge under the lexicographically sorted endpoint pair."""
+    """Symmetric positive weights on the undirected edges of a window.
+
+    ``values[k]`` is window-shaped like ``ScalarField.values`` and holds
+    the weight of the edge from each vertex v to v + DIRECTIONS[k] (v is
+    the smaller endpoint), NaN where no weight is stored.
+    """
 
     def __init__(self, window: Window, weights: dict) -> None:
         self.window = window
-        self._weights: dict[tuple[Vertex, Vertex], float] = {}
+        values = np.full((3, window.n_count, window.m_count), np.nan)
+        stored = np.zeros(values.shape, dtype=bool)
         for (v, w), value in weights.items():
-            self._set(v, w, value)
+            slot = self._slot(v, w)
+            if slot is None:
+                raise ValueError(f"{(v, w)} is not an edge of window {window}")
+            values[slot], stored[slot] = value, True
+        self._store(values, stored)
 
-    def _set(self, v: Vertex, w: Vertex, value: float) -> None:
-        if not are_adjacent(v, w):
-            raise ValueError(f"{v} and {w} are not adjacent")
-        if not (self.window.contains(v) and self.window.contains(w)):
-            raise ValueError(f"edge {(v, w)} leaves window {self.window}")
-        if not (math.isfinite(value) and 0.0 < value < 2.0):
-            raise ValueError(f"edge weight must lie in (0, 2), got {value!r}")
-        self._weights[(v, w) if v <= w else (w, v)] = float(value)
+    def _store(self, values: np.ndarray, stored: np.ndarray) -> None:
+        """Keep ``values`` where ``stored``; each of those must lie in (0, 2)."""
+        bad = stored & ~((values > 0.0) & (values < 2.0))
+        if bad.any():
+            v, w, value = self._listed(bad, values)[0]
+            raise ValueError(f"edge weight on {(v, w)} must lie in (0, 2), got {value!r}")
+        self.values = np.where(stored, values, np.nan)
+
+    def _listed(self, mask: np.ndarray, values: np.ndarray) -> list:
+        """(v, w, value) for each true entry of a mask shaped like
+        ``values``, sorted by edge."""
+        col, row, k = np.nonzero(mask.transpose(2, 1, 0))
+        m = (self.window.m_min + col).tolist()
+        n = (self.window.n_min + row).tolist()
+        return [((a, b), (a + DIRECTIONS[d][0], b + DIRECTIONS[d][1]), x)
+                for a, b, d, x in zip(m, n, k.tolist(), values[k, row, col].tolist())]
+
+    def _slot(self, v: Vertex, w: Vertex) -> tuple[int, int, int] | None:
+        """Index of the edge {v, w} into ``values``; None if it is not an
+        edge of the window."""
+        v, w = min(v, w), max(v, w)
+        d = (w[0] - v[0], w[1] - v[1])
+        if d in DIRECTIONS and self.window.contains(v) and self.window.contains(w):
+            return DIRECTIONS.index(d), v[1] - self.window.n_min, v[0] - self.window.m_min
+        return None
 
     @classmethod
     def uniform(cls, window: Window, value: float) -> "EdgeWeights":
-        out = cls(window, {})
-        for v in window.vertices():
-            for dm, dn in ((1, 0), (0, 1), (-1, 1)):
-                w = (v[0] + dm, v[1] + dn)
-                if window.contains(w):
-                    out._set(v, w, value)
-        return out
+        edges = [(v, (v[0] + dm, v[1] + dn)) for v in window.vertices() for dm, dn in DIRECTIONS]
+        return cls(window, {e: value for e in edges if window.contains(e[1])})
 
     def has(self, v: Vertex, w: Vertex) -> bool:
-        return ((v, w) if v <= w else (w, v)) in self._weights
+        slot = self._slot(v, w)
+        return slot is not None and not math.isnan(self.values[slot])
 
     def get(self, v: Vertex, w: Vertex) -> float:
-        key = (v, w) if v <= w else (w, v)
-        try:
-            return self._weights[key]
-        except KeyError:
-            raise MissingEdgeError(f"no weight stored for edge {key}") from None
+        slot = self._slot(v, w)
+        if slot is None or math.isnan(self.values[slot]):
+            raise MissingEdgeError(f"no weight stored for edge {(min(v, w), max(v, w))}")
+        return float(self.values[slot])
 
     def edges(self) -> list[tuple[Vertex, Vertex, float]]:
-        return [(v, w, self._weights[(v, w)]) for (v, w) in sorted(self._weights)]
+        return self._listed(~np.isnan(self.values), self.values)
 
     def __len__(self) -> int:
-        return len(self._weights)
+        return int(np.count_nonzero(~np.isnan(self.values)))
 
     def complete_at(self, v: Vertex) -> bool:
         return all(self.has(v, w) for w in neighbors(v))
@@ -171,38 +203,67 @@ class EdgeWeights:
         return "\n".join(lines) + "\n"
 
 
+# The six directed corner pairs (i, j) of a face and the third corner k:
+# the angle at corner i has the partial dtheta_dx1(u_j - u_i, u_k - u_i)
+# in u_j.
+_I, _J = np.array([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]).T
+_K = 3 - _I - _J
+
+
+def _face_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
+    """Segment integrals of the directed partials on every face
+    A(v) = (v, v+(1,0), v+(0,1)) and B(v) = (v, v+(1,-1), v+(1,0)) whose
+    corners and their m-translates lie in the window.
+
+    Entry [0, i, j] (face A) or [1, i, j] (face B) is window-shaped, less
+    one row and two columns, and holds the integral of d(angle at corner
+    i)/d(u at corner j) at the row and column of v (for B, one row less).
+    Nodes are visited one at a time, so every temporary stays window-sized.
+    """
+    nodes, wts = _nodes_weights_01(quad.order)
+    start = values[:, :-1]
+    step = values[:, 1:] - start
+    out = np.zeros((2, 3, 3, values.shape[0] - 1, values.shape[1] - 2))
+    for t, wt in zip(nodes, wts):
+        s = start + step * t  # the interpolated field, on m_min .. m_max - 1
+        corners = np.stack([s[:-1, :-1], s[:-1, 1:], s[1:, :-1],
+                            s[1:, :-1], s[:-1, 1:], s[1:, 1:]]).reshape(2, 3, *out.shape[3:])
+        out[:, _I, _J] += wt * dtheta_dx1_array(corners[:, _J] - corners[:, _I],
+                                                corners[:, _K] - corners[:, _I])
+    return out
+
+
 def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
                          around: set | None = None) -> EdgeWeights:
     """Weights for every window edge whose two faces and their m-translates
     fit inside the window (others are skipped).  Each stored weight is the
     average of the two directional integrals, which are equal analytically;
-    averaging removes the last bits of quadrature asymmetry.
-
-    With ``around`` given, only edges incident to that vertex set are
-    computed.
+    averaging removes the last bits of quadrature asymmetry.  All faces are
+    integrated in one window-wide pass; with ``around`` given, only edges
+    incident to that vertex set are kept.  A weight outside (0, 2), such as
+    one that underflows to zero, raises a ValueError naming its edge.
     """
-    window = u.window
-    out = EdgeWeights(window, {})
-    if around is None:
-        candidates = window.vertices()
-        def wanted(v, w):
-            return v <= w
-    else:
-        candidates = sorted(around)
-        def wanted(v, w):
-            return v <= w or w not in around
-    for v in candidates:
-        if not window.contains(v):
-            continue
-        for w in neighbors(v):
-            if not window.contains(w) or not wanted(v, w):
-                continue
-            try:
-                forward = eta(u, v, w, quad)
-                backward = eta(u, w, v, quad)
-            except WindowTooSmallError:
-                continue
-            out._set(v, w, 0.5 * (forward + backward))
+    out = EdgeWeights(u.window, {})
+    values = np.full(out.values.shape, np.nan)
+    stored = np.zeros(values.shape, dtype=bool)
+    if u.window.n_count >= 2 and u.window.m_count >= 3:
+        a, b = _face_partials(u.values, quad)
+        # The faces left and right of v -> w are B(v+(-1,1)) and A(v) for
+        # (0, 1), B(v) and A(v+(0,-1)) for (1, -1), A(v) and B(v) for (1, 0);
+        # eta(v, w) and eta(w, v) each sum their left face first.
+        for slot, weight in (
+                (np.s_[0, :-1, 1:-2],
+                 (b[1, 2][:, :-1] + a[0, 2][:, 1:]) + (a[2, 0][:, 1:] + b[2, 1][:, :-1])),
+                (np.s_[1, 1:, :-2], (b[0, 1] + a[2, 1]) + (a[1, 2] + b[1, 0])),
+                (np.s_[2, 1:-1, :-2], (a[0, 1][1:] + b[0, 2][:-1]) + (b[2, 0][:-1] + a[1, 0][1:]))):
+            values[slot], stored[slot] = 0.5 * weight, True
+    if around is not None:
+        near = np.zeros(stored.shape, dtype=bool)
+        for v in around:
+            for slot in filter(None, (out._slot(v, w) for w in neighbors(v))):
+                near[slot] = True
+        stored &= near
+    out._store(values, stored)
     return out
 
 
@@ -224,6 +285,30 @@ def harmonic_residual(u: ScalarField, v: Vertex,
         weight = weights.get(v, w) if weights is not None else eta(u, v, w, quad)
         total += weight * ((u[translate(w)] - u[w]) - d1u_v)
     return total
+
+
+def _ring_weights(weights: EdgeWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``interior_rings`` of the weights' window, and each interior
+    vertex's six incident weights in neighbor order, NaN where missing."""
+    centre, ring = interior_rings(weights.window)
+    # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
+    # k = 2, 3, 4, where the edge is stored at the neighbor.
+    anchor = ring.copy()
+    anchor[:, [0, 1, 5]] = centre[:, None]
+    return centre, ring, weights.values.reshape(3, -1)[(2, 0, 1, 2, 0, 1), anchor]
+
+
+def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> dict[Vertex, float]:
+    """``harmonic_residual(u, v, weights=weights)`` at every interior vertex
+    v where it is defined: v, its neighbors and their m-translates lie in
+    the window, and its six incident weights are stored."""
+    if weights.window != u.window:
+        raise ValueError(f"weights on {weights.window} do not match field window {u.window}")
+    d1u = np.pad(np.diff(u.values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan).ravel()
+    centre, ring, etas = _ring_weights(weights)
+    total = sum(etas[:, k] * (d1u[ring[:, k]] - d1u[centre]) for k in range(6))
+    verts = u.window.interior_vertices()
+    return {verts[i]: float(total[i]) for i in np.flatnonzero(~np.isnan(total))}
 
 
 def volume(weights: EdgeWeights, vertices: set) -> float:
@@ -276,26 +361,19 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     if not window.contains(start):
         raise ValueError(f"start vertex {start} is outside window {window}")
 
-    verts = window.vertices()
-    index = {v: i for i, v in enumerate(verts)}
-    nv = len(verts)
-    nbr_idx = np.full((nv, 6), -1, dtype=np.int64)
-    cum = np.ones((nv, 6))
-    steppable = np.zeros(nv, dtype=bool)
-    for v, i in index.items():
-        ws = neighbors(v)
-        if not all(weights.has(v, w) for w in ws):
-            continue
-        steppable[i] = True
-        etas = np.array([weights.get(v, w) for w in ws])
-        c = np.cumsum(etas / etas.sum())
-        c[-1] = 1.0
-        cum[i] = c
-        for k, w in enumerate(ws):
-            nbr_idx[i, k] = index.get(w, -1)
+    # Only interior vertices can have all six weights, so only they step.
+    nbr_idx = np.full((window.num_vertices, 6), -1, dtype=np.int64)
+    cum = np.ones((window.num_vertices, 6))
+    centre, ring, etas = _ring_weights(weights)
+    full = ~np.isnan(etas).any(axis=1)
+    c = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
+    c[:, -1] = 1.0
+    cum[centre[full]] = c
+    nbr_idx[centre[full]] = ring[full]
+    steppable = nbr_idx[:, 0] >= 0
 
     rng = np.random.default_rng(seed)
-    start_idx = index[start]
+    start_idx = (start[1] - window.n_min) * window.m_count + start[0] - window.m_min
     state = np.full(trials, start_idx, dtype=np.int64)
     returned = np.zeros(trials, dtype=bool)
     censored = np.zeros(trials, dtype=bool)

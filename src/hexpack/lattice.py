@@ -43,10 +43,6 @@ def translate(v: Vertex) -> Vertex:
     return (v[0] + 1, v[1])
 
 
-def translate_face(face: Face) -> Face:
-    return canonical_face(translate(face[0]), translate(face[1]), translate(face[2]))
-
-
 def canonical_face(v1: Vertex, v2: Vertex, v3: Vertex) -> Face:
     """Validate a positively oriented face and rotate it so the smallest
     vertex comes first (faces equal up to cyclic rotation compare equal)."""

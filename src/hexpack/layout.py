@@ -110,7 +110,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     loop around every interior vertex is closed up and the worst gap stored
     on the layout; a gap above ``PLACEMENT_TOL`` raises
     :class:`InconsistentPlacement`, which cannot happen for fields passing
-    the defect precondition.
+    the defect precondition.  A radius exp(u) that is not a positive finite
+    float raises a ValueError naming its vertex.
     """
     window = u.window
     centre, ring = interior_rings(window)
@@ -126,7 +127,14 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     if not window.contains(base.vertex):
         raise ValueError(f"base vertex {base.vertex} is outside window {window}")
 
-    radius = {v: math.exp(u[v]) for v in window.vertices()}
+    radius = {}
+    for v in window.vertices():
+        try:
+            radius[v] = math.exp(u[v])
+        except OverflowError:
+            radius[v] = math.inf
+        if not 0.0 < radius[v] < math.inf:
+            raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive finite float")
     centers: dict[Vertex, complex] = {base.vertex: base.center}
 
     first = next((w for w in neighbors(base.vertex) if window.contains(w)), None)

@@ -225,6 +225,30 @@ class TestRenderCommand:
         assert out.read_text().count("<circle") == 81
 
 
+    @pytest.mark.parametrize("value, base", [(0.0, "100,100"), (800.0, None), (-800.0, None)])
+    def test_undevelopable_input_exits_2(self, runner, tmp_path, value, base):
+        # a base vertex outside the window, and radii exp(u) that overflow
+        # or underflow to zero
+        src = tmp_path / "c.csv"
+        src.write_text(write_field_csv(ScalarField.constant(Window(-4, 4, -4, 4), value)))
+        extra = ["--base", base] if base else []
+        result = run(runner, "render", "--in", src, "--out", tmp_path / "fig.svg", *extra)
+        assert result.exit_code == 2
+        assert ("(100, 100)" if base else "(-4, -4)") in result.output
+
+
+@pytest.mark.parametrize("command", ["harmonic", "verify", "walk"])
+def test_underflowing_edge_weight_exits_2(runner, tmp_path, command):
+    field = ScalarField.constant(Window(-4, 4, -4, 4), 0.0)
+    field[(0, 0)] = 4000.0
+    src = tmp_path / "u.csv"
+    src.write_text(write_field_csv(field))
+    extra = ["--out", tmp_path / "w.csv"] if command == "harmonic" else []
+    result = run(runner, command, "--in", src, *extra)
+    assert result.exit_code == 2
+    assert "edge weight on" in result.output
+
+
 class TestWalkCommand:
     def test_two_step_calibration(self, runner, tmp_path):
         src = write_spiral(runner, tmp_path / "c.csv", 1, 1, window="-5:5,-5:5")

@@ -21,6 +21,7 @@ from hexpack.harmonic import (
     compute_edge_weights,
     eta,
     harmonic_residual,
+    harmonic_residuals,
     random_walk_return,
     segment,
     volume,
@@ -213,6 +214,75 @@ class TestEdgeWeights:
         assert lines[0] == "m1,n1,m2,n2,eta"
         assert lines[1].startswith("0,0,1,0,")
         assert float(lines[1].split(",")[-1]) == pytest.approx(1.0 / SQRT3, abs=1e-16)
+
+
+def window_edges(window):
+    return [(v, (v[0] + dm, v[1] + dn)) for v in window.vertices()
+            for dm, dn in ((0, 1), (1, -1), (1, 0)) if window.contains((v[0] + dm, v[1] + dn))]
+
+
+REFERENCE_FIELDS = {
+    "wavy": wavy_field(Window(-5, 5, -5, 6)),
+    "random": ScalarField(Window(-5, 5, -5, 6),
+                          np.random.default_rng(12).uniform(-3.0, 3.0, size=(12, 11))),
+    "spiral": spiral_field(SpiralParams(1.0, 1.3, 0.8), Window(-5, 5, -5, 6)),
+}
+
+
+class TestBatchedWeights:
+    """The window-wide weights against the per-edge ``eta`` reference."""
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
+    def test_matches_per_edge_reference(self, name):
+        u = REFERENCE_FIELDS[name]
+        ew = compute_edge_weights(u)
+        expected = {}
+        for v, w in window_edges(u.window):
+            try:
+                expected[(v, w)] = 0.5 * (eta(u, v, w) + eta(u, w, v))
+            except WindowTooSmallError:
+                continue
+        edges = ew.edges()
+        assert [(v, w) for v, w, _ in edges] == sorted(expected)
+        assert len(ew) == len(expected)
+        for v, w, value in edges:
+            assert abs(value - expected[(v, w)]) <= 1e-15
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
+    def test_around_keeps_edges_touching_the_set(self, name):
+        u = REFERENCE_FIELDS[name]
+        full = {(v, w): value for v, w, value in compute_edge_weights(u).edges()}
+        around = ball((1, 0), 2) | {(-5, -5), (40, 40)}
+        kept = {(v, w): value for v, w, value in compute_edge_weights(u, around=around).edges()}
+        assert kept == {e: value for e, value in full.items() if e[0] in around or e[1] in around}
+
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
+    def test_residuals_match_per_vertex_reference(self, name):
+        u = REFERENCE_FIELDS[name]
+        ew = compute_edge_weights(u)
+        expected = {}
+        for v in u.window.interior_vertices():
+            try:
+                expected[v] = harmonic_residual(u, v, weights=ew)
+            except (WindowTooSmallError, MissingEdgeError):
+                continue
+        assert expected
+        assert harmonic_residuals(u, ew) == expected
+
+    def test_walk_matches_rebuilt_weights(self):
+        u = REFERENCE_FIELDS["spiral"]
+        ew = compute_edge_weights(u)
+        rebuilt = EdgeWeights(u.window, {(v, w): value for v, w, value in ew.edges()})
+        assert rebuilt.to_csv() == ew.to_csv()
+        a = random_walk_return(ew, (0, 0), 20, 3000, seed=8)
+        assert a == random_walk_return(rebuilt, (0, 0), 20, 3000, seed=8)
+        assert a.censored < a.trials
+
+    def test_underflowing_weight_names_its_edge(self):
+        u = ScalarField.constant(Window(-4, 4, -4, 4), 0.0)
+        u[(0, 0)] = 4000.0
+        with pytest.raises(ValueError, match=r"edge weight on \(\(-?\d+, -?\d+\), "):
+            compute_edge_weights(u)
 
 
 class TestVolume:
