@@ -2,20 +2,21 @@
 export edge weights, render SVG figures, and run random-walk experiments.
 
 Every command accepts ``--config FILE`` pointing at a JSON object whose
-keys mirror the flag names (underscores for dashes); explicit flags
-override the file, and unknown keys are rejected.  Exit codes: 0 success,
-2 usage or input error, 3 solver non-convergence.
+keys are the parameter names (``in_path`` for ``--in``, ``max_iter`` for
+``--max-iter``) and whose values are JSON strings, numbers or booleans;
+click reads it as the command's default map, so explicit flags override
+the file, and unknown keys are rejected.  Exit codes: 0 success, 2 usage
+or input error (an unwritable output path included), 3 solver
+non-convergence.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 
 import click
 import numpy as np
-from click.core import ParameterSource
 
 from .harmonic import (
     EdgeWeights,
@@ -74,68 +75,46 @@ WINDOW = WindowType()
 VERTEX = VertexType()
 
 
-def _config_option(fn):
-    return click.option(
-        "--config", type=str, default=None,
-        help="JSON file whose keys mirror the flags; flags override it.",
-    )(fn)
+def _positive(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    if not (math.isfinite(value) and value > 0):
+        raise click.BadParameter(f"must be positive, got {value}", ctx, param)
+    return value
 
 
-def _merged_params(ctx: click.Context) -> dict:
-    """Merge config-file values under explicitly passed flags."""
-    config_path = ctx.params.get("config")
-    cfg = {}
-    if config_path is not None:
-        if not os.path.isfile(config_path):
-            raise click.UsageError(f"config file not found: {config_path}")
-        try:
-            with open(config_path, encoding="utf-8") as fh:
-                cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(cfg, dict):
-            raise click.UsageError("config file must hold a JSON object")
-        known = {p.name for p in ctx.command.params} - {"config"}
-        for key in cfg:
-            if key not in known:
-                raise click.UsageError(f"unknown config key: {key!r}")
-    merged = {}
-    for param in ctx.command.params:
-        name = param.name
-        if name == "config":
-            continue
-        value = ctx.params.get(name)
-        if name in cfg and ctx.get_parameter_source(name) != ParameterSource.COMMANDLINE:
-            value = param.type.convert(cfg[name], param, ctx)
-        merged[name] = value
-    return merged
+def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
+    """Install the JSON object in ``path`` as the command's default map."""
+    if path is None:
+        return
+    try:
+        with open(path, encoding="utf-8") as fh:
+            cfg = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read JSON config file {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise click.UsageError("config file must hold a JSON object")
+    known = {p.name for p in ctx.command.params} - {param.name}
+    for key, value in cfg.items():
+        if key not in known:
+            raise click.UsageError(f"unknown config key: {key!r}")
+        # JSON numbers are finite; Python's reader also accepts Infinity and NaN.
+        if not (isinstance(value, (str, int))
+                or isinstance(value, float) and math.isfinite(value)):
+            raise click.UsageError(f"config key {key!r} must be a string, number or boolean")
+    ctx.default_map = cfg
 
 
-def _flag(name: str) -> str:
-    return "--" + name.replace("_", "-")
-
-
-def _require(params: dict, *names: str) -> None:
-    for name in names:
-        if params[name] is None:
-            raise click.UsageError(f"missing required option '{_flag(name)}'")
-
-
-def _require_positive(params: dict, *names: str) -> None:
-    for name in names:
-        value = params[name]
-        if not (math.isfinite(value) and value > 0):
-            raise click.UsageError(f"{_flag(name)} must be positive, got {value}")
+_config_option = click.option(
+    "--config", type=str, is_eager=True, expose_value=False, callback=_load_config,
+    help="JSON file whose keys are the parameter names; flags override it.",
+)
 
 
 def _read_field(path: str) -> ScalarField:
-    if not os.path.isfile(path):
-        raise click.UsageError(f"input file not found: {path}")
     try:
         with open(path, encoding="utf-8") as fh:
             return read_field_csv(fh.read())
-    except ValueError as exc:
-        raise click.UsageError(f"cannot parse field CSV {path}: {exc}") from exc
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot read field CSV {path}: {exc}") from exc
 
 
 def _checked(fn, **kwargs):
@@ -154,8 +133,11 @@ def _edge_weights(u: ScalarField, order: int) -> EdgeWeights:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except (OSError, ValueError) as exc:
+        raise click.UsageError(f"cannot write {path}: {exc}") from exc
 
 
 @click.group()
@@ -164,27 +146,26 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--r0", type=float, default=1.0, show_default=True, help="Base radius.")
-@click.option("--x", type=float, default=None, help="Radius ratio per +m step (required).")
-@click.option("--y", type=float, default=None, help="Radius ratio per +n step (required).")
-@click.option("--window", type=WINDOW, default=None,
-              help="Index box m_min:m_max,n_min:n_max (required).")
-@click.option("--out", type=str, default=None, help="Output field CSV path (required).")
+@click.option("--r0", type=float, default=1.0, show_default=True, callback=_positive,
+              help="Base radius.")
+@click.option("--x", type=float, required=True, callback=_positive,
+              help="Radius ratio per +m step.")
+@click.option("--y", type=float, required=True, callback=_positive,
+              help="Radius ratio per +n step.")
+@click.option("--window", type=WINDOW, required=True,
+              help="Index box m_min:m_max,n_min:n_max.")
+@click.option("--out", type=str, required=True, help="Output field CSV path.")
 @_config_option
-@click.pass_context
-def spiral(ctx: click.Context, **_kwargs) -> None:
+def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     """Write the log-radius field of a Doyle spiral."""
-    p = _merged_params(ctx)
-    _require(p, "x", "y", "window", "out")
-    _require_positive(p, "r0", "x", "y")
-    field = spiral_field(SpiralParams(p["r0"], p["x"], p["y"]), p["window"])
-    _write_text(p["out"], write_field_csv(field))
+    field = spiral_field(SpiralParams(r0, x, y), window)
+    _write_text(out, write_field_csv(field))
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None, help="Input field CSV (required).")
-@click.option("--out", type=str, default=None, help="Output field CSV path (required).")
-@click.option("--tol", type=float, default=1e-10, show_default=True,
+@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@click.option("--out", type=str, required=True, help="Output field CSV path.")
+@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_positive,
               help="Largest allowed angle defect, radians.")
 @click.option("--max-iter", type=int, default=100000, show_default=True,
               help="Iteration budget.")
@@ -194,50 +175,43 @@ def spiral(ctx: click.Context, **_kwargs) -> None:
               show_default=True, help="Interior starting guess.")
 @_config_option
 @click.pass_context
-def solve(ctx: click.Context, **_kwargs) -> None:
+def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
+          mode: str, init: str) -> None:
     """Solve the packing equation with the boundary held fixed.
 
     Writes the solved field and prints the solve report as JSON; exits 3
     when the budget runs out (the partial field is still written).
     """
-    p = _merged_params(ctx)
-    _require(p, "in_path", "out")
-    _require_positive(p, "tol")
-    u0 = _read_field(p["in_path"])
-    opts = _checked(SolveOptions, tolerance=p["tol"], max_iterations=p["max_iter"],
-                    mode=p["mode"], init=p["init"])
+    u0 = _read_field(in_path)
+    opts = _checked(SolveOptions, tolerance=tol, max_iterations=max_iter, mode=mode, init=init)
     try:
         solved, report = solve_patch(u0, opts)
     except InvalidPatch as exc:
         raise click.UsageError(str(exc)) from exc
     except NonConvergence as exc:
-        _write_text(p["out"], write_field_csv(exc.field))
+        _write_text(out, write_field_csv(exc.field))
         click.echo(exc.report.to_json())
         ctx.exit(3)
-    _write_text(p["out"], write_field_csv(solved))
+    _write_text(out, write_field_csv(solved))
     click.echo(report.to_json())
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None, help="Input field CSV (required).")
+@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
 @click.option("--order", type=int, default=32, show_default=True,
               help="Quadrature order for edge weights.")
-@click.option("--tol", type=float, default=1e-9, show_default=True,
+@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_positive,
               help="Classification tolerance.")
 @_config_option
-@click.pass_context
-def verify(ctx: click.Context, **_kwargs) -> None:
+def verify(in_path: str, order: int, tol: float) -> None:
     """Print JSON diagnostics: defects, weight bounds, residuals, ratio
     bound, and the field classification."""
-    p = _merged_params(ctx)
-    _require(p, "in_path")
-    _require_positive(p, "tol")
-    u = _read_field(p["in_path"])
+    u = _read_field(in_path)
     window = u.window
     defects = angle_defects(u)
     max_defect = float(np.abs(defects).max()) if defects.size else None
 
-    weights = _edge_weights(u, p["order"])
+    weights = _edge_weights(u, order)
     etas = [value for (_, _, value) in weights.edges()]
     min_eta = min(etas) if etas else None
     max_eta = max(etas) if etas else None
@@ -247,7 +221,7 @@ def verify(ctx: click.Context, **_kwargs) -> None:
     min_d1_ratio = ring_ratio_bound(u) if window.m_count >= 2 else None
 
     if window.m_count >= 2 and window.n_count >= 2:
-        cls = classify(u, p["tol"])
+        cls = classify(u, tol)
         kind, k1, k2, spread = cls.kind, cls.k1, cls.k2, cls.spread
     else:
         kind = k1 = k2 = spread = None
@@ -266,22 +240,19 @@ def verify(ctx: click.Context, **_kwargs) -> None:
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None, help="Input field CSV (required).")
-@click.option("--out", type=str, default=None, help="Output weights CSV path (required).")
+@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@click.option("--out", type=str, required=True, help="Output weights CSV path.")
 @click.option("--order", type=int, default=32, show_default=True, help="Quadrature order.")
 @_config_option
-@click.pass_context
-def harmonic(ctx: click.Context, **_kwargs) -> None:
+def harmonic(in_path: str, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
-    p = _merged_params(ctx)
-    _require(p, "in_path", "out")
-    u = _read_field(p["in_path"])
-    _write_text(p["out"], _edge_weights(u, p["order"]).to_csv())
+    u = _read_field(in_path)
+    _write_text(out, _edge_weights(u, order).to_csv())
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None, help="Input field CSV (required).")
-@click.option("--out", type=str, default=None, help="Output SVG path (required).")
+@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@click.option("--out", type=str, required=True, help="Output SVG path.")
 @click.option("--stroke-width", type=float, default=0.05, show_default=True,
               help="Stroke width in user units.")
 @click.option("--color-map", type=click.Choice(COLOR_MAPS), default="uniform",
@@ -293,50 +264,41 @@ def harmonic(ctx: click.Context, **_kwargs) -> None:
 @click.option("--order", type=int, default=32, show_default=True,
               help="Quadrature order for the residual color map.")
 @_config_option
-@click.pass_context
-def render(ctx: click.Context, **_kwargs) -> None:
+def render(in_path: str, out: str, stroke_width: float, color_map: str, padding: float,
+           base: tuple[int, int] | None, order: int) -> None:
     """Develop a field into circles and write an SVG figure."""
-    p = _merged_params(ctx)
-    _require(p, "in_path", "out")
-    u = _read_field(p["in_path"])
-    base = Anchor(p["base"]) if p["base"] is not None else None
-    lay = _checked(develop, u=u, base=base)
-    style = _checked(RenderStyle, stroke_width=p["stroke_width"], color_map=p["color_map"],
-                     padding=p["padding"])
+    u = _read_field(in_path)
+    anchor = Anchor(base) if base is not None else None
+    lay = _checked(develop, u=u, base=anchor)
+    style = _checked(RenderStyle, stroke_width=stroke_width, color_map=color_map,
+                     padding=padding)
     values = None
-    if p["color_map"] == "residual":
-        values = harmonic_residuals(u, _edge_weights(u, p["order"]))
-    _write_text(p["out"], render_svg(lay, style, values))
+    if color_map == "residual":
+        values = harmonic_residuals(u, _edge_weights(u, order))
+    _write_text(out, render_svg(lay, style, values))
 
 
 @main.command()
-@click.option("--in", "in_path", type=str, default=None, help="Input field CSV (required).")
+@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
 @click.option("--start", type=VERTEX, default="0,0", show_default=True,
               help="Start vertex m,n.")
-@click.option("--steps", type=int, default=100, show_default=True,
+@click.option("--steps", type=click.IntRange(min=0), default=100, show_default=True,
               help="Walk length per trial.")
-@click.option("--trials", type=int, default=10000, show_default=True,
+@click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True,
               help="Number of independent trials.")
-@click.option("--seed", type=int, default=0, show_default=True, help="Random seed.")
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
+              help="Random seed.")
 @click.option("--order", type=int, default=32, show_default=True,
               help="Quadrature order for edge weights.")
 @_config_option
-@click.pass_context
-def walk(ctx: click.Context, **_kwargs) -> None:
+def walk(in_path: str, start: tuple[int, int], steps: int, trials: int, seed: int,
+         order: int) -> None:
     """Run weighted random walks and print the return-frequency JSON."""
-    p = _merged_params(ctx)
-    _require(p, "in_path")
-    if p["steps"] < 0:
-        raise click.UsageError(f"--steps must be nonnegative, got {p['steps']}")
-    if p["trials"] < 1:
-        raise click.UsageError(f"--trials must be positive, got {p['trials']}")
-    u = _read_field(p["in_path"])
-    if not u.window.contains(p["start"]):
-        raise click.UsageError(
-            f"--start {p['start'][0]},{p['start'][1]} is outside window {u.window}"
-        )
-    weights = _edge_weights(u, p["order"])
-    report = random_walk_return(weights, p["start"], p["steps"], p["trials"], p["seed"])
+    u = _read_field(in_path)
+    if not u.window.contains(start):
+        raise click.UsageError(f"--start {start[0]},{start[1]} is outside window {u.window}")
+    weights = _edge_weights(u, order)
+    report = random_walk_return(weights, start, steps, trials, seed)
     click.echo(report.to_json())
 
 

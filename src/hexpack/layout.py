@@ -16,6 +16,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass, field
 
@@ -110,8 +111,9 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     loop around every interior vertex is closed up and the worst gap stored
     on the layout; a gap above ``PLACEMENT_TOL`` raises
     :class:`InconsistentPlacement`, which cannot happen for fields passing
-    the defect precondition.  A radius exp(u) that is not a positive finite
-    float raises a ValueError naming its vertex.
+    the defect precondition.  A radius exp(u) that is not a positive normal
+    float raises a ValueError naming its vertex (a subnormal radius has too
+    few significant bits for the tangencies to close).
     """
     window = u.window
     centre, ring = interior_rings(window)
@@ -133,8 +135,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
             radius[v] = math.exp(u[v])
         except OverflowError:
             radius[v] = math.inf
-        if not 0.0 < radius[v] < math.inf:
-            raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive finite float")
+        if not sys.float_info.min <= radius[v] < math.inf:
+            raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive normal float")
     centers: dict[Vertex, complex] = {base.vertex: base.center}
 
     first = next((w for w in neighbors(base.vertex) if window.contains(w)), None)
@@ -263,8 +265,10 @@ def check_univalent_flower(u: ScalarField, v: Vertex) -> bool:
 
 
 def ring_ratio_bound(u: ScalarField) -> float:
-    """Smallest radius ratio r(m+1, n) / r(m, n) over the window."""
-    return math.exp(float(d1(u).values.min()))
+    """Smallest radius ratio r(m+1, n) / r(m, n) over the window (inf above
+    the float range)."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(d1(u).values.min()))
 
 
 def flower_ratio_check(u: ScalarField, v: Vertex) -> float:

@@ -3,9 +3,12 @@ formats."""
 
 import json
 import math
+from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from hexpack.cli import main
 from hexpack.lattice import read_field_csv
@@ -158,6 +161,15 @@ class TestVerifyCommand:
         assert diag["max_defect"] > 0.0
         assert diag["spread"] > 0.0
 
+    def test_ratio_bound_above_float_range(self, runner, tmp_path):
+        # every ratio r(m+1, n) / r(m, n) is exp(800)
+        field = ScalarField(Window(0, 1, 0, 1), [[0.0, 800.0], [-800.0, 0.0]])
+        src = tmp_path / "u.csv"
+        src.write_text(write_field_csv(field))
+        result = run(runner, "verify", "--in", src)
+        assert result.exit_code == 0
+        assert json.loads(result.output)["min_d1_ratio"] == math.inf
+
 
 class TestRenderCommand:
     def test_regular_field_svg(self, runner, tmp_path):
@@ -225,10 +237,11 @@ class TestRenderCommand:
         assert out.read_text().count("<circle") == 81
 
 
-    @pytest.mark.parametrize("value, base", [(0.0, "100,100"), (800.0, None), (-800.0, None)])
+    @pytest.mark.parametrize("value, base", [(0.0, "100,100"), (800.0, None), (-800.0, None),
+                                             (-745.0, None), (-740.0, None)])
     def test_undevelopable_input_exits_2(self, runner, tmp_path, value, base):
-        # a base vertex outside the window, and radii exp(u) that overflow
-        # or underflow to zero
+        # a base vertex outside the window, and radii exp(u) that overflow,
+        # underflow to zero or fall in the subnormal range
         src = tmp_path / "c.csv"
         src.write_text(write_field_csv(ScalarField.constant(Window(-4, 4, -4, 4), value)))
         extra = ["--base", base] if base else []
@@ -277,6 +290,26 @@ class TestWalkCommand:
         src = write_spiral(runner, tmp_path / "c.csv", 1, 1, window="-2:2,-2:2")
         result = run(runner, "walk", "--in", src, "--start", "9,9", "--steps", 2)
         assert result.exit_code == 2
+
+    def test_negative_seed_exits_2(self, runner, tmp_path):
+        src = write_spiral(runner, tmp_path / "c.csv", 1, 1, window="-2:2,-2:2")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -5}))
+        for extra in (["--seed", -5], ["--config", cfg]):
+            result = run(runner, "walk", "--in", src, "--steps", 2, *extra)
+            assert result.exit_code == 2
+            assert "--seed" in result.output
+
+
+@pytest.mark.parametrize("command", ["spiral", "harmonic"])
+def test_unwritable_out_exits_2(runner, tmp_path, command):
+    src = write_spiral(runner, tmp_path / "c.csv", 1, 1, window="-2:2,-2:2")
+    args = (["--in", src] if command == "harmonic"
+            else ["--x", 1, "--y", 1, "--window", "-2:2,-2:2"])
+    for out in (tmp_path, tmp_path / "missing" / "out.csv"):
+        result = run(runner, command, *args, "--out", out)
+        assert result.exit_code == 2
+        assert str(out) in result.output
 
 
 class TestHarmonicCommand:
@@ -344,6 +377,18 @@ class TestConfigFile:
         result = run(runner, "spiral", "--config", cfg)
         assert result.exit_code == 2
 
+    def test_config_values_of_the_wrong_json_type_rejected(self, runner, tmp_path):
+        flags = {"x": 1.2, "y": 0.9, "window": "-2:2,-2:2", "out": "u.csv"}
+        with runner.isolated_filesystem(temp_dir=tmp_path):
+            for key, value in (("x", None), ("x", [1]), ("out", None), ("window", {"m": 1})):
+                Path("cfg.json").write_text(json.dumps({key: value}))
+                args = [a for k, v in flags.items() if k != key for a in (f"--{k}", v)]
+                result = run(runner, "spiral", "--config", "cfg.json", *args)
+                assert result.exit_code == 2
+                assert repr(key) in result.output
+            assert not Path("None").exists()
+            assert not Path("u.csv").exists()
+
 
 class TestGroupOptions:
     def test_help_lists_flags_and_defaults(self, runner):
@@ -363,3 +408,88 @@ class TestGroupOptions:
                    "--mode", "jacobi").exit_code == 2
         assert run(runner, "render", "--in", src, "--out", tmp_path / "f.svg",
                    "--stroke-width", 0).exit_code == 2
+
+
+# Fuzzed CLI contract: every command exits 0, 2 or 3 and raises nothing but
+# SystemExit.  Sizes stay small so that the examples run in seconds:
+# --order <= 64, --steps <= 5, --trials <= 100, --max-iter <= 50, windows up
+# to 7x7.  A huge --order stays out: numpy's leggauss allocates order**2
+# floats, so --order 100000 asks for 74.5 GiB and fails with MemoryError, a
+# known gap.  Valid values come first: hypothesis draws and shrinks towards
+# them, so that the examples reach the commands' work, not only their checks.
+FUZZ_FLOATS = st.sampled_from(
+    ["1", "0.5", "1.2", "1e-12", "0", "-1", "inf", "-inf", "nan", "x"])
+FUZZ_WINDOWS = st.sampled_from(
+    ["-2:2,-2:2", "0:3,-1:1", "0:0,0:0", "3:1,0:2", "a:b,0:1", "1,2", ""])
+FUZZ_VERTICES = st.sampled_from(["0,0", "1,1", "9,9", "-1,0", "a", "1,2,3", ""])
+FUZZ_OUTS = st.one_of(st.just("out.txt"), st.sampled_from([".", "missing/out.txt"]))
+FUZZ_INS = st.one_of(st.just("u.csv"), st.sampled_from(["missing.csv", "."]))
+
+
+def fuzz_ints(low, high):
+    return st.one_of(st.integers(low, high), st.integers(-3, high)).map(str)
+
+
+FUZZ_FLAGS = {
+    "spiral": {"--r0": FUZZ_FLOATS, "--x": FUZZ_FLOATS, "--y": FUZZ_FLOATS,
+               "--window": FUZZ_WINDOWS, "--out": FUZZ_OUTS},
+    "solve": {"--in": FUZZ_INS, "--out": FUZZ_OUTS, "--tol": FUZZ_FLOATS,
+              "--max-iter": fuzz_ints(1, 50),
+              "--mode": st.sampled_from(["gauss-seidel", "newton", "jacobi"]),
+              "--init": st.sampled_from(["harmonic", "keep", "zero", "none"])},
+    "verify": {"--in": FUZZ_INS, "--order": fuzz_ints(2, 64), "--tol": FUZZ_FLOATS},
+    "harmonic": {"--in": FUZZ_INS, "--out": FUZZ_OUTS, "--order": fuzz_ints(2, 64)},
+    "render": {"--in": FUZZ_INS, "--out": FUZZ_OUTS, "--stroke-width": FUZZ_FLOATS,
+               "--color-map": st.sampled_from(["uniform", "log-radius", "d1u", "residual", "x"]),
+               "--padding": FUZZ_FLOATS, "--base": FUZZ_VERTICES, "--order": fuzz_ints(2, 64)},
+    "walk": {"--in": FUZZ_INS, "--start": FUZZ_VERTICES, "--steps": fuzz_ints(0, 5),
+             "--trials": fuzz_ints(1, 100), "--seed": fuzz_ints(0, 10),
+             "--order": fuzz_ints(2, 64)},
+}
+FUZZ_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 5), st.floats(-10, 10),
+    st.sampled_from([math.inf, -math.inf, math.nan]),
+    st.lists(st.integers(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+)
+FUZZ_FIELD_VALUES = st.one_of(
+    st.sampled_from([0.0, 3.0, -3.0, 800.0, -800.0, 1e300, -1e300]), st.floats(-3, 3))
+
+
+@st.composite
+def fuzzed_fields(draw):
+    m_count, n_count = (draw(st.sampled_from([5, 7, 3, 2, 1])) for _ in range(2))
+    m_min, n_min = (draw(st.sampled_from([-2, -3, -4, -1, 0])) for _ in range(2))
+    window = Window(m_min, m_min + m_count - 1, n_min, n_min + n_count - 1)
+    size = m_count * n_count
+    values = draw(st.one_of(FUZZ_FIELD_VALUES.map(lambda value: [value] * size),
+                            st.lists(FUZZ_FIELD_VALUES, min_size=size, max_size=size)))
+    return ScalarField(window, np.reshape(values, (n_count, m_count)))
+
+
+def config_key(flag):
+    return "in_path" if flag == "--in" else flag[2:].replace("-", "_")
+
+
+@given(command=st.sampled_from(sorted(FUZZ_FLAGS)), field=fuzzed_fields(), data=st.data())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_fuzzed_cli_exits_0_2_or_3(command, field, data):
+    args, config = [command], {}
+    for flag, values in FUZZ_FLAGS[command].items():
+        source = data.draw(st.sampled_from(["flag", "flag", "flag", "config", "absent"]))
+        if source == "flag":
+            args += [flag, data.draw(values)]
+        elif source == "config":
+            config[config_key(flag)] = data.draw(st.one_of(values, values, FUZZ_CONFIG_VALUES))
+    if data.draw(st.sampled_from([False, False, False, True])):
+        config.update(data.draw(st.dictionaries(st.just("speed"), FUZZ_CONFIG_VALUES)))
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        Path("u.csv").write_text(write_field_csv(field))
+        if config:
+            Path("cfg.json").write_text(json.dumps(config))
+            args += ["--config", "cfg.json"]
+        result = runner.invoke(main, args, catch_exceptions=True)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        args, config, repr(result.exception))
+    assert result.exit_code in (0, 2, 3), (args, config, result.output)
