@@ -3,11 +3,11 @@ export edge weights, render SVG figures, and run random-walk experiments.
 
 Every command accepts ``--config FILE`` pointing at a JSON object whose
 keys are the parameter names (``in_path`` for ``--in``, ``max_iter`` for
-``--max-iter``) and whose values are JSON strings, numbers or booleans;
-click reads it as the command's default map, so explicit flags override
-the file, and unknown keys are rejected.  Exit codes: 0 success, 2 usage
-or input error (an unwritable output path included), 3 solver
-non-convergence.
+``--max-iter``) and whose values are JSON strings, numbers or booleans
+(JSON integers or strings for integer options); click reads it as the
+command's default map, so explicit flags override the file, and unknown
+keys are rejected.  Exit codes: 0 success, 2 usage or input error (an
+unwritable output path included), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ class VertexType(click.ParamType):
 
 WINDOW = WindowType()
 VERTEX = VertexType()
+# numpy's Gauss-Legendre rule allocates order**2 floats.
+ORDER = click.IntRange(2, 1024)
 
 
 def _positive(ctx: click.Context, param: click.Parameter, value: float) -> float:
@@ -92,7 +94,7 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         raise click.UsageError(f"cannot read JSON config file {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise click.UsageError("config file must hold a JSON object")
-    known = {p.name for p in ctx.command.params} - {param.name}
+    known = {p.name: p for p in ctx.command.params if p is not param}
     for key, value in cfg.items():
         if key not in known:
             raise click.UsageError(f"unknown config key: {key!r}")
@@ -100,6 +102,10 @@ def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -
         if not (isinstance(value, (str, int))
                 or isinstance(value, float) and math.isfinite(value)):
             raise click.UsageError(f"config key {key!r} must be a string, number or boolean")
+        # click's int type would truncate 2.7 and 1e300; as flags they exit 2.
+        integer = isinstance(known[key].type, click.types.IntParamType)
+        if integer and isinstance(value, (bool, float)):
+            raise click.UsageError(f"config key {key!r} must be an integer")
     ctx.default_map = cfg
 
 
@@ -169,7 +175,7 @@ def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
               help="Largest allowed angle defect, radians.")
 @click.option("--max-iter", type=int, default=100000, show_default=True,
               help="Iteration budget.")
-@click.option("--mode", type=click.Choice(MODES), default="gauss-seidel",
+@click.option("--mode", type=click.Choice(MODES), default="newton",
               show_default=True, help="Update scheme.")
 @click.option("--init", type=click.Choice(INITS), default="harmonic",
               show_default=True, help="Interior starting guess.")
@@ -198,7 +204,7 @@ def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
 
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
-@click.option("--order", type=int, default=32, show_default=True,
+@click.option("--order", type=ORDER, default=32, show_default=True,
               help="Quadrature order for edge weights.")
 @click.option("--tol", type=float, default=1e-9, show_default=True, callback=_positive,
               help="Classification tolerance.")
@@ -242,7 +248,7 @@ def verify(in_path: str, order: int, tol: float) -> None:
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
 @click.option("--out", type=str, required=True, help="Output weights CSV path.")
-@click.option("--order", type=int, default=32, show_default=True, help="Quadrature order.")
+@click.option("--order", type=ORDER, default=32, show_default=True, help="Quadrature order.")
 @_config_option
 def harmonic(in_path: str, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
@@ -261,7 +267,7 @@ def harmonic(in_path: str, out: str, order: int) -> None:
               help="Viewport padding as a fraction of the bounding box.")
 @click.option("--base", type=VERTEX, default=None,
               help="Base vertex m,n of the development (default: window center).")
-@click.option("--order", type=int, default=32, show_default=True,
+@click.option("--order", type=ORDER, default=32, show_default=True,
               help="Quadrature order for the residual color map.")
 @_config_option
 def render(in_path: str, out: str, stroke_width: float, color_map: str, padding: float,
@@ -288,7 +294,7 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
               help="Number of independent trials.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Random seed.")
-@click.option("--order", type=int, default=32, show_default=True,
+@click.option("--order", type=ORDER, default=32, show_default=True,
               help="Quadrature order for edge weights.")
 @_config_option
 def walk(in_path: str, start: tuple[int, int], steps: int, trials: int, seed: int,

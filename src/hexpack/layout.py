@@ -113,7 +113,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     :class:`InconsistentPlacement`, which cannot happen for fields passing
     the defect precondition.  A radius exp(u) that is not a positive normal
     float raises a ValueError naming its vertex (a subnormal radius has too
-    few significant bits for the tangencies to close).
+    few significant bits for the tangencies to close), and so do a tangency
+    distance r_v + r_w and a circle center that overflow.
     """
     window = u.window
     centre, ring = interior_rings(window)
@@ -137,6 +138,12 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
             radius[v] = math.inf
         if not sys.float_info.min <= radius[v] < math.inf:
             raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive normal float")
+    if max(radius.values()) > sys.float_info.max / 2:  # else no r_v + r_w overflows
+        for v in window.vertices():
+            for w in neighbors(v):
+                if window.contains(w) and math.isinf(radius[v] + radius[w]):
+                    raise ValueError(f"tangency distance exp({u[v]!r}) + exp({u[w]!r}) "
+                                     f"from {v} to {w} overflows")
     centers: dict[Vertex, complex] = {base.vertex: base.center}
 
     first = next((w for w in neighbors(base.vertex) if window.contains(w)), None)
@@ -160,6 +167,9 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
                     queue.append((z, nb))
                     queue.append((nb, z))
 
+    far = next((v for v, c in centers.items() if not cmath.isfinite(c)), None)
+    if far is not None:
+        raise ValueError(f"circle at {far} is placed outside the float range")
     circles = {v: Circle(centers[v], radius[v]) for v in sorted(centers)}
     worst = 0.0
     if centre.size:

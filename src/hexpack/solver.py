@@ -8,27 +8,32 @@ shrinks all six angles at it), so each one-dimensional subproblem has a
 unique root, and it lies between the smallest and the largest neighbor
 value: theta increases in both arguments and theta(0, 0) = pi/3.
 
-Two modes share one engine built on ``geometry.flower_angles``:
+The defects are the gradient of a convex functional of the interior log
+radii (Colin de Verdiere, Invent. Math. 104, 1991), whose Hessian is minus
+the symmetric Jacobian.  Two modes share one engine built on
+``geometry.flower_angles``:
 
-- "gauss-seidel" (default) is the per-vertex iteration of Collins and
-  Stephenson, "A circle packing algorithm" (Comput. Geom. 25, 2003),
-  ordered by the colouring (m + 2n) mod 3 of the triangular lattice, in
-  which no two neighbors share a colour.  Each sweep solves the 1-D
-  problems of one colour at a time, all of its vertices at once, with
-  Newton steps kept inside the neighbor bracket and bisection as the
-  fallback.
-- "newton" solves the assembled sparse linear system per iteration
-  (Orick, Stephenson and Collins, "A linearized circle packing
-  algorithm", Comput. Geom. 64, 2017), with a backtracking line search on
-  the largest defect.
+- "newton" (default) factors the sparse Jacobian per iteration (Orick,
+  Stephenson and Collins, Comput. Geom. 64, 2017) in a symmetric
+  minimum-degree ordering and searches along the step delta, where the
+  functional's slope g(s) = -sum(resid(u + s delta) * delta) increases:
+  s = 1 when g(1) <= 0 or |g(1)| <= |g(0)| / 2, else bisection for
+  |g(s)| <= |g(0)| / 2.  When there is no step (a singular factor, a step
+  not finite or not a descent direction, a failed bisection), the
+  iteration is one Gauss-Seidel sweep instead, which brings every vertex
+  inside its neighbors' range, and the report records the fallback.
+- "gauss-seidel" is the per-vertex iteration of Collins and Stephenson
+  (Comput. Geom. 25, 2003), ordered by the colouring (m + 2n) mod 3 of the
+  lattice, in which no two neighbors share a colour.  Each sweep solves
+  the 1-D problems of one colour at once, with Newton steps kept inside
+  the neighbor bracket and bisection as the fallback.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.sparse
@@ -59,21 +64,21 @@ class SolveReport:
     iterations: int
     final_defect: float
     converged: bool
+    mode: str | None = None
+    fallback: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "iterations": self.iterations,
-            "final_defect": self.final_defect,
-            "converged": self.converged,
-        }
+        out = asdict(self)
+        if self.mode is None:
+            del out["mode"], out["fallback"]
+        return out
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
 class NonConvergence(RuntimeError):
-    """Raised when the iteration budget runs out, or when a Newton step is
-    not finite; carries the last iterate."""
+    """Raised when the iteration budget runs out; carries the last iterate."""
 
     def __init__(self, report: SolveReport, field: ScalarField) -> None:
         super().__init__(
@@ -88,7 +93,7 @@ class NonConvergence(RuntimeError):
 class SolveOptions:
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
-    mode: str = "gauss-seidel"
+    mode: str = "newton"
     init: str = "harmonic"
 
     def __post_init__(self) -> None:
@@ -129,22 +134,34 @@ def _defects(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> np.ndarr
 
 class _Grid:
     """Flat-index view of a window: the interior vertices, their six
-    neighbors, each neighbor's position among the interior vertices (-1 on
-    the boundary), and the interior split into the three colour classes."""
+    neighbors, the interior split into the three colour classes, and the
+    sparsity pattern of matrices over the interior."""
 
     def __init__(self, window: Window) -> None:
         self.centre, self.ring = interior_rings(window)
+        size = self.centre.size
         pos = np.full(window.num_vertices, -1)
-        pos[self.centre] = np.arange(self.centre.size)
-        self.ring_pos = pos[self.ring]
+        pos[self.centre] = np.arange(size)
         m = window.m_min + self.centre % window.m_count
         n = window.n_min + self.centre // window.m_count
         colour = (m + 2 * n) % 3
         self.colours = [(self.centre[colour == c], self.ring[colour == c]) for c in range(3)]
+        # The pattern of a matrix over the interior: the diagonal, then each
+        # row's interior neighbors, numbered in that order.
+        self.inner = pos[self.ring] >= 0
+        index = np.arange(size)
+        rows = np.concatenate([index, np.repeat(index, 6)[self.inner.ravel()]])
+        cols = np.concatenate([index, pos[self.ring][self.inner]])
+        self.pattern = scipy.sparse.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                                               shape=(size, size))
+        self.csc_order = self.pattern.data.astype(int) - 1
 
-
-def _max_defect(vals: np.ndarray, grid: _Grid) -> float:
-    return float(np.abs(_defects(vals, grid.centre, grid.ring)).max())
+    def matrix(self, diag: np.ndarray, coeff: np.ndarray) -> scipy.sparse.csc_matrix:
+        """CSC matrix over the interior with ``diag`` on the diagonal and
+        ``coeff[a, k]`` in row a at the column of interior neighbor k."""
+        data = np.concatenate([diag, coeff[self.inner]])[self.csc_order]
+        p = self.pattern
+        return scipy.sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
 
 
 def harmonic_interpolation(u0: ScalarField) -> ScalarField:
@@ -159,23 +176,11 @@ def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     if n == 0:
         return u0.copy()
     vals = u0.values.ravel()
-    inner = grid.ring_pos >= 0
-    b = np.where(inner, 0.0, vals[grid.ring]).sum(axis=1)
-    mat = _interior_matrix(grid, np.full(n, 6.0), np.full(inner.shape, -1.0))
+    b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1)
+    mat = grid.matrix(np.full(n, 6.0), np.full(grid.inner.shape, -1.0))
     out = vals.copy()
     out[grid.centre] = scipy.sparse.linalg.spsolve(mat, b)
     return ScalarField(u0.window, out.reshape(u0.values.shape))
-
-
-def _interior_matrix(grid: _Grid, diag: np.ndarray, coeff: np.ndarray):
-    """CSR matrix over the interior with ``diag`` on the diagonal and
-    ``coeff[a, k]`` in row a at the column of interior neighbor k."""
-    n = grid.centre.size
-    inner = grid.ring_pos >= 0
-    rows = np.concatenate([np.arange(n), np.repeat(np.arange(n), 6)[inner.ravel()]])
-    cols = np.concatenate([np.arange(n), grid.ring_pos[inner]])
-    data = np.concatenate([diag, coeff[inner]])
-    return scipy.sparse.csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
 def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> None:
@@ -214,38 +219,42 @@ def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> Non
     vals[centre] = t
 
 
-def _sweep(vals: np.ndarray, grid: _Grid, defect: float) -> bool:
+def _sweep(vals: np.ndarray, grid: _Grid) -> None:
     """One Gauss-Seidel sweep: the three colour classes in turn."""
     for centre, ring in grid.colours:
         _solve_colour(vals, centre, ring)
-    return True
 
 
-def _newton_update(vals: np.ndarray, grid: _Grid, defect: float) -> bool:
-    """One Newton step, halved until the largest defect drops below
-    ``defect`` (at most 40 times).  Returns False, leaving ``vals`` as it
-    was, when the step is not finite."""
+def _newton_step(vals: np.ndarray, grid: _Grid) -> bool:
+    """One Newton step with the line search of the module docstring.
+    Returns False, leaving ``vals`` as it was, when it finds no step."""
     centre = grid.centre
     angles, d_first, d_second = flower_angles(vals[grid.ring] - vals[centre, None])
     resid = angles.sum(axis=1) - TWO_PI
     # d(angle sum)/d(u of neighbor k): the two faces sharing that edge,
     # face k (first argument) and face k-1 (second argument).
     coeff = d_first + np.roll(d_second, 1, axis=1)
-    jac = _interior_matrix(grid, -coeff.sum(axis=1), coeff)
-    with warnings.catch_warnings():
-        # A singular Jacobian shows up as a non-finite step, handled below.
-        warnings.simplefilter("ignore", scipy.sparse.linalg.MatrixRankWarning)
-        delta = scipy.sparse.linalg.spsolve(jac, -resid)
-    if not np.all(np.isfinite(delta)):
+    jac = grid.matrix(-coeff.sum(axis=1), coeff)
+    try:  # symmetric and diagonally dominant: diagonal pivots in a symmetric ordering
+        delta = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                          options={"SymmetricMode": True}).solve(-resid)
+    except RuntimeError:  # the factor is exactly singular
+        return False
+    g0 = -resid @ delta
+    if not (np.all(np.isfinite(delta)) and -np.inf < g0 < 0.0):
         return False
     base = vals[centre]
-    scale = 1.0
-    for _ in range(40):
-        vals[centre] = base + scale * delta
-        if _max_defect(vals, grid) < defect:
-            break
-        scale *= 0.5
-    return True
+    target, lo, hi, s = -0.5 * g0, 0.0, 1.0, 1.0
+    for _ in range(101):  # s down to 2**-100: a nearly singular Jacobian needs ~1e-17
+        vals[centre] = base + s * delta
+        g = _defects(vals, centre, grid.ring) @ delta
+        # g(1) <= 0 takes the full step; otherwise |g(s)| <= |g(0)| / 2 is needed.
+        if g <= target and (s == 1.0 or g >= -target):
+            return True
+        lo, hi = (s, hi) if g < 0.0 else (lo, s)
+        s = 0.5 * (lo + hi)
+    vals[centre] = base
+    return False
 
 
 def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
@@ -256,8 +265,8 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     interpolates the boundary harmonically in (m, n), "keep" uses the
     interior of ``u0`` as given, "zero" starts from zero.  Returns the
     solved field and a report; raises :class:`NonConvergence` (which still
-    carries the last iterate) when the budget runs out or a Newton step is
-    not finite, and :class:`InvalidPatch` when the window has no interior.
+    carries the last iterate) when the budget runs out, and
+    :class:`InvalidPatch` when the window has no interior.
     """
     opts = options or SolveOptions()
     window = u0.window
@@ -270,19 +279,22 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     if opts.init == "zero":
         vals[grid.centre] = 0.0
 
-    update = _newton_update if opts.mode == "newton" else _sweep
+    newton = opts.mode == "newton"
+    fallback = None
     iterations = 0
     while True:
-        defect = _max_defect(vals, grid)
+        defect = float(np.abs(_defects(vals, grid.centre, grid.ring)).max())
         converged = defect <= opts.tolerance
         if converged or iterations >= opts.max_iterations:
             break
-        if not update(vals, grid, defect):
-            break
+        if not (newton and _newton_step(vals, grid)):
+            fallback = "gauss-seidel" if newton else None
+            _sweep(vals, grid)
         iterations += 1
 
     solved = ScalarField(window, vals.reshape(u0.values.shape))
-    report = SolveReport(iterations=iterations, final_defect=defect, converged=converged)
+    report = SolveReport(iterations=iterations, final_defect=defect, converged=converged,
+                         mode=opts.mode, fallback=fallback)
     if not converged:
         raise NonConvergence(report, solved)
     return solved, report

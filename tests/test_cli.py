@@ -250,6 +250,15 @@ class TestRenderCommand:
         assert ("(100, 100)" if base else "(-4, -4)") in result.output
 
 
+def test_overflowing_tangency_distance_exits_2(runner, tmp_path):
+    # every radius exp(709.5) is finite, but the sum of two is not
+    src = tmp_path / "c.csv"
+    src.write_text(write_field_csv(ScalarField.constant(Window(-4, 4, -4, 4), 709.5)))
+    result = run(runner, "render", "--in", src, "--out", tmp_path / "fig.svg")
+    assert result.exit_code == 2
+    assert "(-4, -4)" in result.output
+
+
 @pytest.mark.parametrize("command", ["harmonic", "verify", "walk"])
 def test_underflowing_edge_weight_exits_2(runner, tmp_path, command):
     field = ScalarField.constant(Window(-4, 4, -4, 4), 0.0)
@@ -389,6 +398,19 @@ class TestConfigFile:
             assert not Path("None").exists()
             assert not Path("u.csv").exists()
 
+    def test_fractional_integer_values_rejected(self, runner, tmp_path):
+        src = write_spiral(runner, tmp_path / "u.csv", 1.2, 0.9)
+        for command, key, value, extra in (
+            ("walk", "steps", 2.7, []),
+            ("solve", "max_iter", 1e300, ["--out", tmp_path / "s.csv"]),
+        ):
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({key: value}))
+            result = run(runner, command, "--in", src, "--config", cfg, *extra)
+            assert result.exit_code == 2
+            assert repr(key) in result.output
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestGroupOptions:
     def test_help_lists_flags_and_defaults(self, runner):
@@ -409,14 +431,23 @@ class TestGroupOptions:
         assert run(runner, "render", "--in", src, "--out", tmp_path / "f.svg",
                    "--stroke-width", 0).exit_code == 2
 
+    def test_order_is_capped_at_1024(self, runner, tmp_path):
+        src = write_spiral(runner, tmp_path / "u.csv", 1.1, 1.0, window="-2:2,-2:2")
+        assert run(runner, "verify", "--in", src, "--order", 1024).exit_code == 0
+        for command, extra in (("verify", []), ("walk", []),
+                               ("harmonic", ["--out", tmp_path / "w.csv"]),
+                               ("render", ["--out", tmp_path / "f.svg"])):
+            result = run(runner, command, "--in", src, "--order", 1025, *extra)
+            assert result.exit_code == 2
+            assert "--order" in result.output
+
 
 # Fuzzed CLI contract: every command exits 0, 2 or 3 and raises nothing but
 # SystemExit.  Sizes stay small so that the examples run in seconds:
-# --order <= 64, --steps <= 5, --trials <= 100, --max-iter <= 50, windows up
-# to 7x7.  A huge --order stays out: numpy's leggauss allocates order**2
-# floats, so --order 100000 asks for 74.5 GiB and fails with MemoryError, a
-# known gap.  Valid values come first: hypothesis draws and shrinks towards
-# them, so that the examples reach the commands' work, not only their checks.
+# --order <= 64 or the bound 1024 and 1025 past it, --steps <= 5, --trials
+# <= 100, --max-iter <= 50, windows up to 7x7.  Valid values come first:
+# hypothesis draws and shrinks towards them, so that the examples reach the
+# commands' work, not only their checks.
 FUZZ_FLOATS = st.sampled_from(
     ["1", "0.5", "1.2", "1e-12", "0", "-1", "inf", "-inf", "nan", "x"])
 FUZZ_WINDOWS = st.sampled_from(
@@ -430,6 +461,9 @@ def fuzz_ints(low, high):
     return st.one_of(st.integers(low, high), st.integers(-3, high)).map(str)
 
 
+FUZZ_ORDERS = st.one_of(fuzz_ints(2, 64), st.sampled_from(["1024", "1025"]))
+
+
 FUZZ_FLAGS = {
     "spiral": {"--r0": FUZZ_FLOATS, "--x": FUZZ_FLOATS, "--y": FUZZ_FLOATS,
                "--window": FUZZ_WINDOWS, "--out": FUZZ_OUTS},
@@ -437,14 +471,14 @@ FUZZ_FLAGS = {
               "--max-iter": fuzz_ints(1, 50),
               "--mode": st.sampled_from(["gauss-seidel", "newton", "jacobi"]),
               "--init": st.sampled_from(["harmonic", "keep", "zero", "none"])},
-    "verify": {"--in": FUZZ_INS, "--order": fuzz_ints(2, 64), "--tol": FUZZ_FLOATS},
-    "harmonic": {"--in": FUZZ_INS, "--out": FUZZ_OUTS, "--order": fuzz_ints(2, 64)},
+    "verify": {"--in": FUZZ_INS, "--order": FUZZ_ORDERS, "--tol": FUZZ_FLOATS},
+    "harmonic": {"--in": FUZZ_INS, "--out": FUZZ_OUTS, "--order": FUZZ_ORDERS},
     "render": {"--in": FUZZ_INS, "--out": FUZZ_OUTS, "--stroke-width": FUZZ_FLOATS,
                "--color-map": st.sampled_from(["uniform", "log-radius", "d1u", "residual", "x"]),
-               "--padding": FUZZ_FLOATS, "--base": FUZZ_VERTICES, "--order": fuzz_ints(2, 64)},
+               "--padding": FUZZ_FLOATS, "--base": FUZZ_VERTICES, "--order": FUZZ_ORDERS},
     "walk": {"--in": FUZZ_INS, "--start": FUZZ_VERTICES, "--steps": fuzz_ints(0, 5),
              "--trials": fuzz_ints(1, 100), "--seed": fuzz_ints(0, 10),
-             "--order": fuzz_ints(2, 64)},
+             "--order": FUZZ_ORDERS},
 }
 FUZZ_CONFIG_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-3, 5), st.floats(-10, 10),

@@ -6,6 +6,7 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hexpack.geometry import angle_gradient
 from hexpack.lattice import ScalarField, Window
@@ -232,6 +233,54 @@ class TestLargeBoundaryJump:
         assert time.perf_counter() - start < 5.0
         assert np.all(np.isfinite(field.values))
 
+    def test_default_mode_converges_from_harmonic_start(self):
+        u0 = self.jump_field()
+        solved, report = solve_patch(u0)
+        assert report.converged
+        assert report.mode == "newton"
+        for v in u0.window.interior_vertices():
+            assert abs(angle_defect(solved, v)) <= 1e-10
+
+
+def test_newton_resumes_after_a_gauss_seidel_fallback():
+    # boundary log radii 300 apart: from the harmonic start one Newton
+    # iterate has a vertex whose Jacobian row underflows to zero
+    w = Window(-3, 3, -3, 3)
+    u0 = ScalarField.constant(w, 0.0)
+    for v, value in zip(w.boundary_vertices(), [
+        1, 1, 1, 1, -1, 0, -1, -1, 0, 0, 1, -1, 1, 1, 0, 0, 1, 0, -1, 1, -1, 1, -1, 1,
+    ]):
+        u0[v] = 300.0 * value
+    solved, report = solve_patch(u0)
+    assert report.converged
+    assert report.fallback == "gauss-seidel"
+    # Gauss-Seidel alone takes 322 sweeps here
+    assert report.iterations <= 50
+    reference, _ = solve_patch(u0, SolveOptions(mode="gauss-seidel"))
+    for v in w.interior_vertices():
+        assert abs(solved[v] - reference[v]) <= 1e-8
+
+
+@st.composite
+def random_boundaries(draw):
+    m_count, n_count = draw(st.integers(3, 9)), draw(st.integers(3, 9))
+    u0 = ScalarField.constant(Window(0, m_count - 1, 0, n_count - 1), 0.0)
+    for v in u0.window.boundary_vertices():
+        u0[v] = draw(st.floats(-3.0, 3.0))
+    return u0
+
+
+@given(u0=random_boundaries(), init=st.sampled_from(["harmonic", "keep", "zero"]))
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_newton_and_gauss_seidel_reach_the_same_field(u0, init):
+    fields = {}
+    for mode in ("newton", "gauss-seidel"):
+        fields[mode], report = solve_patch(u0, SolveOptions(mode=mode, init=init))
+        assert report.converged
+    gap = max(abs(fields["newton"][v] - fields["gauss-seidel"][v])
+              for v in u0.window.interior_vertices())
+    assert gap <= 1e-8
+
 
 class TestHarmonicInterpolation:
     def test_exact_for_linear_fields(self):
@@ -260,6 +309,16 @@ class TestOptionsAndReport:
         rep = SolveReport(iterations=5, final_defect=1.5e-11, converged=True)
         parsed = json.loads(rep.to_json())
         assert parsed == {"iterations": 5, "final_defect": 1.5e-11, "converged": True}
+
+    def test_solve_report_names_mode_and_fallback(self):
+        import json
+
+        exact = spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-10, 10, -10, 10))
+        _, report = solve_patch(exact, SolveOptions(init="zero"))
+        parsed = json.loads(report.to_json())
+        assert list(parsed) == ["iterations", "final_defect", "converged", "mode", "fallback"]
+        assert parsed["mode"] == "newton"
+        assert parsed["fallback"] is None
 
     def test_option_validation(self):
         with pytest.raises(ValueError):
