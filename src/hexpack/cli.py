@@ -281,7 +281,7 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
     values = None
     if color_map == "residual":
         values = harmonic_residuals(u, _edge_weights(u, order))
-    _write_text(out, render_svg(lay, style, values))
+    _write_text(out, _checked(render_svg, layout=lay, style=style, values=values))
 
 
 @main.command()

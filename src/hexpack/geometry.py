@@ -104,6 +104,13 @@ def dtheta_dx1_array(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.exp(_half_exponent(x1, x2) - _softplus_array(x1))
 
 
+def _theta_array(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized ``theta`` and its half exponent, as in ``flower_angles``."""
+    half = _half_exponent(x1, x2)
+    small = 2.0 * np.arctan(np.exp(-np.abs(half)))
+    return np.where(half > 0.0, math.pi - small, small), half
+
+
 def flower_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The six inner angles at each of N flower centers, with their partials.
 
@@ -119,14 +126,8 @@ def flower_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     x_next = np.roll(x, -1, axis=1)
-    half = _half_exponent(x, x_next)
-    small = 2.0 * np.arctan(np.exp(-np.abs(half)))
-    angles = np.where(half > 0.0, math.pi - small, small)
-    return (
-        angles,
-        np.exp(half - _softplus_array(x)),
-        np.exp(half - _softplus_array(x_next)),
-    )
+    angles, half = _theta_array(x, x_next)
+    return angles, np.exp(half - _softplus_array(x)), np.exp(half - _softplus_array(x_next))
 
 
 def inner_angles(u: Triple) -> tuple[float, float, float]:

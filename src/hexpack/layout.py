@@ -1,14 +1,13 @@
 """Developing map from log radii to planar circle configurations, plus the
 local univalence, flower univalence, and radius-ratio checks.
 
-Circles are placed breadth first: the base circle sits at the anchor, its
-first neighbor follows the anchor direction at the tangency distance, and
-every further circle is reached by rotating around an already placed one
-by the inner angles of the tangent-circle triangles (the first placement
-of a circle wins).  Consistency is measured per interior vertex: walking
-the six inner angles around a placed circle must return the first petal to
-its starting position, and that loop-closure gap stays at the local angle
-defect, not at the accumulated route error of far-apart placements.
+A layout holds window-shaped arrays of circle centers and radii.  The base
+circle sits at the anchor; the base row's edges turn, vertex by vertex, by
+pi minus the three inner angles on one side, and each further row follows
+from its predecessor in one step, every new circle turned off a placed
+edge by a face's inner angle.  Walking the six inner angles around each
+interior circle must return the first petal to its starting position; the
+gap of that loop stays at the local angle defect.
 """
 
 from __future__ import annotations
@@ -17,12 +16,13 @@ import cmath
 import json
 import math
 import sys
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import flower_angles, theta
+from .geometry import _theta_array, flower_angles
 from .lattice import (
     NEIGHBOR_OFFSETS,
     ScalarField,
@@ -94,29 +94,67 @@ class Anchor:
         object.__setattr__(self, "direction", self.direction / mag)
 
 
-@dataclass
 class Layout:
-    window: Window
-    circles: dict[Vertex, Circle]
-    base: Anchor
-    # Worst loop-closure gap (relative) over the interior vertices.
-    monodromy_residual: float = field(default=0.0)
+    """Circles on a window as read-only arrays ``centers`` (complex) and
+    ``radii``, indexed like a field's values, NaN where no circle sits."""
+
+    def __init__(self, window: Window, circles: dict[Vertex, Circle], base: Anchor,
+                 monodromy_residual: float = 0.0) -> None:
+        self.window, self.base = window, base
+        # Worst loop-closure gap (relative) over the interior vertices.
+        self.monodromy_residual = monodromy_residual
+        self.centers = np.full((window.n_count, window.m_count), np.nan, dtype=complex)
+        self.radii = self.centers.real.copy()
+        for (m, n), c in circles.items():
+            self.centers[n - window.n_min, m - window.m_min] = c.center
+            self.radii[n - window.n_min, m - window.m_min] = c.radius
+        self.centers.flags.writeable = self.radii.flags.writeable = False
+
+    def placed(self, *arrays: np.ndarray) -> list[list]:
+        """Lists over the placed circles, in vertex order (m, then n): their
+        m, their n, then the entries of each window-shaped array."""
+        w, keep = self.window, ~np.isnan(self.radii)
+        grids = (np.arange(w.m_min, w.m_max + 1), np.arange(w.n_min, w.n_max + 1)[:, None])
+        return [np.broadcast_to(a, keep.shape).T[keep.T].tolist() for a in (*grids, *arrays)]
+
+    @cached_property
+    def circles(self) -> MappingProxyType[Vertex, Circle]:
+        """Read-only map from vertex to circle, in vertex order."""
+        ms, ns, cs, rs = self.placed(self.centers, self.radii)
+        return MappingProxyType({(m, n): Circle(c, r) for m, n, c, r in zip(ms, ns, cs, rs)})
+
+
+def _faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counterclockwise corners p, q, r of the faces of a window-shaped array:
+    A(v) = (v, v+(1,0), v+(0,1)) at [0, i, j] and B(v) = (v+(1,0), v+(1,1),
+    v+(0,1)) at [1, i, j], for v in row i and column j (r broadcasts)."""
+    return np.stack([a[:-1, :-1], a[:-1, 1:]]), np.stack([a[:-1, 1:], a[1:, 1:]]), a[None, 1:, :-1]
+
+
+def _apex(c: np.ndarray, to: np.ndarray, d: np.ndarray, angle: np.ndarray) -> np.ndarray:
+    """Centers at distance ``d`` from ``c``, in the direction of ``to``
+    turned counterclockwise by ``angle``."""
+    return c + d * ((to - c) / np.abs(to - c) * np.exp(1j * angle))
 
 
 def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     """Place one circle per window vertex, consistent with all tangencies.
 
-    Requires every interior angle defect to be at most ``DEVELOP_DEFECT_TOL``
-    (raises :class:`DefectTooLarge` otherwise).  After placement the flower
-    loop around every interior vertex is closed up and the worst gap stored
-    on the layout; a gap above ``PLACEMENT_TOL`` raises
-    :class:`InconsistentPlacement`, which cannot happen for fields passing
-    the defect precondition.  A radius exp(u) that is not a positive normal
-    float raises a ValueError naming its vertex (a subnormal radius has too
-    few significant bits for the tangencies to close), and so do a tangency
-    distance r_v + r_w and a circle center that overflow.
+    The window must be one vertex or at least two rows by two columns (else
+    a ValueError), and every interior angle defect at most
+    ``DEVELOP_DEFECT_TOL`` (else :class:`DefectTooLarge`).  The worst gap
+    of the flower loops around the interior vertices is stored on the
+    layout; one above ``PLACEMENT_TOL`` raises :class:`InconsistentPlacement`,
+    which admissible fields cannot reach.  A radius exp(u) that is not a
+    positive normal float (a subnormal one has too few bits for the
+    tangencies to close), an overflowing tangency distance r_v + r_w and an
+    overflowing center raise a ValueError naming the vertex.
     """
     window = u.window
+    rows, cols = window.n_count, window.m_count
+    if min(rows, cols) < 2 and window.num_vertices > 1:
+        raise ValueError(f"develop needs a single vertex or a window at least two rows "
+                         f"tall and two columns wide, got {window}")
     centre, ring = interior_rings(window)
     vals = u.values.ravel()
     angles = flower_angles(vals[ring] - vals[centre, None])[0]
@@ -125,101 +163,99 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     if bad.size:
         raise DefectTooLarge(window.interior_vertices()[bad[0]], float(defects[bad[0]]))
 
-    if base is None:
-        base = Anchor(window.center_vertex())
+    base = Anchor(window.center_vertex()) if base is None else base
     if not window.contains(base.vertex):
         raise ValueError(f"base vertex {base.vertex} is outside window {window}")
 
-    radius = {}
-    for v in window.vertices():
-        try:
-            radius[v] = math.exp(u[v])
-        except OverflowError:
-            radius[v] = math.inf
-        if not sys.float_info.min <= radius[v] < math.inf:
+    with np.errstate(all="ignore"):
+        radii = np.exp(u.values)
+        bad = np.flatnonzero(~((radii >= sys.float_info.min) & (radii < math.inf)))
+        if bad.size:
+            v = window.vertices()[bad[0]]
             raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive normal float")
-    if max(radius.values()) > sys.float_info.max / 2:  # else no r_v + r_w overflows
-        for v in window.vertices():
-            for w in neighbors(v):
-                if window.contains(w) and math.isinf(radius[v] + radius[w]):
-                    raise ValueError(f"tangency distance exp({u[v]!r}) + exp({u[w]!r}) "
-                                     f"from {v} to {w} overflows")
-    centers: dict[Vertex, complex] = {base.vertex: base.center}
+        outer = np.pad(radii, 1)  # no radius outside the window
+        over = np.isinf([radii + outer[1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
+                         for dm, dn in NEIGHBOR_OFFSETS]).reshape(6, -1)
+        bad = np.flatnonzero(over.any(axis=0))
+        if bad.size:
+            v = window.vertices()[bad[0]]
+            dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[:, bad[0]]))]
+            w = (v[0] + dm, v[1] + dn)
+            raise ValueError(f"tangency distance exp({u[v]!r}) + exp({u[w]!r}) "
+                             f"from {v} to {w} overflows")
+        centers = np.full((rows, cols), base.center, dtype=complex)
 
-    first = next((w for w in neighbors(base.vertex) if window.contains(w)), None)
-    if first is not None:
-        centers[first] = base.center + (radius[base.vertex] + radius[first]) * base.direction
-        queue: deque[tuple[Vertex, Vertex]] = deque(
-            [(base.vertex, first), (first, base.vertex)]
-        )
-        while queue:
-            v, w = queue.popleft()
-            k = NEIGHBOR_OFFSETS.index((w[0] - v[0], w[1] - v[1]))
-            dm, dn = NEIGHBOR_OFFSETS[(k + 1) % 6]
-            z = (v[0] + dm, v[1] + dn)
-            if not window.contains(z) or z in centers:
-                continue
-            angle = theta(u[w] - u[v], u[z] - u[v])
-            direction = (centers[w] - centers[v]) / abs(centers[w] - centers[v])
-            centers[z] = centers[v] + (radius[v] + radius[z]) * direction * cmath.exp(1j * angle)
-            for nb in neighbors(z):
-                if nb in centers:
-                    queue.append((z, nb))
-                    queue.append((nb, z))
+        def frame(s: tuple) -> tuple:
+            p, q, r = _faces(u.values[s])
+            at_p, at_q = _theta_array(np.array([q - p, r - q]), np.array([r - p, p - q]))[0]
+            return centers[s], radii[s], at_p, at_q
 
-    far = next((v for v, c in centers.items() if not cmath.isfinite(c)), None)
-    if far is not None:
-        raise ValueError(f"circle at {far} is placed outside the float range")
-    circles = {v: Circle(centers[v], radius[v]) for v in sorted(centers)}
+        # Reversed axes turn the lattice by pi, (m, n) -> (-m, -n): faces stay
+        # counterclockwise, and the rows below the base come above it.
+        frames = [frame(np.s_[:, :]), frame(np.s_[::-1, ::-1])]
+        ib, jb = base.vertex[1] - window.n_min, base.vertex[0] - window.m_min
+        first = next((w for w in neighbors(base.vertex) if window.contains(w)), None)
+        if first is not None:
+            # The base row, in the frame where a row lies above it, turned to
+            # the anchor's first neighbor: (1, 0), (-1, 0) or (0, 1) there.
+            flip = ib == rows - 1
+            z, rad, at_p, at_q = frames[flip]
+            i, j = (rows - 1 - ib, cols - 1 - jb) if flip else (ib, jb)
+            phi = np.cumsum([0.0, *(math.pi - at_p[0, i, 1:] - at_p[1, i, :-1] - at_q[0, i, :-1])])
+            offset = tuple((-1 if flip else 1) * (a - b) for a, b in zip(first, base.vertex))
+            edge, direction = (j, base.direction) if offset == (1, 0) else (j - 1, -base.direction)
+            if offset == (0, 1):
+                direction *= cmath.exp(1j * (at_p[1, i, edge] + at_q[0, i, edge]))
+            step = (rad[i, :-1] + rad[i, 1:]) * direction * np.exp(1j * (phi - phi[edge]))
+            z[i, j + 1:] += np.cumsum(step[j:])
+            z[i, :j] -= np.cumsum(step[:j][::-1])[::-1]
+            # Each further row from the one below: the corners opposite the
+            # row edges in the faces A, and the last circle from a face B.
+            for (z, rad, at_p, _), i0 in zip(frames, (ib, rows - 1 - ib)):
+                for i in range(i0, rows - 1):
+                    z[i + 1, :-1] = _apex(z[i, :-1], z[i, 1:], rad[i, :-1] + rad[i + 1, :-1],
+                                          at_p[0, i])
+                    z[i + 1, -1] = _apex(z[i, -1], z[i + 1, -2], rad[i, -1] + rad[i + 1, -1],
+                                         -at_p[1, i, -1])
+
+    bad = np.flatnonzero(~np.isfinite(centers))
+    if bad.size:
+        raise ValueError(f"circle at {window.vertices()[bad[0]]} is placed outside the "
+                         "float range")
     worst = 0.0
     if centre.size:
-        # Turn the first petal around each interior circle by its six inner
-        # angles and measure how far the walk misses that petal.
-        verts = window.vertices()
-        z = np.array([centers[v] for v in verts])
-        r = np.array([radius[v] for v in verts])
-        petal = ring[:, 0]
+        # How far the first petal misses itself, turned by the six angles.
+        z, rad, petal = centers.ravel(), radii.ravel(), ring[:, 0]
         closed = z[centre] + (z[petal] - z[centre]) * np.exp(1j * angles.sum(axis=1))
-        gaps = np.abs(closed - z[petal]) / (r[centre] + r[petal])
+        gaps = np.abs(closed - z[petal]) / (rad[centre] + rad[petal])
         bad = np.flatnonzero(gaps > PLACEMENT_TOL)
         if bad.size:
             raise InconsistentPlacement(window.interior_vertices()[bad[0]], float(gaps[bad[0]]))
         worst = float(gaps.max())
-    return Layout(window, circles, base, worst)
+    layout = Layout(window, {}, base, worst)
+    centers.flags.writeable = radii.flags.writeable = False
+    layout.centers, layout.radii = centers, radii
+    return layout
 
 
 def max_tangency_residual(layout: Layout) -> float:
     """Largest relative tangency error over the layout's edges."""
-    worst = 0.0
-    for v, cv in layout.circles.items():
-        for dm, dn in ((1, 0), (0, 1), (-1, 1)):
-            w = (v[0] + dm, v[1] + dn)
-            cw = layout.circles.get(w)
-            if cw is None:
-                continue
-            expected = cv.radius + cw.radius
-            err = abs(abs(cv.center - cw.center) - expected) / expected
-            if err > worst:
-                worst = err
-    return worst
+    z, r = layout.centers, layout.radii
+    # the edges along (1, 0), (0, 1) and (-1, 1)
+    edges = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:]),
+             (np.s_[:-1, 1:], np.s_[1:, :-1]))
+    err = np.concatenate([(np.abs(np.abs(z[a] - z[b]) - (r[a] + r[b])) / (r[a] + r[b])).ravel()
+                          for a, b in edges])
+    return float(np.max(err, initial=0.0, where=~np.isnan(err)))
 
 
 def min_face_orientation(layout: Layout) -> float:
-    """Smallest signed area over the center triangles of the layout's faces;
-    positive everywhere for a correctly oriented development."""
-    best = math.inf
-    for v in layout.circles:
-        for k in range(6):
-            dm1, dn1 = NEIGHBOR_OFFSETS[k]
-            dm2, dn2 = NEIGHBOR_OFFSETS[(k + 1) % 6]
-            w1 = (v[0] + dm1, v[1] + dn1)
-            w2 = (v[0] + dm2, v[1] + dn2)
-            if w1 not in layout.circles or w2 not in layout.circles:
-                continue
-            a = layout.circles[w1].center - layout.circles[v].center
-            b = layout.circles[w2].center - layout.circles[v].center
-            best = min(best, 0.5 * (a.real * b.imag - a.imag * b.real))
-    return best
+    """Smallest signed area of the center triangles of the layout's faces,
+    taken at each corner; positive for a correctly oriented development."""
+    p, q, r = _faces(layout.centers)
+    areas = np.array([0.5 * ((b - a).conjugate() * (c - a)).imag
+                      for a, b, c in ((p, q, r), (q, r, p), (r, p, q))])
+    return float(np.min(areas, initial=math.inf, where=~np.isnan(areas)))
 
 
 def _flower_angles(u: ScalarField, v: Vertex) -> list[float]:
@@ -292,23 +328,12 @@ def flower_ratio_check(u: ScalarField, v: Vertex) -> float:
 def layout_to_json(layout: Layout) -> str:
     """Serialize the circles as a JSON array of {m, n, cx, cy, r} records,
     sorted by vertex."""
-    entries = [
-        {
-            "m": v[0],
-            "n": v[1],
-            "cx": c.center.real,
-            "cy": c.center.imag,
-            "r": c.radius,
-        }
-        for v, c in sorted(layout.circles.items())
-    ]
-    return json.dumps(entries)
+    columns = layout.placed(layout.centers.real, layout.centers.imag, layout.radii)
+    return json.dumps([{"m": m, "n": n, "cx": cx, "cy": cy, "r": r}
+                       for m, n, cx, cy, r in zip(*columns)])
 
 
 def circles_from_json(text: str) -> dict[Vertex, Circle]:
     """Parse the output of :func:`layout_to_json`."""
-    entries = json.loads(text)
-    return {
-        (int(e["m"]), int(e["n"])): Circle(complex(e["cx"], e["cy"]), float(e["r"]))
-        for e in entries
-    }
+    return {(int(e["m"]), int(e["n"])): Circle(complex(e["cx"], e["cy"]), float(e["r"]))
+            for e in json.loads(text)}

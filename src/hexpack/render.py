@@ -10,13 +10,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .lattice import translate
+import numpy as np
+
 from .layout import Layout
 
 COLOR_MAPS = ("uniform", "log-radius", "d1u", "residual")
 
 # Fixed three-stop piecewise-linear palette (low -> mid -> high).
-_PALETTE = ((0x21, 0x66, 0xAC), (0xF7, 0xF7, 0xF7), (0xB2, 0x18, 0x2B))
+_PALETTE = np.array(((0x21, 0x66, 0xAC), (0xF7, 0xF7, 0xF7), (0xB2, 0x18, 0x2B)), dtype=float)
 _UNIFORM_COLOR = "#000000"
 
 
@@ -35,89 +36,61 @@ class RenderStyle:
             raise ValueError(f"color map must be one of {COLOR_MAPS}, got {self.color_map!r}")
 
 
-def _interp_channel(lo: int, hi: int, t: float) -> int:
-    return int(round(lo + (hi - lo) * t))
-
-
-def _palette_color(t: float) -> str:
-    """Piecewise-linear palette over [0, 1]."""
-    if t <= 0.5:
-        lo, hi, s = _PALETTE[0], _PALETTE[1], 2.0 * t
-    else:
-        lo, hi, s = _PALETTE[1], _PALETTE[2], 2.0 * t - 1.0
-    r, g, b = (_interp_channel(a, c, s) for a, c in zip(lo, hi))
-    return f"#{r:02x}{g:02x}{b:02x}"
-
-
-def _color_values(layout: Layout, style: RenderStyle, values) -> dict:
+def _colors(layout: Layout, style: RenderStyle, values) -> list[str]:
+    """Stroke colors of the placed circles, in vertex order."""
+    r = layout.radii
     if style.color_map == "uniform":
-        return {}
-    if style.color_map == "log-radius":
-        return {v: math.log(c.radius) for v, c in layout.circles.items()}
-    if style.color_map == "d1u":
-        out = {}
-        for v, c in layout.circles.items():
-            w = layout.circles.get(translate(v))
-            if w is not None:
-                out[v] = math.log(w.radius / c.radius)
-        return out
-    if values is None:
-        raise ValueError("the residual color map needs per-vertex values")
-    return dict(values)
+        return [_UNIFORM_COLOR] * int(np.count_nonzero(~np.isnan(r)))
+    if style.color_map == "residual":
+        if values is None:
+            raise ValueError("the residual color map needs per-vertex values")
+        values = dict(values)
+        t = np.array([values.get(v, math.nan) for v in zip(*layout.placed())], dtype=float)
+    else:
+        data = np.log(r) if style.color_map == "log-radius" else np.pad(
+            np.log(r[:, 1:] / r[:, :-1]), ((0, 0), (0, 1)), constant_values=np.nan)
+        t = np.array(layout.placed(data)[2], dtype=float)
+    known = t[~np.isnan(t)]
+    lo, hi = (known.min(), known.max()) if known.size else (0.0, 0.0)
+    # a range at rounding level is noise, not signal
+    t = (t - lo) / (hi - lo) if hi - lo > 1e-12 * max(abs(lo), abs(hi)) else np.full_like(t, 0.5)
+    # piecewise-linear palette over [0, 1], midpoint where a circle has no value
+    t = np.where(np.isnan(t), 0.5, t)[:, None]
+    upper = t > 0.5
+    a, b = np.where(upper, _PALETTE[1], _PALETTE[0]), np.where(upper, _PALETTE[2], _PALETTE[1])
+    rgb = np.rint(a + (b - a) * np.where(upper, 2.0 * t - 1.0, 2.0 * t)).astype(int)
+    return [f"#{c:06x}" for c in (rgb @ (1 << 16, 1 << 8, 1)).tolist()]
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle(), values=None) -> str:
     """One SVG circle element per circle of the layout.
 
     The viewBox is the bounding box of all circles grown by the padding
-    fraction.  Colors follow the style's map over the data range; vertices
-    without a value get the palette midpoint.  ``values`` supplies the
-    per-vertex data for the "residual" map.
+    fraction (a ValueError if it passes the float range).  Colors follow
+    the style's map over the data range; vertices without a value get the
+    palette midpoint.  ``values`` holds the data of the "residual" map.
     """
-    verts = sorted(layout.circles)
-    if verts:
-        xs_lo = min(layout.circles[v].center.real - layout.circles[v].radius for v in verts)
-        xs_hi = max(layout.circles[v].center.real + layout.circles[v].radius for v in verts)
-        # y axis flips, so the bounding box flips with it
-        ys_lo = min(-layout.circles[v].center.imag - layout.circles[v].radius for v in verts)
-        ys_hi = max(-layout.circles[v].center.imag + layout.circles[v].radius for v in verts)
-        pad_x = style.padding * (xs_hi - xs_lo)
-        pad_y = style.padding * (ys_hi - ys_lo)
-        box = (xs_lo - pad_x, ys_lo - pad_y,
-               (xs_hi - xs_lo) + 2 * pad_x, (ys_hi - ys_lo) + 2 * pad_y)
-    else:
-        box = (0.0, 0.0, 1.0, 1.0)
+    # the y axis flips, so the bounding box flips with it
+    _, _, xs, ys, rs = layout.placed(layout.centers.real, -layout.centers.imag, layout.radii)
+    box = (0.0, 0.0, 1.0, 1.0)
+    if rs:
+        x, y, r = np.array([xs, ys, rs])
+        with np.errstate(over="ignore"):
+            lo, hi = np.min([x - r, y - r], axis=1), np.max([x + r, y + r], axis=1)
+            pad = style.padding * (hi - lo)
+            box = (*(lo - pad).tolist(), *(hi - lo + 2 * pad).tolist())
+        if not np.isfinite(box).all():
+            raise ValueError(f"the bounding box {box} of the circles passes the float range")
 
-    data = _color_values(layout, style, values)
-    if data:
-        lo = min(data.values())
-        hi = max(data.values())
-        span = hi - lo
-        # a range at rounding level is noise, not signal
-        if span <= 1e-12 * max(abs(lo), abs(hi)):
-            span = 0.0
-    else:
-        lo, span = 0.0, 0.0
-
-    def color_of(v) -> str:
-        if style.color_map == "uniform":
-            return _UNIFORM_COLOR
-        if v not in data or span == 0.0:
-            return _palette_color(0.5)
-        return _palette_color((data[v] - lo) / span)
-
+    colors = _colors(layout, style, values)
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
         f'viewBox="{box[0]!r} {box[1]!r} {box[2]!r} {box[3]!r}">',
         f'<g fill="none" stroke-width="{style.stroke_width!r}">',
+        *(f'<circle cx="{cx!r}" cy="{cy!r}" r="{r!r}" stroke="{c}"/>'
+          for cx, cy, r, c in zip(xs, ys, rs, colors)),
+        "</g>",
+        "</svg>",
     ]
-    for v in verts:
-        c = layout.circles[v]
-        lines.append(
-            f'<circle cx="{c.center.real!r}" cy="{-c.center.imag!r}" '
-            f'r="{c.radius!r}" stroke="{color_of(v)}"/>'
-        )
-    lines.append("</g>")
-    lines.append("</svg>")
     return "\n".join(lines) + "\n"

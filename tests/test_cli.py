@@ -259,6 +259,28 @@ def test_overflowing_tangency_distance_exits_2(runner, tmp_path):
     assert "(-4, -4)" in result.output
 
 
+def test_bounding_box_past_float_range_exits_2(runner, tmp_path):
+    # every radius exp(707) and every centre is finite, but the box the
+    # circles span is wider than the float range
+    src = tmp_path / "c.csv"
+    src.write_text(write_field_csv(ScalarField.constant(Window(-4, 4, -4, 4), 707.0)))
+    out = tmp_path / "fig.svg"
+    result = run(runner, "render", "--in", src, "--out", out)
+    assert result.exit_code == 2
+    assert "bounding box" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("window", ["0:4,0:0", "0:0,-2:2"])
+def test_one_row_or_column_window_exits_2(runner, tmp_path, window):
+    src = write_spiral(runner, tmp_path / "u.csv", 1.2, 0.9, window=window)
+    out = tmp_path / "fig.svg"
+    result = run(runner, "render", "--in", src, "--out", out)
+    assert result.exit_code == 2
+    assert "two rows" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["harmonic", "verify", "walk"])
 def test_underflowing_edge_weight_exits_2(runner, tmp_path, command):
     field = ScalarField.constant(Window(-4, 4, -4, 4), 0.0)

@@ -15,6 +15,7 @@ import pytest
 from hexpack.lattice import ScalarField, Window, embed, neighbors
 from hexpack.layout import (
     Anchor,
+    Circle,
     DefectTooLarge,
     Layout,
     check_local_univalence,
@@ -28,6 +29,7 @@ from hexpack.layout import (
     min_face_orientation,
     ring_ratio_bound,
 )
+from hexpack.solver import solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
 UNIVALENCE_BREAK_X = 5.0 + 2.0 * math.sqrt(6.0)
@@ -107,6 +109,59 @@ class TestDevelop:
         lay = develop(solved)
         assert set(lay.circles) == set(solved.window.vertices())
         assert lay.monodromy_residual <= 10 * report.final_defect + 1e-14
+
+    def test_large_spiral_stays_tangent(self):
+        # on the 61x61 window the radii span nine orders of magnitude
+        lay = develop(spiral(1.2, 0.85, half=30))
+        assert max_tangency_residual(lay) <= 1e-9
+        assert min_face_orientation(lay) > 0.0
+
+    @pytest.mark.parametrize("window", [Window(0, 4, 0, 0), Window(0, 0, -2, 2)])
+    def test_rejects_one_row_or_column(self, window):
+        with pytest.raises(ValueError, match="two rows"):
+            develop(ScalarField.constant(window, 0.0), Anchor((0, 0)))
+
+    def test_single_vertex(self):
+        lay = develop(ScalarField.constant(Window(3, 3, 5, 5), 0.5), Anchor((3, 5), 1j))
+        assert list(lay.circles) == [(3, 5)]
+        assert lay.circles[(3, 5)].center == 1j
+        assert lay.circles[(3, 5)].radius == pytest.approx(math.exp(0.5), rel=1e-15)
+
+
+class TestBasePositions:
+    """One solved 7x9 window developed from its corners, its edge midpoints
+    and its center, with the base circle off the origin and a tilted
+    anchor direction."""
+
+    ANCHOR_CENTER = 1.5 - 2j
+    ANCHOR_DIRECTION = (0.3 + 1j) / abs(0.3 + 1j)
+
+    @pytest.fixture(scope="class")
+    def field(self):
+        values = np.random.default_rng(71).uniform(-1.5, 1.5, size=(9, 7))
+        values[1:-1, 1:-1] = 0.0
+        solved, _ = solve_patch(ScalarField(Window(0, 6, 0, 8), values))
+        return solved
+
+    @pytest.mark.parametrize("vertex", [(0, 0), (6, 0), (0, 8), (6, 8), (3, 0), (3, 8),
+                                        (0, 4), (6, 4), (3, 4)])
+    def test_base_vertex(self, field, vertex):
+        lay = develop(field, Anchor(vertex, self.ANCHOR_CENTER, 0.3 + 1j))
+        base = lay.circles[vertex]
+        assert base.center == self.ANCHOR_CENTER
+        first = next(w for w in neighbors(vertex) if field.window.contains(w))
+        distance = base.radius + lay.circles[first].radius
+        expected = self.ANCHOR_CENTER + distance * self.ANCHOR_DIRECTION
+        assert abs(lay.circles[first].center - expected) <= 1e-12 * distance
+        assert max_tangency_residual(lay) <= 1e-10
+        assert min_face_orientation(lay) > 0.0
+        # the same packing as the one based at the center, up to a rigid motion
+        z = np.array([c.center for c in lay.circles.values()])
+        z_ref = np.array([c.center for c in develop(field).circles.values()])
+        pairs = np.abs(z[:, None] - z[None, :])
+        pairs_ref = np.abs(z_ref[:, None] - z_ref[None, :])
+        off_diagonal = ~np.eye(len(z), dtype=bool)
+        assert np.allclose(pairs[off_diagonal], pairs_ref[off_diagonal], rtol=1e-9, atol=0.0)
 
 
 class TestLocalUnivalence:
