@@ -218,9 +218,9 @@ def verify(in_path: str, order: int, tol: float) -> None:
     max_defect = float(np.abs(defects).max()) if defects.size else None
 
     weights = _edge_weights(u, order)
-    etas = [value for (_, _, value) in weights.edges()]
-    min_eta = min(etas) if etas else None
-    max_eta = max(etas) if etas else None
+    etas = weights.values[~np.isnan(weights.values)]
+    min_eta = float(etas.min()) if etas.size else None
+    max_eta = float(etas.max()) if etas.size else None
     residuals = [abs(r) for r in harmonic_residuals(u, weights).values()]
     max_residual = max(residuals) if residuals else None
 

@@ -18,10 +18,11 @@ and this module evaluates the algebraically identical half-angle form
     theta(x1, x2) = 2 atan( exp((x1 + x2 - L) / 2) ),
     L = log(1 + e^x1 + e^x2),
 
-with L computed in shifted log space.  Unlike the raw arccos route this
-never overflows (e^x alone would overflow past x ~ 709), and it keeps full
-relative accuracy for angles near 0 and pi, which matters for fields whose
-log radii span hundreds of units.
+with L computed in shifted log space, and as pi - 2 atan(e^-h) where the
+half exponent h = (x1 + x2 - L) / 2 is positive.  Unlike the raw arccos
+route this never overflows (e^x alone would overflow past x ~ 709), and it
+keeps full relative accuracy for angles near 0 and pi, which matters for
+fields whose log radii span hundreds of units.
 
 The partial derivative with respect to x1 has the closed form
 
@@ -30,10 +31,12 @@ The partial derivative with respect to x1 has the closed form
 evaluated the same way.  It is strictly positive and strictly below 1 for
 all finite arguments.
 
-``flower_angles`` is the vectorized kernel every six-angle sum in the
-package goes through: it evaluates the six faces around many vertices at
-once, with their partials, in the same arithmetic.  The scalar ``theta``
-and ``dtheta_dx1`` are its reference implementation.
+``face_angles`` and ``face_partials`` evaluate windows of faces from one
+half exponent each: in a face with log radii (a, b, c) the corners' half
+exponents are T - a, T - b, T - c with 2T = a + b + c - log(e^a + e^b +
+e^c), and d(angle at b)/d(c) = d(angle at c)/d(b) = exp(T - log(e^b + e^c)).
+``flower_angles`` evaluates the six faces around single flowers.  The
+scalar ``theta`` and ``dtheta_dx1`` are the reference for all three.
 
 All functions are pure and thread-safe.
 """
@@ -72,8 +75,9 @@ def theta(x1: float, x2: float) -> float:
     Symmetric in its arguments and always in (0, pi).
     """
     _require_finite(x1, x2)
-    ell = _log1p_exp2(x1, x2)
-    return 2.0 * math.atan(math.exp(0.5 * (x1 + x2 - ell)))
+    half = 0.5 * (x1 + x2 - _log1p_exp2(x1, x2))
+    small = 2.0 * math.atan(math.exp(-abs(half)))
+    return math.pi - small if half > 0.0 else small
 
 
 def dtheta_dx1(x1: float, x2: float) -> float:
@@ -104,11 +108,24 @@ def dtheta_dx1_array(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     return np.exp(_half_exponent(x1, x2) - _softplus_array(x1))
 
 
-def _theta_array(x1: np.ndarray, x2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized ``theta`` and its half exponent, as in ``flower_angles``."""
-    half = _half_exponent(x1, x2)
+def _angle(half: np.ndarray) -> np.ndarray:
+    """The angle 2 atan(e^half), as pi - 2 atan(e^-half) where half > 0."""
     small = 2.0 * np.arctan(np.exp(-np.abs(half)))
-    return np.where(half > 0.0, math.pi - small, small), half
+    return np.where(half > 0.0, math.pi - small, small)
+
+
+def face_angles(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Inner angles at the corners of faces with log radii p, q, r, stacked (3, ...)."""
+    half = _half_exponent(q - p, r - p)
+    return _angle(np.stack([half, half - (q - p), half - (r - p)]))
+
+
+def face_partials(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Symmetric partials of faces with log radii p, q, r on the edges qr, rp
+    and pq, stacked (3, ...): d(angle at q)/d(r) = d(angle at r)/d(q) first."""
+    half = _half_exponent(q - p, r - p)
+    return np.exp(np.stack([half - (q - p) - _softplus_array(r - q),
+                            half - _softplus_array(r - p), half - _softplus_array(q - p)]))
 
 
 def flower_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -126,8 +143,8 @@ def flower_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     x = np.asarray(x, dtype=float)
     x_next = np.roll(x, -1, axis=1)
-    angles, half = _theta_array(x, x_next)
-    return angles, np.exp(half - _softplus_array(x)), np.exp(half - _softplus_array(x_next))
+    half = _half_exponent(x, x_next)
+    return _angle(half), np.exp(half - _softplus_array(x)), np.exp(half - _softplus_array(x_next))
 
 
 def inner_angles(u: Triple) -> tuple[float, float, float]:

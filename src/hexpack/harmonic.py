@@ -14,11 +14,12 @@ is analytic in the segment parameter, so Gauss-Legendre quadrature
 converges spectrally; for spiral fields it is constant and any order is
 exact.  The weights are symmetric and lie strictly between 0 and 2.
 
-``compute_edge_weights`` integrates every face of the window in one pass
-and stores the weights as three window-shaped arrays, one per edge
-direction; the residuals and the random walk read those arrays.  The
-per-edge ``eta`` and per-vertex ``harmonic_residual`` are the scalar
-reference implementations.
+``compute_edge_weights`` integrates ``geometry.face_partials`` over every
+face of the window in one pass, summed at each edge by ``lattice.edge_sums``
+(at the field itself that sum is the Newton solver's Jacobian), and stores
+the weights as three window-shaped arrays, one per edge direction; the
+residuals and the random walk read those arrays.  The per-edge ``eta`` and
+per-vertex ``harmonic_residual`` are the scalar reference implementations.
 """
 
 from __future__ import annotations
@@ -30,16 +31,20 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import dtheta_dx1_array
+from .geometry import dtheta_dx1_array, face_partials
 from .lattice import (
+    DIRECTIONS,
     Face,
     ScalarField,
     Vertex,
     Window,
     are_adjacent,
+    edge_sums,
+    faces,
     faces_containing_edge,
     interior_rings,
     neighbors,
+    ring_gather,
     translate,
 )
 
@@ -123,10 +128,6 @@ def eta(u: ScalarField, v: Vertex, w: Vertex,
     return total
 
 
-# Edge directions in the order that sorts the far endpoints of a fixed v.
-DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
-
-
 class EdgeWeights:
     """Symmetric positive weights on the undirected edges of a window.
 
@@ -203,60 +204,23 @@ class EdgeWeights:
         return "\n".join(lines) + "\n"
 
 
-# The six directed corner pairs (i, j) of a face and the third corner k:
-# the angle at corner i has the partial dtheta_dx1(u_j - u_i, u_k - u_i)
-# in u_j.
-_I, _J = np.array([(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]).T
-_K = 3 - _I - _J
-
-
-def _face_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
-    """Segment integrals of the directed partials on every face
-    A(v) = (v, v+(1,0), v+(0,1)) and B(v) = (v, v+(1,-1), v+(1,0)) whose
-    corners and their m-translates lie in the window.
-
-    Entry [0, i, j] (face A) or [1, i, j] (face B) is window-shaped, less
-    one row and two columns, and holds the integral of d(angle at corner
-    i)/d(u at corner j) at the row and column of v (for B, one row less).
-    Nodes are visited one at a time, so every temporary stays window-sized.
-    """
-    nodes, wts = _nodes_weights_01(quad.order)
-    start = values[:, :-1]
-    step = values[:, 1:] - start
-    out = np.zeros((2, 3, 3, values.shape[0] - 1, values.shape[1] - 2))
-    for t, wt in zip(nodes, wts):
-        s = start + step * t  # the interpolated field, on m_min .. m_max - 1
-        corners = np.stack([s[:-1, :-1], s[:-1, 1:], s[1:, :-1],
-                            s[1:, :-1], s[:-1, 1:], s[1:, 1:]]).reshape(2, 3, *out.shape[3:])
-        out[:, _I, _J] += wt * dtheta_dx1_array(corners[:, _J] - corners[:, _I],
-                                                corners[:, _K] - corners[:, _I])
-    return out
-
-
 def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
                          around: set | None = None) -> EdgeWeights:
     """Weights for every window edge whose two faces and their m-translates
-    fit inside the window (others are skipped).  Each stored weight is the
-    average of the two directional integrals, which are equal analytically;
-    averaging removes the last bits of quadrature asymmetry.  All faces are
-    integrated in one window-wide pass; with ``around`` given, only edges
-    incident to that vertex set are kept.  A weight outside (0, 2), such as
-    one that underflows to zero, raises a ValueError naming its edge.
+    fit inside the window (others are skipped).  The faces on m_min ..
+    m_max - 1 are integrated in one pass, node by node so that temporaries
+    stay window-sized; with ``around`` given, only edges incident to that
+    vertex set are kept.  A weight outside (0, 2), such as one that
+    underflows to zero, raises a ValueError naming its edge.
     """
     out = EdgeWeights(u.window, {})
     values = np.full(out.values.shape, np.nan)
-    stored = np.zeros(values.shape, dtype=bool)
-    if u.window.n_count >= 2 and u.window.m_count >= 3:
-        a, b = _face_partials(u.values, quad)
-        # The faces left and right of v -> w are B(v+(-1,1)) and A(v) for
-        # (0, 1), B(v) and A(v+(0,-1)) for (1, -1), A(v) and B(v) for (1, 0);
-        # eta(v, w) and eta(w, v) each sum their left face first.
-        for slot, weight in (
-                (np.s_[0, :-1, 1:-2],
-                 (b[1, 2][:, :-1] + a[0, 2][:, 1:]) + (a[2, 0][:, 1:] + b[2, 1][:, :-1])),
-                (np.s_[1, 1:, :-2], (b[0, 1] + a[2, 1]) + (a[1, 2] + b[1, 0])),
-                (np.s_[2, 1:-1, :-2], (a[0, 1][1:] + b[0, 2][:-1]) + (b[2, 0][:-1] + a[1, 0][1:]))):
-            values[slot], stored[slot] = 0.5 * weight, True
+    if u.window.m_count >= 2:
+        nodes, wts = _nodes_weights_01(quad.order)
+        start, step = u.values[:, :-1], np.diff(u.values, axis=1)
+        values[:, :, :-1] = edge_sums(sum(wt * face_partials(*faces(start + step * t))
+                                          for t, wt in zip(nodes, wts)))
+    stored = ~np.isnan(values)
     if around is not None:
         near = np.zeros(stored.shape, dtype=bool)
         for v in around:
@@ -287,17 +251,6 @@ def harmonic_residual(u: ScalarField, v: Vertex,
     return total
 
 
-def _ring_weights(weights: EdgeWeights) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``interior_rings`` of the weights' window, and each interior
-    vertex's six incident weights in neighbor order, NaN where missing."""
-    centre, ring = interior_rings(weights.window)
-    # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
-    # k = 2, 3, 4, where the edge is stored at the neighbor.
-    anchor = ring.copy()
-    anchor[:, [0, 1, 5]] = centre[:, None]
-    return centre, ring, weights.values.reshape(3, -1)[(2, 0, 1, 2, 0, 1), anchor]
-
-
 def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> dict[Vertex, float]:
     """``harmonic_residual(u, v, weights=weights)`` at every interior vertex
     v where it is defined: v, its neighbors and their m-translates lie in
@@ -305,7 +258,8 @@ def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> dict[Vertex, flo
     if weights.window != u.window:
         raise ValueError(f"weights on {weights.window} do not match field window {u.window}")
     d1u = np.pad(np.diff(u.values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan).ravel()
-    centre, ring, etas = _ring_weights(weights)
+    centre, ring = interior_rings(u.window)
+    etas = ring_gather(weights.values, centre, ring)
     total = sum(etas[:, k] * (d1u[ring[:, k]] - d1u[centre]) for k in range(6))
     verts = u.window.interior_vertices()
     return {verts[i]: float(total[i]) for i in np.flatnonzero(~np.isnan(total))}
@@ -364,7 +318,8 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     # Only interior vertices can have all six weights, so only they step.
     nbr_idx = np.full((window.num_vertices, 6), -1, dtype=np.int64)
     cum = np.ones((window.num_vertices, 6))
-    centre, ring, etas = _ring_weights(weights)
+    centre, ring = interior_rings(window)
+    etas = ring_gather(weights.values, centre, ring)
     full = ~np.isnan(etas).any(axis=1)
     c = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
     c[:, -1] = 1.0

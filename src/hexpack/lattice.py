@@ -3,7 +3,8 @@
 Vertices are integer pairs (m, n) embedded in the plane at m + n e^{i pi/3},
 so every vertex has six neighbors at unit distance.  Faces are positively
 oriented triples of pairwise adjacent vertices.  Scalar fields (log radii,
-mostly) live on rectangular index windows and are stored densely.
+mostly) live on rectangular index windows and are stored densely, and
+``faces``, ``corner_sums`` and ``edge_sums`` map them to faces and back.
 """
 
 from __future__ import annotations
@@ -21,6 +22,9 @@ Face = tuple[Vertex, Vertex, Vertex]
 NEIGHBOR_OFFSETS: tuple[Vertex, ...] = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 _OFFSET_INDEX = {off: k for k, off in enumerate(NEIGHBOR_OFFSETS)}
+
+# Edge directions in the order that sorts the far endpoints of a fixed v.
+DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
 
 
 def embed(v: Vertex) -> complex:
@@ -218,6 +222,48 @@ def interior_rings(window: Window) -> tuple[np.ndarray, np.ndarray]:
     centre = (rows[:, None] * mc + cols[None, :]).ravel()
     offsets = np.array([dm + dn * mc for dm, dn in NEIGHBOR_OFFSETS])
     return centre, centre[:, None] + offsets
+
+
+def ring_gather(edges: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> np.ndarray:
+    """Per-edge values, stored as ``edge_sums`` returns them, on the edges
+    from the ``interior_rings`` centres to their six neighbors: (N, 6)."""
+    # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
+    # k = 2, 3, 4, where the edge is stored at the neighbor.
+    anchor = np.where([True, True, False, False, False, True], centre[:, None], ring)
+    return edges.reshape(3, -1)[(2, 0, 1, 2, 0, 1), anchor]
+
+
+def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Counterclockwise corners p, q, r of the faces of a window-shaped array,
+    each (2, rows - 1, cols - 1): A(v) = (v, v+(1,0), v+(0,1)) at [0, i, j] and
+    B(v) = (v+(1,0), v+(1,1), v+(0,1)) at [1, i, j], for v in row i, column j."""
+    return (np.stack([a[:-1, :-1], a[:-1, 1:]]), np.stack([a[:-1, 1:], a[1:, 1:]]),
+            np.stack([a[1:, :-1], a[1:, :-1]]))
+
+
+def corner_sums(f: np.ndarray) -> np.ndarray:
+    """Values at the corners p, q, r of the ``faces``, stacked (3, 2, rows - 1,
+    cols - 1), summed at each vertex: (rows, cols)."""
+    (pa, pb), (qa, qb), (ra, rb) = f
+    out = np.zeros((f.shape[2] + 1, f.shape[3] + 1))
+    out[:-1, :-1] += pa
+    out[:-1, 1:] += qa + pb
+    out[1:, 1:] += qb
+    out[1:, :-1] += ra + rb
+    return out
+
+
+def edge_sums(f: np.ndarray) -> np.ndarray:
+    """Values on the edges qr, rp, pq of the ``faces``, stacked (3, 2, rows - 1,
+    cols - 1), summed over the two faces at each edge: (3, rows, cols), the
+    edge from v to v + DIRECTIONS[k] at [k] and v's row and column, NaN
+    where the edge has fewer than two faces."""
+    (qra, qrb), (rpa, rpb), (pqa, pqb) = f
+    out = np.full((3, f.shape[2] + 1, f.shape[3] + 1), np.nan)
+    out[0, :-1, 1:-1] = rpa[:, 1:] + pqb[:, :-1]
+    out[1, 1:, :-1] = qra + rpb
+    out[2, 1:-1, :-1] = pqa[1:] + qrb[:-1]
+    return out
 
 
 def d1(f: ScalarField) -> ScalarField:

@@ -22,17 +22,18 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import _theta_array, flower_angles
+from .geometry import face_angles, flower_angles
 from .lattice import (
     NEIGHBOR_OFFSETS,
     ScalarField,
     Vertex,
     Window,
     d1,
+    faces,
     interior_rings,
     neighbors,
 )
-from .solver import TWO_PI
+from .solver import TWO_PI, angle_defects
 
 # Largest angle defect a field may carry into the developing map.
 DEVELOP_DEFECT_TOL = 1e-8
@@ -124,13 +125,6 @@ class Layout:
         return MappingProxyType({(m, n): Circle(c, r) for m, n, c, r in zip(ms, ns, cs, rs)})
 
 
-def _faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Counterclockwise corners p, q, r of the faces of a window-shaped array:
-    A(v) = (v, v+(1,0), v+(0,1)) at [0, i, j] and B(v) = (v+(1,0), v+(1,1),
-    v+(0,1)) at [1, i, j], for v in row i and column j (r broadcasts)."""
-    return np.stack([a[:-1, :-1], a[:-1, 1:]]), np.stack([a[:-1, 1:], a[1:, 1:]]), a[None, 1:, :-1]
-
-
 def _apex(c: np.ndarray, to: np.ndarray, d: np.ndarray, angle: np.ndarray) -> np.ndarray:
     """Centers at distance ``d`` from ``c``, in the direction of ``to``
     turned counterclockwise by ``angle``."""
@@ -156,12 +150,10 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         raise ValueError(f"develop needs a single vertex or a window at least two rows "
                          f"tall and two columns wide, got {window}")
     centre, ring = interior_rings(window)
-    vals = u.values.ravel()
-    angles = flower_angles(vals[ring] - vals[centre, None])[0]
-    defects = np.abs(TWO_PI - angles.sum(axis=1))
-    bad = np.flatnonzero(defects > DEVELOP_DEFECT_TOL)
+    defects = angle_defects(u)
+    bad = np.flatnonzero(np.abs(defects) > DEVELOP_DEFECT_TOL)
     if bad.size:
-        raise DefectTooLarge(window.interior_vertices()[bad[0]], float(defects[bad[0]]))
+        raise DefectTooLarge(window.interior_vertices()[bad[0]], abs(float(defects[bad[0]])))
 
     base = Anchor(window.center_vertex()) if base is None else base
     if not window.contains(base.vertex):
@@ -186,8 +178,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         centers = np.full((rows, cols), base.center, dtype=complex)
 
         def frame(s: tuple) -> tuple:
-            p, q, r = _faces(u.values[s])
-            at_p, at_q = _theta_array(np.array([q - p, r - q]), np.array([r - p, p - q]))[0]
+            at_p, at_q, _ = face_angles(*faces(u.values[s]))
             return centers[s], radii[s], at_p, at_q
 
         # Reversed axes turn the lattice by pi, (m, n) -> (-m, -n): faces stay
@@ -224,9 +215,10 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
                          "float range")
     worst = 0.0
     if centre.size:
-        # How far the first petal misses itself, turned by the six angles.
+        # How far the first petal misses itself, turned by the six angles:
+        # by e^(i (2 pi - defect)) = e^(-i defect).
         z, rad, petal = centers.ravel(), radii.ravel(), ring[:, 0]
-        closed = z[centre] + (z[petal] - z[centre]) * np.exp(1j * angles.sum(axis=1))
+        closed = z[centre] + (z[petal] - z[centre]) * np.exp(-1j * defects)
         gaps = np.abs(closed - z[petal]) / (rad[centre] + rad[petal])
         bad = np.flatnonzero(gaps > PLACEMENT_TOL)
         if bad.size:
@@ -252,7 +244,7 @@ def max_tangency_residual(layout: Layout) -> float:
 def min_face_orientation(layout: Layout) -> float:
     """Smallest signed area of the center triangles of the layout's faces,
     taken at each corner; positive for a correctly oriented development."""
-    p, q, r = _faces(layout.centers)
+    p, q, r = faces(layout.centers)
     areas = np.array([0.5 * ((b - a).conjugate() * (c - a)).imag
                       for a, b, c in ((p, q, r), (q, r, p), (r, p, q))])
     return float(np.min(areas, initial=math.inf, where=~np.isnan(areas)))

@@ -10,8 +10,9 @@ value: theta increases in both arguments and theta(0, 0) = pi/3.
 
 The defects are the gradient of a convex functional of the interior log
 radii (Colin de Verdiere, Invent. Math. 104, 1991), whose Hessian is minus
-the symmetric Jacobian.  Two modes share one engine built on
-``geometry.flower_angles``:
+the symmetric Jacobian.  The defects and the Jacobian come from one
+evaluation per face (``geometry.face_angles`` and ``face_partials``), the
+per-vertex solves from ``geometry.flower_angles``.  There are two modes:
 
 - "newton" (default) factors the sparse Jacobian per iteration (Orick,
   Stephenson and Collins, Comput. Geom. 64, 2017) in a symmetric
@@ -39,8 +40,9 @@ import numpy as np
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .geometry import flower_angles
-from .lattice import ScalarField, Vertex, Window, interior_rings, neighbors
+from .geometry import face_angles, face_partials, flower_angles
+from .lattice import (ScalarField, Vertex, Window, corner_sums, edge_sums, faces,
+                      interior_rings, neighbors, ring_gather)
 
 TWO_PI = 2.0 * math.pi
 
@@ -124,12 +126,11 @@ def angle_defect(u: ScalarField, v: Vertex) -> float:
 def angle_defects(u: ScalarField) -> np.ndarray:
     """``angle_defect`` at every interior vertex, in ``interior_vertices()``
     order."""
-    centre, ring = interior_rings(u.window)
-    return _defects(u.values.ravel(), centre, ring)
+    return _defects(u.values)
 
 
-def _defects(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> np.ndarray:
-    return TWO_PI - flower_angles(vals[ring] - vals[centre, None])[0].sum(axis=1)
+def _defects(values: np.ndarray) -> np.ndarray:
+    return TWO_PI - corner_sums(face_angles(*faces(values)))[1:-1, 1:-1].ravel()
 
 
 class _Grid:
@@ -138,6 +139,7 @@ class _Grid:
     sparsity pattern of matrices over the interior."""
 
     def __init__(self, window: Window) -> None:
+        self.shape = (window.n_count, window.m_count)
         self.centre, self.ring = interior_rings(window)
         size = self.centre.size
         pos = np.full(window.num_vertices, -1)
@@ -228,12 +230,10 @@ def _sweep(vals: np.ndarray, grid: _Grid) -> None:
 def _newton_step(vals: np.ndarray, grid: _Grid) -> bool:
     """One Newton step with the line search of the module docstring.
     Returns False, leaving ``vals`` as it was, when it finds no step."""
-    centre = grid.centre
-    angles, d_first, d_second = flower_angles(vals[grid.ring] - vals[centre, None])
-    resid = angles.sum(axis=1) - TWO_PI
-    # d(angle sum)/d(u of neighbor k): the two faces sharing that edge,
-    # face k (first argument) and face k-1 (second argument).
-    coeff = d_first + np.roll(d_second, 1, axis=1)
+    centre, values = grid.centre, vals.reshape(grid.shape)  # a view of vals
+    resid = -_defects(values)
+    # d(angle sum)/d(u of neighbor k): the partials of the two faces at that edge.
+    coeff = ring_gather(edge_sums(face_partials(*faces(values))), centre, grid.ring)
     jac = grid.matrix(-coeff.sum(axis=1), coeff)
     try:  # symmetric and diagonally dominant: diagonal pivots in a symmetric ordering
         delta = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
@@ -247,7 +247,7 @@ def _newton_step(vals: np.ndarray, grid: _Grid) -> bool:
     target, lo, hi, s = -0.5 * g0, 0.0, 1.0, 1.0
     for _ in range(101):  # s down to 2**-100: a nearly singular Jacobian needs ~1e-17
         vals[centre] = base + s * delta
-        g = _defects(vals, centre, grid.ring) @ delta
+        g = _defects(values) @ delta
         # g(1) <= 0 takes the full step; otherwise |g(s)| <= |g(0)| / 2 is needed.
         if g <= target and (s == 1.0 or g >= -target):
             return True
@@ -283,7 +283,7 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     fallback = None
     iterations = 0
     while True:
-        defect = float(np.abs(_defects(vals, grid.centre, grid.ring)).max())
+        defect = float(np.abs(_defects(vals.reshape(grid.shape))).max())
         converged = defect <= opts.tolerance
         if converged or iterations >= opts.max_iterations:
             break

@@ -2,7 +2,9 @@
 oracles: the law of cosines on explicit side lengths, and central finite
 differences; the vectorized flower kernel against the scalar functions."""
 
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from hexpack.geometry import (
     angle_gradient,
     dtheta_dx1,
     dtheta_dx1_array,
+    face_angles,
+    face_partials,
     flower_angles,
     inner_angles,
     theta,
@@ -92,6 +96,13 @@ class TestTheta:
         # strict interior holds wherever doubles can express it
         assert 0.0 < theta(-100.0, 0.0)
         assert theta(50.0, 50.0) < math.pi
+
+    def test_half_exponent_past_the_exp_range(self):
+        # the half exponent of (1500, 1500) is about 749.7, where e^h overflows
+        assert theta(1500.0, 1500.0) == math.pi
+        angles = inner_angles((0.0, 1500.0, 1500.0))
+        assert all(0.0 <= a <= math.pi for a in angles)
+        assert sum(angles) == pytest.approx(math.pi, abs=1e-15)
 
 
 class TestInnerAngles:
@@ -180,6 +191,33 @@ class TestFlowerAngles:
             angles, d_first, d_second = flower_angles(rows)
         assert np.all((angles >= 0.0) & (angles <= math.pi))
         assert np.all(np.isfinite(d_first)) and np.all(np.isfinite(d_second))
+
+
+class TestFaceKernel:
+    """``face_angles`` and ``face_partials`` against ``theta`` and
+    ``dtheta_dx1``, within 8 ulp times (1 + the spread of the log radii)."""
+
+    @given(st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    def test_matches_scalar_reference(self, u):
+        tol = 8.0 * np.finfo(float).eps * (1.0 + max(u) - min(u))
+        angles = face_angles(*(np.array([x]) for x in u))[:, 0]
+        partials = face_partials(*(np.array([x]) for x in u))[:, 0]
+        # corner i with its partners in order, and the edge opposite corner i
+        for i, (a, b, c) in enumerate((u, u[1:] + u[:1], u[2:] + u[:2])):
+            assert abs(angles[i] - theta(b - a, c - a)) <= tol
+            for x, y in ((b, c), (c, b)):
+                expected = dtheta_dx1(y - x, a - x)
+                assert abs(partials[i] - expected) <= tol * max(expected, sys.float_info.min)
+        assert abs(angles.sum() - math.pi) <= tol
+
+    @pytest.mark.parametrize("scale", [1e3, 1e5])
+    def test_extreme_log_radii_raise_no_float_errors(self, scale):
+        u = np.array(list(itertools.product((-scale, 0.0, scale), repeat=3))).T
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            angles, partials = face_angles(*u), face_partials(*u)
+        assert np.all((angles >= 0.0) & (angles <= math.pi))
+        assert np.all(np.isfinite(partials) & (partials >= 0.0))
 
 
 class TestAngleGradient:

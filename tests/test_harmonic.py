@@ -26,7 +26,9 @@ from hexpack.harmonic import (
     segment,
     volume,
 )
-from hexpack.lattice import ScalarField, Window, ball, faces_containing_edge, neighbors
+from hexpack.geometry import face_partials
+from hexpack.lattice import (ScalarField, Window, ball, edge_sums, faces, faces_containing_edge,
+                             neighbors)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -277,6 +279,16 @@ class TestBatchedWeights:
         a = random_walk_return(ew, (0, 0), 20, 3000, seed=8)
         assert a == random_walk_return(rebuilt, (0, 0), 20, 3000, seed=8)
         assert a.censored < a.trials
+
+    def test_spiral_weights_are_the_angle_sum_jacobian(self):
+        # the segment integrand is constant on a Doyle spiral, so every
+        # weight is the per-edge partial sum at the field itself
+        u = spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-10, 10, -10, 10))
+        ew = compute_edge_weights(u)
+        stored = ~np.isnan(ew.values)
+        jacobian = edge_sums(face_partials(*faces(u.values)))
+        assert np.count_nonzero(stored) == len(ew) > 0
+        assert np.abs(ew.values[stored] - jacobian[stored]).max() <= 1e-15
 
     def test_underflowing_weight_names_its_edge(self):
         u = ScalarField.constant(Window(-4, 4, -4, 4), 0.0)

@@ -8,12 +8,17 @@ import numpy as np
 import pytest
 
 from hexpack.lattice import (
+    DIRECTIONS,
     ScalarField,
     Window,
     ball,
+    canonical_face,
+    corner_sums,
     d1,
     d2,
+    edge_sums,
     embed,
+    faces,
     faces_at,
     faces_containing_edge,
     graph_distance,
@@ -98,6 +103,59 @@ class TestFaces:
     def test_non_edge_rejected(self):
         with pytest.raises(ValueError):
             faces_containing_edge((0, 0), (2, 0))
+
+
+class TestFaceArrays:
+    """``faces``, ``corner_sums`` and ``edge_sums`` against the tuple
+    combinatorics of ``faces_at`` and ``faces_containing_edge``."""
+
+    WINDOW = Window(-2, 3, 1, 5)  # 6 columns, 5 rows
+
+    def slots(self):
+        """Each face of the slicing: its flat slot and its corners p, q, r."""
+        w = self.WINDOW
+        m, n = np.meshgrid(np.arange(w.m_min, w.m_max + 1), np.arange(w.n_min, w.n_max + 1))
+        corners = list(zip(*(zip(a.ravel().tolist(), b.ravel().tolist())
+                             for a, b in zip(faces(m), faces(n)))))
+        return {canonical_face(*c): (s, c) for s, c in enumerate(corners)}
+
+    def index(self, v):
+        return v[1] - self.WINDOW.n_min, v[0] - self.WINDOW.m_min
+
+    def test_slicing_holds_each_window_face_once(self):
+        w = self.WINDOW
+        inside = {f for v in w.vertices() for f in faces_at(v) if all(map(w.contains, f))}
+        assert set(self.slots()) == inside
+        assert len(inside) == 2 * (w.n_count - 1) * (w.m_count - 1)
+
+    def test_corner_sums_match_faces_at(self):
+        slots = self.slots()
+        values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(3, 2, 4, 5))
+        flat = values.reshape(3, -1)
+        got = corner_sums(values)
+        assert got.shape == (5, 6)
+        for v in self.WINDOW.vertices():
+            expected = sum(flat[corners.index(v), s]
+                           for s, corners in (slots[f] for f in faces_at(v) if f in slots))
+            assert got[self.index(v)] == pytest.approx(expected, abs=1e-15)
+
+    def test_edge_sums_match_faces_containing_edge(self):
+        slots = self.slots()
+        values = np.random.default_rng(6).uniform(-1.0, 1.0, size=(3, 2, 4, 5))
+        flat = values.reshape(3, -1)
+        got = edge_sums(values)
+        assert got.shape == (3, 5, 6)
+        for v in self.WINDOW.vertices():
+            for k, (dm, dn) in enumerate(DIRECTIONS):
+                w = (v[0] + dm, v[1] + dn)
+                two = faces_containing_edge(v, w)
+                if not all(f in slots for f in two):
+                    assert math.isnan(got[(k, *self.index(v))])
+                    continue
+                # entry e of a face is on the edge opposite its corner e
+                expected = sum(flat[next(e for e, x in enumerate(corners) if x not in (v, w)), s]
+                               for s, corners in (slots[f] for f in two))
+                assert got[(k, *self.index(v))] == pytest.approx(expected, abs=1e-15)
 
 
 class TestTranslate:
