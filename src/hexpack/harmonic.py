@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -211,16 +211,19 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     m_max - 1 are integrated in one pass, node by node so that temporaries
     stay window-sized; with ``around`` given, only edges incident to that
     vertex set are kept.  A weight outside (0, 2), such as one that
-    underflows to zero, raises a ValueError naming its edge.
+    underflows to zero or a NaN from overflowing log radii, raises a
+    ValueError naming its edge.
     """
     out = EdgeWeights(u.window, {})
     values = np.full(out.values.shape, np.nan)
+    stored = np.zeros(values.shape, dtype=bool)
     if u.window.m_count >= 2:
         nodes, wts = _nodes_weights_01(quad.order)
         start, step = u.values[:, :-1], np.diff(u.values, axis=1)
-        values[:, :, :-1] = edge_sums(sum(wt * face_partials(*faces(start + step * t))
-                                          for t, wt in zip(nodes, wts)))
-    stored = ~np.isnan(values)
+        partials = sum(wt * face_partials(*faces(start + step * t)) for t, wt in zip(nodes, wts))
+        values[:, :, :-1] = edge_sums(partials)
+        # The edges with two faces on m_min .. m_max - 1, whatever their weights.
+        stored[:, :, :-1] = ~np.isnan(edge_sums(np.zeros_like(partials)))
     if around is not None:
         near = np.zeros(stored.shape, dtype=bool)
         for v in around:
@@ -284,13 +287,7 @@ class WalkReport:
     seed: int
 
     def to_dict(self) -> dict:
-        return {
-            "trials": self.trials,
-            "returned": self.returned,
-            "censored": self.censored,
-            "frequency": self.frequency,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -338,12 +335,8 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
         active &= ~censored
         draws = rng.random(trials)
         k = (draws[:, None] > cum[state]).sum(axis=1)
-        nxt = nbr_idx[state, k]
-        exits = active & (nxt < 0)
-        censored |= exits
-        move = active & ~exits
-        state = np.where(move, nxt, state)
-        returned |= move & (state == start_idx)
+        state = np.where(active, nbr_idx[state, k], state)
+        returned |= active & (state == start_idx)
 
     n_returned = int(returned.sum())
     n_censored = int(censored.sum())

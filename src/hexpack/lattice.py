@@ -26,6 +26,11 @@ _OFFSET_INDEX = {off: k for k, off in enumerate(NEIGHBOR_OFFSETS)}
 # Edge directions in the order that sorts the far endpoints of a fixed v.
 DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
 
+# Largest magnitude of a value in a field CSV: the angle kernels subtract
+# log radii and add two such differences, and the harmonic start solves a
+# linear system in them, so values near the float range would overflow.
+MAX_FIELD_VALUE = 1e300
+
 
 def embed(v: Vertex) -> complex:
     """Planar position of a lattice vertex: m + n e^{i pi/3}."""
@@ -296,7 +301,9 @@ def write_field_csv(f: ScalarField) -> str:
 
 
 def read_field_csv(text: str) -> ScalarField:
-    """Parse the output of :func:`write_field_csv`."""
+    """Parse the output of :func:`write_field_csv`.  A value that is not a
+    number of magnitude at most ``MAX_FIELD_VALUE`` raises a ValueError
+    naming its vertex."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("# window"):
         raise ValueError("field CSV must start with a '# window ...' header")
@@ -317,4 +324,9 @@ def read_field_csv(text: str) -> ScalarField:
         if len(cells) != window.m_count:
             raise ValueError(f"row {r} has {len(cells)} cells, expected {window.m_count}")
         data[window.n_count - 1 - r] = [float(c) for c in cells]
+    bad = np.argwhere(~(np.abs(data) <= MAX_FIELD_VALUE))
+    if bad.size:
+        i, j = bad[0].tolist()
+        raise ValueError(f"value {float(data[i, j])!r} at {(window.m_min + j, window.n_min + i)}"
+                         f" is not a number of magnitude at most {MAX_FIELD_VALUE:.0e}")
     return ScalarField(window, data)

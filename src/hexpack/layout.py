@@ -8,6 +8,13 @@ from its predecessor in one step, every new circle turned off a placed
 edge by a face's inner angle.  Walking the six inner angles around each
 interior circle must return the first petal to its starting position; the
 gap of that loop stays at the local angle defect.
+
+The flower functions read a vertex's petal offsets u(w) - u(v) and its six
+inner angles from ``solver._flower``.  The univalence and ratio checks
+depend on the flower's shape only: ``check_univalent_flower`` places the
+seven circles in units of the flower's largest circle, and the ratio is
+inf above the float range.  ``develop_flower`` is the one flower function
+at absolute scale.
 """
 
 from __future__ import annotations
@@ -22,7 +29,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import face_angles, flower_angles
+from .geometry import face_angles
 from .lattice import (
     NEIGHBOR_OFFSETS,
     ScalarField,
@@ -33,7 +40,7 @@ from .lattice import (
     interior_rings,
     neighbors,
 )
-from .solver import TWO_PI, angle_defects
+from .solver import TWO_PI, _flower, angle_defects
 
 # Largest angle defect a field may carry into the developing map.
 DEVELOP_DEFECT_TOL = 1e-8
@@ -45,6 +52,8 @@ PLACEMENT_TOL = 1e-7
 LOCAL_UNIVALENCE_TOL = 1e-9
 # Relative slack allowed in pairwise tangency / disjointness tests.
 OVERLAP_TOL = 1e-9
+# Largest log radius whose radius exp(u) is a float.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 class DefectTooLarge(ValueError):
@@ -250,34 +259,28 @@ def min_face_orientation(layout: Layout) -> float:
     return float(np.min(areas, initial=math.inf, where=~np.isnan(areas)))
 
 
-def _flower_angles(u: ScalarField, v: Vertex) -> list[float]:
-    if not u.window.is_interior(v):
-        raise ValueError(f"flower checks need an interior vertex, got {v}")
-    x = np.array([[u[w] for w in neighbors(v)]]) - u[v]
-    return flower_angles(x)[0][0].tolist()
-
-
 def check_local_univalence(u: ScalarField, v: Vertex) -> bool:
     """True when the six carrier triangles at ``v`` have disjoint interiors:
     every inner angle in (0, pi) and the angle sum within 1e-9 of 2*pi."""
-    angles = _flower_angles(u, v)
-    if any(not 0.0 < a < math.pi for a in angles):
-        return False
-    return abs(sum(angles) - TWO_PI) <= LOCAL_UNIVALENCE_TOL
+    angles = _flower(u, v)[1]
+    return bool(np.all((0.0 < angles) & (angles < math.pi))
+                and abs(angles.sum() - TWO_PI) <= LOCAL_UNIVALENCE_TOL)
 
 
 def develop_flower(u: ScalarField, v: Vertex) -> list[Circle]:
     """The center circle of ``v`` at the origin plus its six petals, placed
-    by accumulating the inner angles counterclockwise from the +x axis."""
-    angles = _flower_angles(u, v)
-    rv = math.exp(u[v])
-    circles = [Circle(0j, rv)]
-    phi = 0.0
-    for w, angle in zip(neighbors(v), angles):
-        rw = math.exp(u[w])
-        circles.append(Circle(cmath.rect(rv + rw, phi), rw))
-        phi += angle
-    return circles
+    by accumulating the inner angles counterclockwise from the +x axis; a
+    radius exp(u) that is not a positive normal float raises a ValueError
+    naming its vertex."""
+    angles = _flower(u, v)[1]
+    verts = [v, *neighbors(v)]
+    radii = [math.exp(u[w]) if u[w] <= _LOG_MAX else math.inf for w in verts]
+    for w, r in zip(verts, radii):
+        if not sys.float_info.min <= r < math.inf:
+            raise ValueError(f"radius exp({u[w]!r}) at {w} is not a positive normal float")
+    phi = np.cumsum([0.0, *angles[:-1]]).tolist()
+    return [Circle(0j, radii[0]),
+            *(Circle(cmath.rect(radii[0] + r, p), r) for r, p in zip(radii[1:], phi))]
 
 
 def check_univalent_flower(u: ScalarField, v: Vertex) -> bool:
@@ -287,19 +290,17 @@ def check_univalent_flower(u: ScalarField, v: Vertex) -> bool:
     The development closes (last petal tangent to the first) exactly when
     the angle sum is 2*pi, so a closure failure beyond tolerance already
     disqualifies the flower; otherwise every pair of circles must be
-    tangent or disjoint up to ``OVERLAP_TOL`` relative slack.
+    tangent or disjoint up to ``OVERLAP_TOL`` relative slack.  The circles
+    are placed in units of the flower's largest circle, so no radius
+    overflows and the verdict does not depend on the scale of ``u``.
     """
-    angles = _flower_angles(u, v)
-    if abs(sum(angles) - TWO_PI) > LOCAL_UNIVALENCE_TOL:
-        return False
-    circles = develop_flower(u, v)
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            ci, cj = circles[i], circles[j]
-            gap = ci.radius + cj.radius
-            if abs(ci.center - cj.center) < gap * (1.0 - OVERLAP_TOL):
-                return False
-    return True
+    x, angles = _flower(u, v)
+    radii = np.exp(np.append(0.0, x) - max(0.0, x.max()))
+    phi = np.cumsum([0.0, *angles[:-1]])
+    centers = np.append(0j, (radii[0] + radii[1:]) * np.exp(1j * phi))
+    i, j = np.triu_indices(7, 1)
+    overlap = np.abs(centers[i] - centers[j]) < (radii[i] + radii[j]) * (1.0 - OVERLAP_TOL)
+    return bool(abs(angles.sum() - TWO_PI) <= LOCAL_UNIVALENCE_TOL and not overlap.any())
 
 
 def ring_ratio_bound(u: ScalarField) -> float:
@@ -310,11 +311,10 @@ def ring_ratio_bound(u: ScalarField) -> float:
 
 
 def flower_ratio_check(u: ScalarField, v: Vertex) -> float:
-    """Smallest neighbor-to-center radius ratio in the flower of ``v``."""
-    if not u.window.is_interior(v):
-        raise ValueError(f"flower checks need an interior vertex, got {v}")
-    uv = u[v]
-    return math.exp(min(u[w] - uv for w in neighbors(v)))
+    """Smallest neighbor-to-center radius ratio in the flower of ``v`` (inf
+    above the float range)."""
+    with np.errstate(over="ignore"):
+        return float(np.exp(_flower(u, v)[0].min()))
 
 
 def layout_to_json(layout: Layout) -> str:

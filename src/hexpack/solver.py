@@ -12,12 +12,18 @@ The defects are the gradient of a convex functional of the interior log
 radii (Colin de Verdiere, Invent. Math. 104, 1991), whose Hessian is minus
 the symmetric Jacobian.  The defects and the Jacobian come from one
 evaluation per face (``geometry.face_angles`` and ``face_partials``), the
-per-vertex solves from ``geometry.flower_angles``.  There are two modes:
+per-vertex solves and the single flower of ``_flower`` (its petal offsets
+and six angles, which ``angle_sum`` and the flower checks of ``layout``
+read) from ``geometry.flower_angles``.  Each iterate's defects are
+evaluated once.  The harmonic start and Newton's steps solve symmetric,
+diagonally dominant systems over the interior with one SuperLU policy:
+diagonal pivots in a symmetric minimum-degree ordering.  There are two
+modes:
 
 - "newton" (default) factors the sparse Jacobian per iteration (Orick,
-  Stephenson and Collins, Comput. Geom. 64, 2017) in a symmetric
-  minimum-degree ordering and searches along the step delta, where the
-  functional's slope g(s) = -sum(resid(u + s delta) * delta) increases:
+  Stephenson and Collins, Comput. Geom. 64, 2017) and searches along the
+  step delta, where the functional's slope
+  g(s) = sum(defect(u + s delta) * delta) increases:
   s = 1 when g(1) <= 0 or |g(1)| <= |g(0)| / 2, else bisection for
   |g(s)| <= |g(0)| / 2.  When there is no step (a singular factor, a step
   not finite or not a descent direction, a failed bisection), the
@@ -109,12 +115,18 @@ class SolveOptions:
             raise ValueError(f"init must be one of {INITS}, got {self.init!r}")
 
 
+def _flower(u: ScalarField, v: Vertex) -> tuple[np.ndarray, np.ndarray]:
+    """The petal offsets x = u(w) - u(v) of an interior vertex v, in
+    ``NEIGHBOR_OFFSETS`` order, and the six inner angles at v."""
+    if not u.window.is_interior(v):
+        raise ValueError(f"a flower needs an interior vertex, got {v}")
+    x = np.array([u[w] for w in neighbors(v)]) - u[v]
+    return x, flower_angles(x[None])[0][0]
+
+
 def angle_sum(u: ScalarField, v: Vertex) -> float:
     """Sum of the six inner angles at an interior vertex."""
-    if not u.window.is_interior(v):
-        raise ValueError(f"angle sum needs an interior vertex, got {v}")
-    x = np.array([[u[w] for w in neighbors(v)]]) - u[v]
-    return float(flower_angles(x)[0].sum())
+    return float(_flower(u, v)[1].sum())
 
 
 def angle_defect(u: ScalarField, v: Vertex) -> float:
@@ -165,6 +177,14 @@ class _Grid:
         p = self.pattern
         return scipy.sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
 
+    @staticmethod
+    def solve(mat: scipy.sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
+        """Solve with a symmetric, diagonally dominant matrix over the
+        interior: diagonal pivots in a symmetric minimum-degree ordering.
+        Raises RuntimeError when the factor is exactly singular."""
+        return scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                        options={"SymmetricMode": True}).solve(rhs)
+
 
 def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     """Replace the interior by the graph-harmonic interpolation of the
@@ -181,7 +201,7 @@ def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1)
     mat = grid.matrix(np.full(n, 6.0), np.full(grid.inner.shape, -1.0))
     out = vals.copy()
-    out[grid.centre] = scipy.sparse.linalg.spsolve(mat, b)
+    out[grid.centre] = grid.solve(mat, b)
     return ScalarField(u0.window, out.reshape(u0.values.shape))
 
 
@@ -227,34 +247,34 @@ def _sweep(vals: np.ndarray, grid: _Grid) -> None:
         _solve_colour(vals, centre, ring)
 
 
-def _newton_step(vals: np.ndarray, grid: _Grid) -> bool:
-    """One Newton step with the line search of the module docstring.
-    Returns False, leaving ``vals`` as it was, when it finds no step."""
+def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarray | None:
+    """One Newton step from the point with these ``defects``, with the line
+    search of the module docstring.  Returns the defects at the accepted
+    point, or None, leaving ``vals`` as it was, when it finds no step."""
     centre, values = grid.centre, vals.reshape(grid.shape)  # a view of vals
-    resid = -_defects(values)
     # d(angle sum)/d(u of neighbor k): the partials of the two faces at that edge.
     coeff = ring_gather(edge_sums(face_partials(*faces(values))), centre, grid.ring)
     jac = grid.matrix(-coeff.sum(axis=1), coeff)
-    try:  # symmetric and diagonally dominant: diagonal pivots in a symmetric ordering
-        delta = scipy.sparse.linalg.splu(jac, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                          options={"SymmetricMode": True}).solve(-resid)
-    except RuntimeError:  # the factor is exactly singular
-        return False
-    g0 = -resid @ delta
+    try:
+        delta = grid.solve(jac, defects)
+    except RuntimeError:
+        return None
+    g0 = defects @ delta
     if not (np.all(np.isfinite(delta)) and -np.inf < g0 < 0.0):
-        return False
+        return None
     base = vals[centre]
     target, lo, hi, s = -0.5 * g0, 0.0, 1.0, 1.0
     for _ in range(101):  # s down to 2**-100: a nearly singular Jacobian needs ~1e-17
         vals[centre] = base + s * delta
-        g = _defects(values) @ delta
+        defects = _defects(values)
+        g = defects @ delta
         # g(1) <= 0 takes the full step; otherwise |g(s)| <= |g(0)| / 2 is needed.
         if g <= target and (s == 1.0 or g >= -target):
-            return True
+            return defects
         lo, hi = (s, hi) if g < 0.0 else (lo, s)
         s = 0.5 * (lo + hi)
     vals[centre] = base
-    return False
+    return None
 
 
 def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
@@ -282,14 +302,17 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     newton = opts.mode == "newton"
     fallback = None
     iterations = 0
+    defects = _defects(vals.reshape(grid.shape))
     while True:
-        defect = float(np.abs(_defects(vals.reshape(grid.shape))).max())
+        defect = float(np.abs(defects).max())
         converged = defect <= opts.tolerance
         if converged or iterations >= opts.max_iterations:
             break
-        if not (newton and _newton_step(vals, grid)):
+        defects = _newton_step(vals, grid, defects) if newton else None
+        if defects is None:
             fallback = "gauss-seidel" if newton else None
             _sweep(vals, grid)
+            defects = _defects(vals.reshape(grid.shape))
         iterations += 1
 
     solved = ScalarField(window, vals.reshape(u0.values.shape))

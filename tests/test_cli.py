@@ -3,6 +3,7 @@ formats."""
 
 import json
 import math
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -281,6 +282,20 @@ def test_one_row_or_column_window_exits_2(runner, tmp_path, window):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "verify", "harmonic", "render", "walk"])
+def test_values_near_the_float_range_exit_2(runner, tmp_path, command):
+    # log radii of +-1e308 overflow the angle kernels' differences
+    signs = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1.0, 1.0)
+    src = tmp_path / "u.csv"
+    src.write_text(write_field_csv(ScalarField(Window(-2, 2, -2, 2), 1e308 * signs)))
+    out = tmp_path / "out.txt"
+    extra = ["--out", out] if command in ("solve", "harmonic", "render") else []
+    result = run(runner, command, "--in", src, *extra)
+    assert result.exit_code == 2
+    assert "(-2, -2)" in result.output
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["harmonic", "verify", "walk"])
 def test_underflowing_edge_weight_exits_2(runner, tmp_path, command):
     field = ScalarField.constant(Window(-4, 4, -4, 4), 0.0)
@@ -509,7 +524,8 @@ FUZZ_CONFIG_VALUES = st.one_of(
     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
 )
 FUZZ_FIELD_VALUES = st.one_of(
-    st.sampled_from([0.0, 3.0, -3.0, 800.0, -800.0, 1e300, -1e300]), st.floats(-3, 3))
+    st.sampled_from([0.0, 3.0, -3.0, 800.0, -800.0, 1e300, -1e300, 1e308, -1e308,
+                     sys.float_info.max, -sys.float_info.max]), st.floats(-3, 3))
 
 
 @st.composite

@@ -218,6 +218,14 @@ class TestEdgeWeights:
         assert float(lines[1].split(",")[-1]) == pytest.approx(1.0 / SQRT3, abs=1e-16)
 
 
+def test_weights_overflowing_to_nan_raise():
+    # differences of log radii +-9e307 overflow to inf and the partials to NaN
+    signs = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1.0, 1.0)
+    u = ScalarField(Window(-2, 2, -2, 2), 9e307 * signs)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="edge weight on"):
+        compute_edge_weights(u)
+
+
 def window_edges(window):
     return [(v, (v[0] + dm, v[1] + dn)) for v in window.vertices()
             for dm, dn in ((0, 1), (1, -1), (1, 0)) if window.contains((v[0] + dm, v[1] + dn))]

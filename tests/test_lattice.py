@@ -3,6 +3,7 @@ and the field CSV format.  Ball sizes are checked against a breadth-first
 enumeration oracle and orientation against the planar embedding."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -310,6 +311,15 @@ class TestFieldCsv:
         f = ScalarField.constant(w, math.pi)
         text = write_field_csv(f)
         assert "3.1415926535897931e+00" in text
+
+    def test_values_past_1e300_name_their_vertex(self):
+        w = Window(-1, 1, 0, 1)
+        f = ScalarField(w, np.array([[1e300, -1e300, 0.0], [0.0, 0.0, 0.0]]))
+        assert read_field_csv(write_field_csv(f)) == f
+        for value in (1e301, -sys.float_info.max, math.inf, math.nan):
+            text = write_field_csv(f).replace("0.0000000000000000e+00", repr(value), 1)
+            with pytest.raises(ValueError, match=r"at \(-1, 1\)"):
+                read_field_csv(text)
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):

@@ -233,6 +233,41 @@ class TestUnivalentFlower:
         assert cases > 0
 
 
+class TestFlowerScale:
+    """The flower checks depend on the flower's shape, not on its scale."""
+
+    FLOWERS = {
+        "spiral": spiral(1.3, 0.9, half=1),
+        "steep spiral": spiral(12.0, 1.0, half=1),
+        "random": ScalarField(Window(-1, 1, -1, 1),
+                              np.random.default_rng(61).uniform(-1.0, 1.0, size=(3, 3))),
+    }
+    FLOWERS["solved random"] = solve_patch(FLOWERS["random"])[0]
+
+    @pytest.mark.parametrize("name", sorted(FLOWERS))
+    @pytest.mark.parametrize("shift", [710.0, -745.5, 800.0, -800.0, 1e5, -1e5])
+    def test_shift_leaves_verdicts_unchanged(self, name, shift):
+        u = self.FLOWERS[name]
+        shifted = ScalarField(u.window, u.values + shift)
+        for check in (check_univalent_flower, check_local_univalence):
+            assert check(shifted, (0, 0)) == check(u, (0, 0))
+
+    def test_verdicts_cover_both_outcomes(self):
+        verdicts = {check_univalent_flower(u, (0, 0)) for u in self.FLOWERS.values()}
+        assert verdicts == {True, False}
+
+    def test_ratio_above_the_float_range_is_inf(self):
+        u = ScalarField.constant(Window(-1, 1, -1, 1), 0.0)
+        u[(0, 0)] = -800.0
+        assert flower_ratio_check(u, (0, 0)) == math.inf
+
+    @pytest.mark.parametrize("value", [710.0, -745.5])
+    def test_develop_flower_names_a_radius_outside_the_normal_range(self, value):
+        u = ScalarField.constant(Window(-1, 1, -1, 1), value)
+        with pytest.raises(ValueError, match=r"\(0, 0\)"):
+            develop_flower(u, (0, 0))
+
+
 class TestRatioBounds:
     def test_spiral_ratio(self):
         assert ring_ratio_bound(spiral(1.3, 1.0)) == pytest.approx(1.3, abs=1e-12)

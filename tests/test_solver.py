@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hexpack.geometry import angle_gradient
+from hexpack import solver
 from hexpack.lattice import ScalarField, Window
 from hexpack.solver import (
     InvalidPatch,
@@ -280,6 +281,19 @@ def test_newton_and_gauss_seidel_reach_the_same_field(u0, init):
     gap = max(abs(fields["newton"][v] - fields["gauss-seidel"][v])
               for v in u0.window.interior_vertices())
     assert gap <= 1e-8
+
+
+@pytest.mark.parametrize("mode", ["newton", "gauss-seidel"])
+def test_one_defect_evaluation_per_iterate(monkeypatch, mode):
+    # Newton's full steps are all accepted here, so every iterate's defects
+    # are evaluated once: at the start, or at the accepted point of the step
+    calls = []
+    defects = solver._defects
+    monkeypatch.setattr(solver, "_defects", lambda values: calls.append(1) or defects(values))
+    rng = np.random.default_rng(5)
+    u0 = ScalarField(Window(0, 10, 0, 10), rng.uniform(-1.0, 1.0, size=(11, 11)))
+    _, report = solve_patch(u0, SolveOptions(mode=mode, init="zero", tolerance=1e-8))
+    assert len(calls) == report.iterations + 1
 
 
 class TestHarmonicInterpolation:
