@@ -140,6 +140,13 @@ def _apex(c: np.ndarray, to: np.ndarray, d: np.ndarray, angle: np.ndarray) -> np
     return c + d * ((to - c) / np.abs(to - c) * np.exp(1j * angle))
 
 
+def _distance_overflow(u: ScalarField, v: Vertex, w: Vertex) -> ValueError:
+    """The error for a tangency distance exp(u(v)) + exp(u(w)) past the float
+    range."""
+    return ValueError(f"tangency distance exp({u[v]!r}) + exp({u[w]!r}) from {v} to {w} "
+                      "overflows")
+
+
 def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     """Place one circle per window vertex, consistent with all tangencies.
 
@@ -181,9 +188,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         if bad.size:
             v = window.vertices()[bad[0]]
             dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[:, bad[0]]))]
-            w = (v[0] + dm, v[1] + dn)
-            raise ValueError(f"tangency distance exp({u[v]!r}) + exp({u[w]!r}) "
-                             f"from {v} to {w} overflows")
+            raise _distance_overflow(u, v, (v[0] + dm, v[1] + dn))
         centers = np.full((rows, cols), base.center, dtype=complex)
 
         def frame(s: tuple) -> tuple:
@@ -271,13 +276,17 @@ def develop_flower(u: ScalarField, v: Vertex) -> list[Circle]:
     """The center circle of ``v`` at the origin plus its six petals, placed
     by accumulating the inner angles counterclockwise from the +x axis; a
     radius exp(u) that is not a positive normal float raises a ValueError
-    naming its vertex."""
+    naming its vertex, and an overflowing tangency distance r_v + r_w one
+    naming the centre and the petal."""
     angles = _flower(u, v)[1]
     verts = [v, *neighbors(v)]
     radii = [math.exp(u[w]) if u[w] <= _LOG_MAX else math.inf for w in verts]
     for w, r in zip(verts, radii):
         if not sys.float_info.min <= r < math.inf:
             raise ValueError(f"radius exp({u[w]!r}) at {w} is not a positive normal float")
+    for w, r in zip(verts[1:], radii[1:]):
+        if radii[0] + r == math.inf:
+            raise _distance_overflow(u, v, w)
     phi = np.cumsum([0.0, *angles[:-1]]).tolist()
     return [Circle(0j, radii[0]),
             *(Circle(cmath.rect(radii[0] + r, p), r) for r, p in zip(radii[1:], phi))]

@@ -17,8 +17,10 @@ and six angles, which ``angle_sum`` and the flower checks of ``layout``
 read) from ``geometry.flower_angles``.  Each iterate's defects are
 evaluated once.  The harmonic start and Newton's steps solve symmetric,
 diagonally dominant systems over the interior with one SuperLU policy:
-diagonal pivots in a symmetric minimum-degree ordering.  There are two
-modes:
+diagonal pivots in a symmetric minimum-degree ordering.  This module is
+the only one that uses scipy, and it imports scipy inside ``_Grid``: the
+first ``solve_patch`` or ``harmonic_interpolation`` call loads it, and
+importing hexpack does not.  There are two modes:
 
 - "newton" (default) factors the sparse Jacobian per iteration (Orick,
   Stephenson and Collins, Comput. Geom. 64, 2017) and searches along the
@@ -41,14 +43,16 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse
-import scipy.sparse.linalg
 
 from .geometry import face_angles, face_partials, flower_angles
 from .lattice import (ScalarField, Vertex, Window, corner_sums, edge_sums, faces,
                       interior_rings, neighbors, ring_gather)
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 TWO_PI = 2.0 * math.pi
 
@@ -148,9 +152,12 @@ def _defects(values: np.ndarray) -> np.ndarray:
 class _Grid:
     """Flat-index view of a window: the interior vertices, their six
     neighbors, the interior split into the three colour classes, and the
-    sparsity pattern of matrices over the interior."""
+    sparsity pattern of matrices over the interior.  scipy is imported
+    here and in the methods, so only a solve loads it."""
 
     def __init__(self, window: Window) -> None:
+        import scipy.sparse
+
         self.shape = (window.n_count, window.m_count)
         self.centre, self.ring = interior_rings(window)
         size = self.centre.size
@@ -173,6 +180,8 @@ class _Grid:
     def matrix(self, diag: np.ndarray, coeff: np.ndarray) -> scipy.sparse.csc_matrix:
         """CSC matrix over the interior with ``diag`` on the diagonal and
         ``coeff[a, k]`` in row a at the column of interior neighbor k."""
+        import scipy.sparse
+
         data = np.concatenate([diag, coeff[self.inner]])[self.csc_order]
         p = self.pattern
         return scipy.sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
@@ -182,6 +191,8 @@ class _Grid:
         """Solve with a symmetric, diagonally dominant matrix over the
         interior: diagonal pivots in a symmetric minimum-degree ordering.
         Raises RuntimeError when the factor is exactly singular."""
+        import scipy.sparse.linalg
+
         return scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                         options={"SymmetricMode": True}).solve(rhs)
 

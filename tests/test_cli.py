@@ -3,7 +3,10 @@ formats."""
 
 import json
 import math
+import os
+import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -477,6 +480,51 @@ class TestGroupOptions:
             result = run(runner, command, "--in", src, "--order", 1025, *extra)
             assert result.exit_code == 2
             assert "--order" in result.output
+
+
+# scipy serves only the solver's sparse factor, so it loads on the first
+# solve and not before.  Each check runs in a fresh interpreter, because
+# this one has long since loaded scipy.
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code, cwd):
+    result = subprocess.run([sys.executable, "-c", code], cwd=cwd, capture_output=True,
+                            text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout)
+
+
+class TestScipyLoadsOnlyToSolve:
+    def test_import_leaves_scipy_unloaded(self, tmp_path):
+        code = ("import json, sys\nimport hexpack, hexpack.cli\n"
+                "print(json.dumps([hexpack.__file__, 'scipy' in sys.modules]))")
+        path, loaded = run_fresh(code, tmp_path)
+        assert Path(path).resolve().parent == SRC / "hexpack"
+        assert not loaded
+
+    def test_only_solve_loads_scipy(self, tmp_path):
+        code = textwrap.dedent("""\
+            import json, sys
+            from click.testing import CliRunner
+            from hexpack.cli import main
+            runner, steps = CliRunner(), []
+            for args in (
+                    "spiral --r0 1 --x 1.2 --y 0.9 --window -4:4,-4:4 --out u.csv",
+                    "verify --in u.csv --order 8",
+                    "harmonic --in u.csv --out w.csv --order 8",
+                    "render --in u.csv --out f.svg --color-map d1u --order 8",
+                    "walk --in u.csv --steps 2 --trials 100 --seed 1 --order 8",
+                    "solve --in u.csv --out s.csv --init zero"):
+                result = runner.invoke(main, args.split())
+                steps.append([args.split()[0], result.exit_code, "scipy" in sys.modules])
+            print(json.dumps(steps))
+        """)
+        steps = run_fresh(code, tmp_path)
+        assert [name for name, _, _ in steps] == [
+            "spiral", "verify", "harmonic", "render", "walk", "solve"]
+        assert all(status == 0 for _, status, _ in steps), steps
+        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
 
 
 # Fuzzed CLI contract: every command exits 0, 2 or 3 and raises nothing but

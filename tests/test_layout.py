@@ -267,6 +267,13 @@ class TestFlowerScale:
         with pytest.raises(ValueError, match=r"\(0, 0\)"):
             develop_flower(u, (0, 0))
 
+    def test_develop_flower_names_an_overflowing_tangency_distance(self):
+        # every radius exp(709.5) is a normal float, but the sum of two is not
+        u = ScalarField.constant(Window(-1, 1, -1, 1), 709.5)
+        with pytest.raises(ValueError, match=r"tangency distance .* from \(0, 0\) to \(1, 0\) "
+                                             r"overflows"):
+            develop_flower(u, (0, 0))
+
 
 class TestRatioBounds:
     def test_spiral_ratio(self):
