@@ -31,12 +31,13 @@ The partial derivative with respect to x1 has the closed form
 evaluated the same way.  It is strictly positive and strictly below 1 for
 all finite arguments.
 
-``face_angles`` and ``face_partials`` evaluate windows of faces from one
+``face_angles`` and ``face_partials`` evaluate arrays of faces from one
 half exponent each: in a face with log radii (a, b, c) the corners' half
 exponents are T - a, T - b, T - c with 2T = a + b + c - log(e^a + e^b +
 e^c), and d(angle at b)/d(c) = d(angle at c)/d(b) = exp(T - log(e^b + e^c)).
-``flower_angles`` evaluates the six faces around single flowers.  The
-scalar ``theta`` and ``dtheta_dx1`` are the reference for all three.
+They are the one angle kernel: the faces of windows and the six faces
+around single flowers are both evaluated through them.  The scalar
+``theta`` and ``dtheta_dx1`` are their reference.
 
 All functions are pure and thread-safe.
 """
@@ -126,25 +127,6 @@ def face_partials(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     half = _half_exponent(q - p, r - p)
     return np.exp(np.stack([half - (q - p) - _softplus_array(r - q),
                             half - _softplus_array(r - p), half - _softplus_array(q - p)]))
-
-
-def flower_angles(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The six inner angles at each of N flower centers, with their partials.
-
-    ``x`` has shape (N, 6): the finite log-radius differences
-    neighbor-minus-center of the six petals in counterclockwise order.
-    Face k is the triangle of the center with petals k and k+1 (mod 6).
-    Returns three (N, 6) arrays: ``theta(x[:, k], x[:, k+1])``, its partial
-    in the first argument ``dtheta_dx1(x[:, k], x[:, k+1])``, and its
-    partial in the second argument ``dtheta_dx1(x[:, k+1], x[:, k])``.
-
-    Nothing overflows for any finite input: angles with a positive half
-    exponent h are evaluated as pi - 2 atan(e^-h).
-    """
-    x = np.asarray(x, dtype=float)
-    x_next = np.roll(x, -1, axis=1)
-    half = _half_exponent(x, x_next)
-    return _angle(half), np.exp(half - _softplus_array(x)), np.exp(half - _softplus_array(x_next))
 
 
 def inner_angles(u: Triple) -> tuple[float, float, float]:

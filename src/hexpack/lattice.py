@@ -22,6 +22,7 @@ Face = tuple[Vertex, Vertex, Vertex]
 NEIGHBOR_OFFSETS: tuple[Vertex, ...] = ((1, 0), (0, 1), (-1, 1), (-1, 0), (0, -1), (1, -1))
 
 _OFFSET_INDEX = {off: k for k, off in enumerate(NEIGHBOR_OFFSETS)}
+_NEXT_PETAL = np.array([1, 2, 3, 4, 5, 0])
 
 # Edge directions in the order that sorts the far endpoints of a fixed v.
 DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
@@ -244,6 +245,14 @@ def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     B(v) = (v+(1,0), v+(1,1), v+(0,1)) at [1, i, j], for v in row i, column j."""
     return (np.stack([a[:-1, :-1], a[:-1, 1:]]), np.stack([a[:-1, 1:], a[1:, 1:]]),
             np.stack([a[1:, :-1], a[1:, :-1]]))
+
+
+def _ring_faces(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Counterclockwise corners (centre, petal k, petal k+1) of the six faces
+    of flowers whose petal offsets u(w) - u(v) are ``x`` (..., 6), in
+    ``NEIGHBOR_OFFSETS`` order: the centre's angles are ``face_angles[0]``,
+    their partials in petals k and k+1 ``face_partials[2]`` and ``[1]``."""
+    return 0.0, x, x[..., _NEXT_PETAL]
 
 
 def corner_sums(f: np.ndarray) -> np.ndarray:

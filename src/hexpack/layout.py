@@ -22,6 +22,7 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cached_property
@@ -98,6 +99,10 @@ class Anchor:
     direction: complex = 1 + 0j
 
     def __post_init__(self) -> None:
+        try:  # Python ints: develop's flags from numpy integers cannot index a list
+            object.__setattr__(self, "vertex", tuple(map(operator.index, self.vertex)))
+        except TypeError:
+            raise ValueError(f"vertex must be a pair of integers, got {self.vertex!r}") from None
         mag = abs(self.direction)
         if not (math.isfinite(mag) and mag > 0):
             raise ValueError(f"direction must be a nonzero vector, got {self.direction!r}")
@@ -159,6 +164,11 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     positive normal float (a subnormal one has too few bits for the
     tangencies to close), an overflowing tangency distance r_v + r_w and an
     overflowing center raise a ValueError naming the vertex.
+
+    Centers are absolute, with a float64 error of about ulp(|z|): a circle
+    of radius r far from the base has a relative tangency error of about
+    ulp(|z|)/r (5.1e-3 on the exact 161x161 spiral x = 1.2, y = 0.85 from
+    its center, yet at most 4.8e-10 of the picture's span).
     """
     window = u.window
     rows, cols = window.n_count, window.m_count

@@ -10,17 +10,18 @@ value: theta increases in both arguments and theta(0, 0) = pi/3.
 
 The defects are the gradient of a convex functional of the interior log
 radii (Colin de Verdiere, Invent. Math. 104, 1991), whose Hessian is minus
-the symmetric Jacobian.  The defects and the Jacobian come from one
-evaluation per face (``geometry.face_angles`` and ``face_partials``), the
-per-vertex solves and the single flower of ``_flower`` (its petal offsets
-and six angles, which ``angle_sum`` and the flower checks of ``layout``
-read) from ``geometry.flower_angles``.  Each iterate's defects are
-evaluated once.  The harmonic start and Newton's steps solve symmetric,
-diagonally dominant systems over the interior with one SuperLU policy:
-diagonal pivots in a symmetric minimum-degree ordering.  This module is
-the only one that uses scipy, and it imports scipy inside ``_Grid``: the
-first ``solve_patch`` or ``harmonic_interpolation`` call loads it, and
-importing hexpack does not.  There are two modes:
+the symmetric Jacobian.  Everything comes from one angle kernel,
+``geometry.face_angles`` and ``face_partials``: the defects and the
+Jacobian from one evaluation per face of the window, the per-vertex solves
+and the flower of ``_flower`` (its petal offsets and six angles, which
+``angle_sum`` and the flower checks of ``layout`` read) from the six faces
+around each flower.  Each iterate's defects are evaluated once.  The
+harmonic start and Newton's steps solve symmetric, diagonally dominant
+systems over the interior with one SuperLU policy: diagonal pivots in a
+symmetric minimum-degree ordering.  This module is the only one that uses
+scipy, and it imports scipy inside ``_Grid``: the first ``solve_patch`` or
+``harmonic_interpolation`` call loads it, and importing hexpack does not.
+There are two modes:
 
 - "newton" (default) factors the sparse Jacobian per iteration (Orick,
   Stephenson and Collins, Comput. Geom. 64, 2017) and searches along the
@@ -47,8 +48,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import face_angles, face_partials, flower_angles
-from .lattice import (ScalarField, Vertex, Window, corner_sums, edge_sums, faces,
+from .geometry import face_angles, face_partials
+from .lattice import (ScalarField, Vertex, Window, _ring_faces, corner_sums, edge_sums, faces,
                       interior_rings, neighbors, ring_gather)
 
 if TYPE_CHECKING:
@@ -125,7 +126,7 @@ def _flower(u: ScalarField, v: Vertex) -> tuple[np.ndarray, np.ndarray]:
     if not u.window.is_interior(v):
         raise ValueError(f"a flower needs an interior vertex, got {v}")
     x = np.array([u[w] for w in neighbors(v)]) - u[v]
-    return x, flower_angles(x[None])[0][0]
+    return x, face_angles(*_ring_faces(x))[0]
 
 
 def angle_sum(u: ScalarField, v: Vertex) -> float:
@@ -232,13 +233,13 @@ def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> Non
     active = np.arange(centre.size)
     for _ in range(100):
         ta = t[active]
-        angles, d_first, d_second = flower_angles(petals[active] - ta[:, None])
-        f = angles.sum(axis=1) - TWO_PI
-        slope = -(d_first + d_second).sum(axis=1)
+        f = face_angles(*_ring_faces(petals[active] - ta[:, None]))[0].sum(axis=1) - TWO_PI
         unsolved = np.abs(f) > _VERTEX_TOL
-        active, ta, f, slope = active[unsolved], ta[unsolved], f[unsolved], slope[unsolved]
+        active, ta, f = active[unsolved], ta[unsolved], f[unsolved]
         if active.size == 0:
             break
+        _, d_next, d_petal = face_partials(*_ring_faces(petals[active] - ta[:, None]))
+        slope = -(d_petal + d_next).sum(axis=1)
         # The sum decreases in t, so f > 0 means the root lies above t.
         above = f > 0.0
         lo_a = np.where(above, np.maximum(lo[active], ta), lo[active])

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import flower_angles
-from .lattice import ScalarField, Window, d1, d2
+from .geometry import face_angles
+from .lattice import ScalarField, Window, _ring_faces, d1, d2
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,23 +50,19 @@ def flower_angle_sum(a: float, b: float) -> float:
     forward differences a (m direction) and b (n direction).
 
     The six neighbor log-radius offsets are a, b, b-a, -a, -b, a-b in
-    counterclockwise order, giving one angle per consecutive pair.
+    counterclockwise order, giving one angle per consecutive pair: the
+    closure flower with a1 = b, k1 = a and a2 = -b.
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError(f"arguments must be finite, got {(a, b)!r}")
-    return _ring_angle_sum(a, b, b - a, -a, -b, a - b)
+    return _closure_angle_sum(b, a, -b)
 
 
 def _closure_angle_sum(a1: float, k1: float, a2: float) -> float:
     """Angle sum at (0,0) of the flower with rows u(m,0) = k1*m,
     u(m,1) = a1 + k1*m, u(m,-1) = a2 + k1*m."""
-    return _ring_angle_sum(k1, a1, a1 - k1, -k1, a2, a2 + k1)
-
-
-def _ring_angle_sum(*ring: float) -> float:
-    """Angle sum at a center whose six petals, counterclockwise, have the
-    given log-radius offsets."""
-    return float(flower_angles(np.array([ring]))[0].sum())
+    ring = np.array([k1, a1, a1 - k1, -k1, a2, a2 + k1])
+    return float(face_angles(*_ring_faces(ring))[0].sum())
 
 
 def solve_flower_closure(a1: float, k1: float) -> float:

@@ -1,6 +1,7 @@
 """Angle function, inner angles, and gradient checks against independent
 oracles: the law of cosines on explicit side lengths, and central finite
-differences; the vectorized flower kernel against the scalar functions."""
+differences; the face kernel on windows and on flowers' ring faces against
+the scalar functions."""
 
 import itertools
 import math
@@ -17,10 +18,10 @@ from hexpack.geometry import (
     dtheta_dx1_array,
     face_angles,
     face_partials,
-    flower_angles,
     inner_angles,
     theta,
 )
+from hexpack.lattice import _ring_faces
 
 SQRT3 = math.sqrt(3.0)
 
@@ -164,6 +165,14 @@ class TestDthetaDx1:
         vec = dtheta_dx1_array(x1, x2)
         for a, b, v in zip(x1, x2, vec):
             assert v == pytest.approx(dtheta_dx1(a, b), abs=1e-15)
+
+
+def flower_angles(x):
+    """The six angles at flower centres with petal offsets x (..., 6), and
+    their partials in petals k and k+1, from the face kernel on the ring faces."""
+    corners = _ring_faces(np.asarray(x, dtype=float))
+    _, d_second, d_first = face_partials(*corners)
+    return face_angles(*corners)[0], d_first, d_second
 
 
 class TestFlowerAngles:

@@ -144,7 +144,10 @@ class TestBasePositions:
         return solved
 
     @pytest.mark.parametrize("vertex", [(0, 0), (6, 0), (0, 8), (6, 8), (3, 0), (3, 8),
-                                        (0, 4), (6, 4), (3, 4)])
+                                        (0, 4), (6, 4), (3, 4),
+                                        # numpy integers, as np.argmin returns them
+                                        (np.int64(6), np.int64(0)), (np.int64(0), np.int64(0)),
+                                        (np.int64(0), np.int64(8)), (np.int64(3), np.int64(4))])
     def test_base_vertex(self, field, vertex):
         lay = develop(field, Anchor(vertex, self.ANCHOR_CENTER, 0.3 + 1j))
         base = lay.circles[vertex]
@@ -162,6 +165,10 @@ class TestBasePositions:
         pairs_ref = np.abs(z_ref[:, None] - z_ref[None, :])
         off_diagonal = ~np.eye(len(z), dtype=bool)
         assert np.allclose(pairs[off_diagonal], pairs_ref[off_diagonal], rtol=1e-9, atol=0.0)
+
+    def test_non_integer_vertex_rejected(self):
+        with pytest.raises(ValueError, match=r"\(1\.5, 0\)"):
+            Anchor((1.5, 0))
 
 
 class TestLocalUnivalence:

@@ -1,6 +1,7 @@
 """Packing-equation solver: angle sums and defects, the two update modes,
 boundary preservation, empirical uniqueness, and the numerical range."""
 
+import itertools
 import math
 import time
 
@@ -12,11 +13,13 @@ from hexpack.geometry import angle_gradient
 from hexpack import solver
 from hexpack.lattice import ScalarField, Window
 from hexpack.solver import (
+    DEFAULT_TOLERANCE,
     InvalidPatch,
     NonConvergence,
     SolveOptions,
     SolveReport,
     angle_defect,
+    angle_defects,
     angle_sum,
     harmonic_interpolation,
     solve_patch,
@@ -262,6 +265,58 @@ def test_newton_resumes_after_a_gauss_seidel_fallback():
         assert abs(solved[v] - reference[v]) <= 1e-8
 
 
+class TestNewtonWithoutAStep:
+    """Newton's two exits without a step, each reached by a real input: the
+    first iteration drops the step before any line search and is one
+    Gauss-Seidel sweep, the report records it, and the solve converges."""
+
+    @staticmethod
+    def first_step(monkeypatch, values):
+        # the first Newton step's defects and its step (or the factor's error)
+        events = []
+        solve, defects = solver._Grid.solve, solver._defects
+
+        def spy(mat, rhs):
+            try:
+                step = solve(mat, rhs)
+            except RuntimeError as exc:
+                events.append((rhs, exc))
+                raise
+            events.append((rhs, step))
+            return step
+
+        monkeypatch.setattr(solver._Grid, "solve", staticmethod(spy))
+        monkeypatch.setattr(solver, "_defects", lambda v: events.append("defects") or defects(v))
+        rows, cols = np.shape(values)
+        u0 = ScalarField(Window(0, cols - 1, 0, rows - 1), np.array(values, dtype=float))
+        solved, report = solve_patch(u0, SolveOptions(init="keep"))
+        # no line search: the next defects are the fallback sweep's, then a new step
+        assert events[0] == events[2] == "defects" and events[3:4] != ["defects"]
+        assert report.converged and report.fallback == "gauss-seidel"
+        assert np.abs(angle_defects(solved)).max() <= DEFAULT_TOLERANCE
+        return events[1], report
+
+    def test_singular_factor(self, monkeypatch):
+        # every neighbor 800 below the centre: the Jacobian underflows to zero
+        values = np.full((3, 3), -800.0)
+        values[1, 1] = 0.0
+        (_, error), report = self.first_step(monkeypatch, values)
+        assert isinstance(error, RuntimeError)
+        assert (report.iterations, report.final_defect) == (1, 0.0)
+
+    @pytest.mark.parametrize("values", [
+        # the first step is finite but climbs the functional: g(0) > 0
+        [[-1000, -1000, 1000, 500], [-1000, -1000, 0, 0], [0, 500, 500, -1000],
+         [-1000, 1000, 0, 500]],
+        # the first step is not finite
+        [[500, 500, 1000, -500], [0, -1000, 0, 1000], [500, -1000, 500, -1000],
+         [1000, 500, 500, -1000]],
+    ])
+    def test_step_not_finite_or_not_descent(self, monkeypatch, values):
+        (defects, delta), _ = self.first_step(monkeypatch, values)
+        assert not (np.all(np.isfinite(delta)) and defects @ delta < 0.0)
+
+
 @st.composite
 def random_boundaries(draw):
     m_count, n_count = draw(st.integers(3, 9)), draw(st.integers(3, 9))
@@ -294,6 +349,32 @@ def test_one_defect_evaluation_per_iterate(monkeypatch, mode):
     u0 = ScalarField(Window(0, 10, 0, 10), rng.uniform(-1.0, 1.0, size=(11, 11)))
     _, report = solve_patch(u0, SolveOptions(mode=mode, init="zero", tolerance=1e-8))
     assert len(calls) == report.iterations + 1
+
+
+def test_gauss_seidel_crosses_a_plateau_of_unchanged_defects(monkeypatch):
+    # boundary jumps of ~1000 around a zero interior: well over a hundred
+    # consecutive sweeps leave the max defect unchanged bit for bit (at
+    # ~2.68) before the sweeps converge, so an exit on an unchanged defect
+    # would abort this convergent solve
+    maxima = []
+    defects = solver._defects
+
+    def spy(values):
+        out = defects(values)
+        maxima.append(float(np.abs(out).max()))
+        return out
+
+    monkeypatch.setattr(solver, "_defects", spy)
+    u0 = ScalarField(Window(0, 3, 0, 3), np.array([
+        [-1471.284634, -453.077707, -643.220429, 1497.764806],
+        [-324.987931, 0.0, 0.0, 489.253455],
+        [-1533.160573, 0.0, 0.0, -1631.644137],
+        [527.008769, 465.535164, -1871.674606, 1229.691124],
+    ]))
+    _, report = solve_patch(u0, SolveOptions(mode="gauss-seidel"))
+    assert report.converged and report.iterations == 291
+    plateau = max((len(list(run)), value) for value, run in itertools.groupby(maxima))
+    assert plateau[0] >= 135 and plateau[1] == pytest.approx(2.68034342843, rel=1e-11)
 
 
 class TestHarmonicInterpolation:
