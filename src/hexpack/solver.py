@@ -15,21 +15,32 @@ the symmetric Jacobian.  Everything comes from one angle kernel,
 Jacobian from one evaluation per face of the window, the per-vertex solves
 and the flower of ``_flower`` (its petal offsets and six angles, which
 ``angle_sum`` and the flower checks of ``layout`` read) from the six faces
-around each flower.  Each iterate's defects are evaluated once.  The
-harmonic start and Newton's steps solve symmetric, diagonally dominant
-systems over the interior with one SuperLU policy: diagonal pivots in a
-symmetric minimum-degree ordering.  This module is the only one that uses
-scipy, and it imports scipy inside ``_Grid``: the first ``solve_patch`` or
-``harmonic_interpolation`` call loads it, and importing hexpack does not.
-There are two modes:
+around each flower.  Each iterate's defects are evaluated once.
 
-- "newton" (default) factors the sparse Jacobian per iteration (Orick,
-  Stephenson and Collins, Comput. Geom. 64, 2017) and searches along the
-  step delta, where the functional's slope
+A solve builds one ``_Grid`` and factors the interior graph Laplacian L
+(6 on the diagonal, -1 per interior neighbor) at most once, with SuperLU's
+diagonal pivots in a symmetric minimum-degree ordering, and only when the
+harmonic start or a Newton step needs it.  That factor gives the harmonic
+start, and it preconditions Newton's systems: the Hessian is a weighted
+interior Laplacian whose weights the paper's ratio bound keeps uniformly
+elliptic, so it is spectrally equivalent to L.  This module is the only
+one that uses scipy, and it imports scipy inside ``_Grid``: the first
+``solve_patch`` or ``harmonic_interpolation`` call loads it, and importing
+hexpack does not.  There are two modes:
+
+- "newton" (default) is inexact Newton (Dembo, Eisenstat and Steihaug,
+  SIAM J. Numer. Anal. 19, 1982; Orick, Stephenson and Collins, Comput.
+  Geom. 64, 2017).  Each step solves hessian @ delta = -defects by
+  conjugate gradients preconditioned with L's factor, to the forcing
+  tolerance ||r|| <= eta ||defects||, eta = min(0.1, max |defect|), a
+  forcing term in the style of Eisenstat and Walker (SIAM J. Sci. Comput.
+  17, 1996).  When CG meets a non-positive curvature or runs out of steps,
+  the step comes from an exact SuperLU factor of the Hessian instead.  The
+  step is followed by a search along delta, where the functional's slope
   g(s) = sum(defect(u + s delta) * delta) increases:
   s = 1 when g(1) <= 0 or |g(1)| <= |g(0)| / 2, else bisection for
-  |g(s)| <= |g(0)| / 2.  When there is no step (a singular factor, a step
-  not finite or not a descent direction, a failed bisection), the
+  |g(s)| <= |g(0)| / 2.  When there is no step (a singular exact factor, a
+  step not finite or not a descent direction, a failed bisection), the
   iteration is one Gauss-Seidel sweep instead, which brings every vertex
   inside its neighbors' range, and the report records the fallback.
 - "gauss-seidel" is the per-vertex iteration of Collins and Stephenson
@@ -44,6 +55,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -53,7 +65,10 @@ from .lattice import (ScalarField, Vertex, Window, _ring_faces, corner_sums, edg
                       interior_rings, neighbors, ring_gather)
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
     import scipy.sparse
+    import scipy.sparse.linalg
 
 TWO_PI = 2.0 * math.pi
 
@@ -66,6 +81,9 @@ DEFAULT_MAX_ITERATIONS = 100_000
 # Residual target of the per-vertex 1-D solves; well below any sensible
 # field tolerance and above angle-evaluation noise.
 _VERTEX_TOL = 1e-14
+
+# Conjugate-gradient steps per Newton step before the exact factor is used.
+_CG_STEPS = 200
 
 
 class InvalidPatch(ValueError):
@@ -188,14 +206,28 @@ class _Grid:
         return scipy.sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
 
     @staticmethod
-    def solve(mat: scipy.sparse.csc_matrix, rhs: np.ndarray) -> np.ndarray:
-        """Solve with a symmetric, diagonally dominant matrix over the
-        interior: diagonal pivots in a symmetric minimum-degree ordering.
-        Raises RuntimeError when the factor is exactly singular."""
+    def factor(mat: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
+        """Factor a symmetric, diagonally dominant matrix over the interior:
+        diagonal pivots in a symmetric minimum-degree ordering.  Raises
+        RuntimeError when the factor is exactly singular."""
         import scipy.sparse.linalg
 
         return scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                        options={"SymmetricMode": True}).solve(rhs)
+                                        options={"SymmetricMode": True})
+
+    @cached_property
+    def laplacian(self) -> scipy.sparse.linalg.SuperLU:
+        """The factor of the interior graph Laplacian L (6 on the diagonal,
+        -1 per interior neighbor), made on first use."""
+        return self.factor(self.matrix(np.full(self.centre.size, 6.0),
+                                       np.full(self.inner.shape, -1.0)))
+
+
+def _harmonic(vals: np.ndarray, grid: _Grid) -> None:
+    """Set the interior of the flat values to the graph-harmonic
+    interpolation of their boundary, leaving the boundary untouched."""
+    b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1)
+    vals[grid.centre] = grid.laplacian.solve(b)
 
 
 def harmonic_interpolation(u0: ScalarField) -> ScalarField:
@@ -206,15 +238,11 @@ def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     Boundary entries are returned bit for bit.
     """
     grid = _Grid(u0.window)
-    n = grid.centre.size
-    if n == 0:
+    if grid.centre.size == 0:
         return u0.copy()
-    vals = u0.values.ravel()
-    b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1)
-    mat = grid.matrix(np.full(n, 6.0), np.full(grid.inner.shape, -1.0))
-    out = vals.copy()
-    out[grid.centre] = grid.solve(mat, b)
-    return ScalarField(u0.window, out.reshape(u0.values.shape))
+    vals = u0.values.ravel().copy()
+    _harmonic(vals, grid)
+    return ScalarField(u0.window, vals.reshape(u0.values.shape))
 
 
 def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> None:
@@ -244,7 +272,8 @@ def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> Non
         above = f > 0.0
         lo_a = np.where(above, np.maximum(lo[active], ta), lo[active])
         hi_a = np.where(above, hi[active], np.minimum(hi[active], ta))
-        step = np.divide(f, slope, out=np.full_like(f, np.nan), where=slope != 0.0)
+        with np.errstate(over="ignore"):  # an infinite step fails the bracket test below
+            step = np.divide(f, slope, out=np.full_like(f, np.nan), where=slope != 0.0)
         t_new = ta - step
         t_new = np.where((lo_a < t_new) & (t_new < hi_a), t_new, 0.5 * (lo_a + hi_a))
         lo[active], hi[active], t[active] = lo_a, hi_a, t_new
@@ -259,6 +288,44 @@ def _sweep(vals: np.ndarray, grid: _Grid) -> None:
         _solve_colour(vals, centre, ring)
 
 
+def _pcg(mat: scipy.sparse.csc_matrix, precondition: Callable[[np.ndarray], np.ndarray],
+         b: np.ndarray, rtol: float) -> np.ndarray | None:
+    """Conjugate gradients from zero for ``mat @ x = b``, preconditioned by
+    ``precondition`` (r -> M^-1 r), to ||r|| <= rtol ||b||.  Returns None on
+    a non-positive curvature or after ``_CG_STEPS`` steps."""
+    x = np.zeros_like(b)
+    r = b.copy()
+    z = precondition(r)
+    p, rz, target = z, r @ z, rtol * np.linalg.norm(b)
+    # A nearly singular matrix can overflow x; the caller rejects a step
+    # that is not finite.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(_CG_STEPS):
+            q = mat @ p
+            curvature = p @ q
+            if not curvature > 0.0:
+                return None
+            alpha = rz / curvature
+            x += alpha * p
+            r -= alpha * q
+            if np.linalg.norm(r) <= target:
+                return x
+            z = precondition(r)
+            rz, rz_old = r @ z, rz
+            p = z + (rz / rz_old) * p
+    return None
+
+
+def _direction(grid: _Grid, hessian: scipy.sparse.csc_matrix, defects: np.ndarray) -> np.ndarray:
+    """Newton's step delta, a solution of hessian @ delta = -defects: by
+    conjugate gradients preconditioned with L's factor, to the forcing
+    tolerance min(0.1, max |defect|), else by an exact factor of the
+    Hessian.  Raises RuntimeError when that factor is exactly singular."""
+    rtol = min(0.1, float(np.abs(defects).max()))
+    delta = _pcg(hessian, grid.laplacian.solve, -defects, rtol)
+    return grid.factor(hessian).solve(-defects) if delta is None else delta
+
+
 def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarray | None:
     """One Newton step from the point with these ``defects``, with the line
     search of the module docstring.  Returns the defects at the accepted
@@ -266,9 +333,10 @@ def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarr
     centre, values = grid.centre, vals.reshape(grid.shape)  # a view of vals
     # d(angle sum)/d(u of neighbor k): the partials of the two faces at that edge.
     coeff = ring_gather(edge_sums(face_partials(*faces(values))), centre, grid.ring)
-    jac = grid.matrix(-coeff.sum(axis=1), coeff)
+    # The functional's Hessian, minus the Jacobian of the angle sums.
+    hessian = grid.matrix(coeff.sum(axis=1), -coeff)
     try:
-        delta = grid.solve(jac, defects)
+        delta = _direction(grid, hessian, defects)
     except RuntimeError:
         return None
     g0 = defects @ delta
@@ -306,9 +374,10 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     if grid.centre.size == 0:
         raise InvalidPatch(f"window {window} has no interior vertices")
 
-    u = harmonic_interpolation(u0) if opts.init == "harmonic" else u0
-    vals = u.values.ravel().copy()
-    if opts.init == "zero":
+    vals = u0.values.ravel().copy()
+    if opts.init == "harmonic":
+        _harmonic(vals, grid)
+    elif opts.init == "zero":
         vals[grid.centre] = 0.0
 
     newton = opts.mode == "newton"

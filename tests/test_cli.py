@@ -495,6 +495,25 @@ def run_fresh(code, cwd):
     return json.loads(result.stdout)
 
 
+def test_solve_writes_nothing_to_stderr(tmp_path):
+    # jumps of ~1400 between neighbors: a colour solve's Newton step f/slope
+    # overflows where the slope is near 0, and bisection takes over
+    rng = np.random.default_rng(4)
+    width = int(rng.integers(4, 6))
+    amplitude = rng.uniform(800, 2000)
+    values = rng.uniform(-amplitude, amplitude, size=(width, width))
+    src = tmp_path / "u.csv"
+    src.write_text(write_field_csv(ScalarField(Window(0, width - 1, 0, width - 1), values)))
+    result = subprocess.run(
+        [sys.executable, "-W", "default", "-m", "hexpack.cli", "solve", "--in", str(src),
+         "--out", str(tmp_path / "s.csv"), "--init", "keep"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0
+    assert json.loads(result.stdout)["converged"] is True
+    assert result.stderr == ""
+
+
 class TestScipyLoadsOnlyToSolve:
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         code = ("import json, sys\nimport hexpack, hexpack.cli\n"

@@ -4,6 +4,7 @@ boundary preservation, empirical uniqueness, and the numerical range."""
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -266,32 +267,38 @@ def test_newton_resumes_after_a_gauss_seidel_fallback():
 
 
 class TestNewtonWithoutAStep:
-    """Newton's two exits without a step, each reached by a real input: the
-    first iteration drops the step before any line search and is one
-    Gauss-Seidel sweep, the report records it, and the solve converges."""
+    """Newton's two exits without a step, each reached by a real input:
+    conjugate gradients stop on a non-positive curvature, the exact factor's
+    step fails too, the first iteration drops it before any line search and
+    is one Gauss-Seidel sweep, the report records it, and the solve
+    converges."""
 
     @staticmethod
     def first_step(monkeypatch, values):
         # the first Newton step's defects and its step (or the factor's error)
-        events = []
-        solve, defects = solver._Grid.solve, solver._defects
+        events, cg_steps = [], []
+        direction, defects, pcg = solver._direction, solver._defects, solver._pcg
+        monkeypatch.setattr(solver, "_pcg", lambda *args: cg_steps.append(pcg(*args)) or cg_steps[-1])
 
-        def spy(mat, rhs):
+        def spy(grid, hessian, rhs):
             try:
-                step = solve(mat, rhs)
+                step = direction(grid, hessian, rhs)
             except RuntimeError as exc:
                 events.append((rhs, exc))
                 raise
             events.append((rhs, step))
             return step
 
-        monkeypatch.setattr(solver._Grid, "solve", staticmethod(spy))
+        monkeypatch.setattr(solver, "_direction", spy)
         monkeypatch.setattr(solver, "_defects", lambda v: events.append("defects") or defects(v))
         rows, cols = np.shape(values)
         u0 = ScalarField(Window(0, cols - 1, 0, rows - 1), np.array(values, dtype=float))
-        solved, report = solve_patch(u0, SolveOptions(init="keep"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            solved, report = solve_patch(u0, SolveOptions(init="keep"))
         # no line search: the next defects are the fallback sweep's, then a new step
         assert events[0] == events[2] == "defects" and events[3:4] != ["defects"]
+        assert cg_steps[0] is None
         assert report.converged and report.fallback == "gauss-seidel"
         assert np.abs(angle_defects(solved)).max() <= DEFAULT_TOLERANCE
         return events[1], report
@@ -315,6 +322,65 @@ class TestNewtonWithoutAStep:
     def test_step_not_finite_or_not_descent(self, monkeypatch, values):
         (defects, delta), _ = self.first_step(monkeypatch, values)
         assert not (np.all(np.isfinite(delta)) and defects @ delta < 0.0)
+
+
+def count_factors(monkeypatch):
+    # every sparse factor a solve makes, L's and any exact Newton step's
+    import scipy.sparse.linalg
+
+    factors, splu = [], scipy.sparse.linalg.splu
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda *args, **kwargs: factors.append(1) or splu(*args, **kwargs))
+    return factors
+
+
+@pytest.mark.parametrize("mode", solver.MODES)
+@pytest.mark.parametrize("init", solver.INITS)
+def test_one_grid_and_at_most_one_laplacian_factor_per_solve(monkeypatch, mode, init):
+    # the harmonic start and Newton's preconditioner share one factor of L,
+    # made only when one of them needs it
+    grids, grid_init = [], solver._Grid.__init__
+    monkeypatch.setattr(solver._Grid, "__init__",
+                        lambda self, window: grids.append(window) or grid_init(self, window))
+    factors = count_factors(monkeypatch)
+    rng = np.random.default_rng(5)
+    u0 = ScalarField(Window(0, 10, 0, 10), rng.uniform(-1.0, 1.0, size=(11, 11)))
+    _, report = solve_patch(u0, SolveOptions(mode=mode, init=init))
+    assert report.converged and report.fallback is None
+    assert len(grids) == 1
+    assert len(factors) == (1 if mode == "newton" or init == "harmonic" else 0)
+
+
+def random_window(half, amplitude, seed):
+    size = 2 * half + 1
+    values = np.random.default_rng(seed).uniform(-amplitude, amplitude, size=(size, size))
+    return ScalarField(Window(-half, half, -half, half), values)
+
+
+@pytest.mark.parametrize("half", [10, 20])
+@pytest.mark.parametrize("amplitude", [2.0, 10.0])
+def test_conjugate_gradient_steps_match_exact_newton_steps(monkeypatch, half, amplitude):
+    u0 = random_window(half, amplitude, seed=half + int(amplitude))
+    factors = count_factors(monkeypatch)
+    fast, fast_report = solve_patch(u0)
+    assert len(factors) == 1  # L alone: every step came from conjugate gradients
+    monkeypatch.setattr(solver, "_pcg", lambda *args: None)
+    exact, exact_report = solve_patch(u0)
+    assert len(factors) == 2 + exact_report.iterations
+    for field, report in ((fast, fast_report), (exact, exact_report)):
+        assert report.converged and report.fallback is None
+        assert np.abs(angle_defects(field)).max() <= DEFAULT_TOLERANCE
+    assert np.abs(fast.values - exact.values).max() <= 1e-10
+
+
+def test_a_missed_conjugate_gradient_cap_takes_the_exact_step(monkeypatch):
+    monkeypatch.setattr(solver, "_CG_STEPS", 1)
+    factors = count_factors(monkeypatch)
+    u0 = random_window(10, 10.0, seed=3)
+    solved, report = solve_patch(u0)
+    assert len(factors) > 1
+    assert report.converged and report.fallback is None
+    assert np.abs(angle_defects(solved)).max() <= DEFAULT_TOLERANCE
 
 
 @st.composite
