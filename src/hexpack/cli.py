@@ -221,8 +221,8 @@ def verify(in_path: str, order: int, tol: float) -> None:
     etas = weights.values[~np.isnan(weights.values)]
     min_eta = float(etas.min()) if etas.size else None
     max_eta = float(etas.max()) if etas.size else None
-    residuals = [abs(r) for r in harmonic_residuals(u, weights).values()]
-    max_residual = max(residuals) if residuals else None
+    residuals = np.abs(harmonic_residuals(u, weights))
+    max_residual = None if np.isnan(residuals).all() else float(np.nanmax(residuals))
 
     min_d1_ratio = ring_ratio_bound(u) if window.m_count >= 2 else None
 

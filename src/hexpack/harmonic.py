@@ -128,41 +128,39 @@ def eta(u: ScalarField, v: Vertex, w: Vertex,
     return total
 
 
+def _listed(window: Window, mask: np.ndarray, values: np.ndarray) -> list:
+    """(v, w, value) for each true entry of a mask shaped like ``values``,
+    sorted by edge."""
+    col, row, k = np.nonzero(mask.transpose(2, 1, 0))
+    m, n = (window.m_min + col).tolist(), (window.n_min + row).tolist()
+    return [((a, b), (a + DIRECTIONS[d][0], b + DIRECTIONS[d][1]), x)
+            for a, b, d, x in zip(m, n, k.tolist(), values[k, row, col].tolist())]
+
+
+def _check_range(window: Window, values: np.ndarray, stored: np.ndarray) -> None:
+    """Raise a ValueError naming the first stored edge whose weight is not in (0, 2)."""
+    bad = stored & ~((values > 0.0) & (values < 2.0))
+    if bad.any():
+        v, w, value = _listed(window, bad, values)[0]
+        raise ValueError(f"edge weight on {(v, w)} must lie in (0, 2), got {value!r}")
+
+
 class EdgeWeights:
     """Symmetric positive weights on the undirected edges of a window.
 
-    ``values[k]`` is window-shaped like ``ScalarField.values`` and holds
-    the weight of the edge from each vertex v to v + DIRECTIONS[k] (v is
-    the smaller endpoint), NaN where no weight is stored.
+    ``values`` (3, n_count, m_count) holds at [k] and v's row and column the
+    weight of the edge from v to v + DIRECTIONS[k], NaN where none is stored.
+    The constructor copies it and drops the slots of edges that leave the
+    window; a stored weight outside (0, 2) raises a ValueError naming its edge.
     """
 
-    def __init__(self, window: Window, weights: dict) -> None:
-        self.window = window
-        values = np.full((3, window.n_count, window.m_count), np.nan)
-        stored = np.zeros(values.shape, dtype=bool)
-        for (v, w), value in weights.items():
-            slot = self._slot(v, w)
-            if slot is None:
-                raise ValueError(f"{(v, w)} is not an edge of window {window}")
-            values[slot], stored[slot] = value, True
-        self._store(values, stored)
-
-    def _store(self, values: np.ndarray, stored: np.ndarray) -> None:
-        """Keep ``values`` where ``stored``; each of those must lie in (0, 2)."""
-        bad = stored & ~((values > 0.0) & (values < 2.0))
-        if bad.any():
-            v, w, value = self._listed(bad, values)[0]
-            raise ValueError(f"edge weight on {(v, w)} must lie in (0, 2), got {value!r}")
-        self.values = np.where(stored, values, np.nan)
-
-    def _listed(self, mask: np.ndarray, values: np.ndarray) -> list:
-        """(v, w, value) for each true entry of a mask shaped like
-        ``values``, sorted by edge."""
-        col, row, k = np.nonzero(mask.transpose(2, 1, 0))
-        m = (self.window.m_min + col).tolist()
-        n = (self.window.n_min + row).tolist()
-        return [((a, b), (a + DIRECTIONS[d][0], b + DIRECTIONS[d][1]), x)
-                for a, b, d, x in zip(m, n, k.tolist(), values[k, row, col].tolist())]
+    def __init__(self, window: Window, values: np.ndarray) -> None:
+        if np.shape(values) != (3, window.n_count, window.m_count):
+            raise ValueError(f"weights of shape {np.shape(values)} do not fit window {window}")
+        self.window, self.values = window, np.array(values, dtype=float)
+        # Off-window edges: (0, 1) from the last row, (1, -1) the first, (1, *) the last column.
+        self.values[0, -1] = self.values[1, 0] = self.values[1:, :, -1] = np.nan
+        _check_range(window, self.values, ~np.isnan(self.values))
 
     def _slot(self, v: Vertex, w: Vertex) -> tuple[int, int, int] | None:
         """Index of the edge {v, w} into ``values``; None if it is not an
@@ -175,8 +173,7 @@ class EdgeWeights:
 
     @classmethod
     def uniform(cls, window: Window, value: float) -> "EdgeWeights":
-        edges = [(v, (v[0] + dm, v[1] + dn)) for v in window.vertices() for dm, dn in DIRECTIONS]
-        return cls(window, {e: value for e in edges if window.contains(e[1])})
+        return cls(window, np.full((3, window.n_count, window.m_count), value))
 
     def has(self, v: Vertex, w: Vertex) -> bool:
         slot = self._slot(v, w)
@@ -189,7 +186,7 @@ class EdgeWeights:
         return float(self.values[slot])
 
     def edges(self) -> list[tuple[Vertex, Vertex, float]]:
-        return self._listed(~np.isnan(self.values), self.values)
+        return _listed(self.window, ~np.isnan(self.values), self.values)
 
     def __len__(self) -> int:
         return int(np.count_nonzero(~np.isnan(self.values)))
@@ -214,10 +211,10 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     underflows to zero or a NaN from overflowing log radii, raises a
     ValueError naming its edge.
     """
-    out = EdgeWeights(u.window, {})
-    values = np.full(out.values.shape, np.nan)
+    window, rows, cols = u.window, u.window.n_count, u.window.m_count
+    values = np.full((3, rows, cols), np.nan)
     stored = np.zeros(values.shape, dtype=bool)
-    if u.window.m_count >= 2:
+    if cols >= 2:
         nodes, wts = _nodes_weights_01(quad.order)
         start, step = u.values[:, :-1], np.diff(u.values, axis=1)
         partials = sum(wt * face_partials(*faces(start + step * t)) for t, wt in zip(nodes, wts))
@@ -225,13 +222,12 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
         # The edges with two faces on m_min .. m_max - 1, whatever their weights.
         stored[:, :, :-1] = ~np.isnan(edge_sums(np.zeros_like(partials)))
     if around is not None:
-        near = np.zeros(stored.shape, dtype=bool)
-        for v in around:
-            for slot in filter(None, (out._slot(v, w) for w in neighbors(v))):
-                near[slot] = True
-        stored &= near
-    out._store(values, stored)
-    return out
+        # The edges from v to v + DIRECTIONS[k] with either end in the set.
+        at = np.pad(ScalarField.from_function(window, around.__contains__).values, 1) > 0
+        stored &= [at[1:-1, 1:-1] | at[1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
+                   for dm, dn in DIRECTIONS]
+    _check_range(window, values, stored)
+    return EdgeWeights(window, np.where(stored, values, np.nan))
 
 
 def harmonic_residual(u: ScalarField, v: Vertex,
@@ -254,28 +250,35 @@ def harmonic_residual(u: ScalarField, v: Vertex,
     return total
 
 
-def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> dict[Vertex, float]:
-    """``harmonic_residual(u, v, weights=weights)`` at every interior vertex
-    v where it is defined: v, its neighbors and their m-translates lie in
-    the window, and its six incident weights are stored."""
+def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> np.ndarray:
+    """``harmonic_residual(u, v, weights=weights)`` at every vertex v, in an
+    array shaped like ``u.values``: NaN unless v is interior, v, its
+    neighbors and their m-translates lie in the window, and its six
+    incident weights are stored."""
     if weights.window != u.window:
         raise ValueError(f"weights on {weights.window} do not match field window {u.window}")
     d1u = np.pad(np.diff(u.values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan).ravel()
     centre, ring = interior_rings(u.window)
     etas = ring_gather(weights.values, centre, ring)
-    total = sum(etas[:, k] * (d1u[ring[:, k]] - d1u[centre]) for k in range(6))
-    verts = u.window.interior_vertices()
-    return {verts[i]: float(total[i]) for i in np.flatnonzero(~np.isnan(total))}
+    out = np.full(u.values.shape, np.nan)
+    out.flat[centre] = sum(etas[:, k] * (d1u[ring[:, k]] - d1u[centre]) for k in range(6))
+    return out
 
 
 def volume(weights: EdgeWeights, vertices: set) -> float:
     """Sum over the vertex set of all incident edge weights (interior edges
-    therefore count twice)."""
-    total = 0.0
-    for v in vertices:
-        for w in neighbors(v):
-            total += weights.get(v, w)
-    return total
+    count twice); one that is not stored raises :class:`MissingEdgeError`."""
+    window, verts = weights.window, list(vertices)
+    # Offsets (m, n) from the first interior vertex, and their interior rows.
+    at = np.array(verts, dtype=np.int64).reshape(-1, 2) - (window.m_min + 1, window.n_min + 1)
+    inner = ((0 <= at) & (at < (window.m_count - 2, window.n_count - 2))).all(axis=1)
+    i = at[inner] @ (1, window.m_count - 2)
+    etas = np.full((len(verts), 6), np.nan)
+    etas[inner] = ring_gather(weights.values, *(a[i] for a in interior_rings(window)))
+    for j in np.flatnonzero(np.isnan(etas).any(axis=1))[:1]:
+        for w in neighbors(verts[j]):  # raises at the first missing edge
+            weights.get(verts[j], w)
+    return float(etas.sum())
 
 
 @dataclass(frozen=True)

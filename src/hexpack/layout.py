@@ -110,19 +110,17 @@ class Anchor:
 
 
 class Layout:
-    """Circles on a window as read-only arrays ``centers`` (complex) and
-    ``radii``, indexed like a field's values, NaN where no circle sits."""
+    """Circles on a window as read-only copies of the arrays ``centers``
+    (complex) and ``radii``, shaped like a field's values (else a ValueError),
+    NaN where no circle sits.  ``monodromy_residual`` is the worst relative
+    loop-closure gap over the interior vertices."""
 
-    def __init__(self, window: Window, circles: dict[Vertex, Circle], base: Anchor,
+    def __init__(self, window: Window, centers: np.ndarray, radii: np.ndarray, base: Anchor,
                  monodromy_residual: float = 0.0) -> None:
-        self.window, self.base = window, base
-        # Worst loop-closure gap (relative) over the interior vertices.
-        self.monodromy_residual = monodromy_residual
-        self.centers = np.full((window.n_count, window.m_count), np.nan, dtype=complex)
-        self.radii = self.centers.real.copy()
-        for (m, n), c in circles.items():
-            self.centers[n - window.n_min, m - window.m_min] = c.center
-            self.radii[n - window.n_min, m - window.m_min] = c.radius
+        if not np.shape(centers) == np.shape(radii) == (window.n_count, window.m_count):
+            raise ValueError(f"shapes {np.shape(centers)}, {np.shape(radii)} do not fit {window}")
+        self.window, self.base, self.monodromy_residual = window, base, monodromy_residual
+        self.centers, self.radii = np.array(centers, dtype=complex), np.array(radii, dtype=float)
         self.centers.flags.writeable = self.radii.flags.writeable = False
 
     def placed(self, *arrays: np.ndarray) -> list[list]:
@@ -248,10 +246,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         if bad.size:
             raise InconsistentPlacement(window.interior_vertices()[bad[0]], float(gaps[bad[0]]))
         worst = float(gaps.max())
-    layout = Layout(window, {}, base, worst)
-    centers.flags.writeable = radii.flags.writeable = False
-    layout.centers, layout.radii = centers, radii
-    return layout
+    return Layout(window, centers, radii, base, worst)
 
 
 def max_tangency_residual(layout: Layout) -> float:

@@ -36,20 +36,19 @@ class RenderStyle:
             raise ValueError(f"color map must be one of {COLOR_MAPS}, got {self.color_map!r}")
 
 
-def _colors(layout: Layout, style: RenderStyle, values) -> list[str]:
+def _colors(layout: Layout, style: RenderStyle, values: np.ndarray | None) -> list[str]:
     """Stroke colors of the placed circles, in vertex order."""
     r = layout.radii
     if style.color_map == "uniform":
         return [_UNIFORM_COLOR] * int(np.count_nonzero(~np.isnan(r)))
     if style.color_map == "residual":
-        if values is None:
-            raise ValueError("the residual color map needs per-vertex values")
-        values = dict(values)
-        t = np.array([values.get(v, math.nan) for v in zip(*layout.placed())], dtype=float)
+        if np.shape(values) != r.shape:  # None has shape ()
+            raise ValueError(f"the residual color map needs values of shape {r.shape}")
+        data = values
     else:
         data = np.log(r) if style.color_map == "log-radius" else np.pad(
             np.log(r[:, 1:] / r[:, :-1]), ((0, 0), (0, 1)), constant_values=np.nan)
-        t = np.array(layout.placed(data)[2], dtype=float)
+    t = np.array(layout.placed(data)[2], dtype=float)
     known = t[~np.isnan(t)]
     lo, hi = (known.min(), known.max()) if known.size else (0.0, 0.0)
     # a range at rounding level is noise, not signal
@@ -68,7 +67,9 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle(), values=None) 
     The viewBox is the bounding box of all circles grown by the padding
     fraction (a ValueError if it passes the float range).  Colors follow
     the style's map over the data range; vertices without a value get the
-    palette midpoint.  ``values`` holds the data of the "residual" map.
+    palette midpoint.  ``values`` holds the data of the "residual" map: an
+    array shaped like the layout's radii, NaN where a vertex has no value,
+    such as the one ``harmonic_residuals`` returns.
     """
     # the y axis flips, so the bounding box flips with it
     _, _, xs, ys, rs = layout.placed(layout.centers.real, -layout.centers.imag, layout.radii)

@@ -514,6 +514,34 @@ def test_solve_writes_nothing_to_stderr(tmp_path):
     assert result.stderr == ""
 
 
+@pytest.mark.parametrize("window, expected", [
+    (Window(0, 0, 0, 0), dict.fromkeys([
+        "max_defect", "min_eta", "max_eta", "max_harmonic_residual", "min_d1_ratio",
+        "classification", "k1", "k2", "spread"])),
+    (Window(0, 2, 0, 2), {
+        "max_defect": 0.0, "min_eta": 0.5660686433932378, "max_eta": 0.5741691568875003,
+        "max_harmonic_residual": None, "min_d1_ratio": 1.2, "classification": "spiral",
+        "k1": 0.1823215567939546, "k2": -0.16251892949777494, "spread": None}),
+    (Window(0, 6, 0, 0), {
+        "max_defect": None, "min_eta": None, "max_eta": None, "max_harmonic_residual": None,
+        "min_d1_ratio": 1.2, "classification": None, "k1": None, "k2": None, "spread": None}),
+])
+def test_verify_without_residuals_prints_null(tmp_path, window, expected):
+    # windows too small for a harmonic residual, and two for any edge weight
+    src = tmp_path / "u.csv"
+    src.write_text(write_field_csv(spiral_field(SpiralParams(1.0, 1.2, 0.85), window)))
+    result = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "hexpack.cli", "verify", "--in", str(src)],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    diag = json.loads(result.stdout)
+    assert list(diag) == list(expected)
+    assert diag == {k: v if v is None or isinstance(v, str) else pytest.approx(v, rel=1e-12)
+                    for k, v in expected.items()}
+
+
 class TestScipyLoadsOnlyToSolve:
     def test_import_leaves_scipy_unloaded(self, tmp_path):
         code = ("import json, sys\nimport hexpack, hexpack.cli\n"

@@ -198,7 +198,7 @@ class TestEdgeWeights:
             EdgeWeights.uniform(w, 0.0)
 
     def test_missing_edge(self):
-        ew = EdgeWeights(Window(-1, 1, -1, 1), {})
+        ew = EdgeWeights(Window(-1, 1, -1, 1), np.full((3, 3, 3), np.nan))
         with pytest.raises(MissingEdgeError):
             ew.get((0, 0), (1, 0))
 
@@ -208,6 +208,33 @@ class TestEdgeWeights:
         v, w = (0, 0), (1, 0)
         expected = 0.5 * (eta(u, v, w) + eta(u, w, v))
         assert ew.get(v, w) == pytest.approx(expected, abs=1e-15)
+
+    def test_values_of_the_wrong_shape_raise(self):
+        w = Window(-1, 1, -1, 1)
+        with pytest.raises(ValueError, match="do not fit window"):
+            EdgeWeights(w, np.full((3, 3, 4), 0.5))
+        with pytest.raises(ValueError, match="do not fit window"):
+            EdgeWeights(w, {((0, 0), (1, 0)): 0.5})
+
+    def test_slots_of_edges_leaving_the_window_are_dropped(self):
+        w = Window(-1, 2, -1, 1)
+        ew = EdgeWeights(w, np.full((3, w.n_count, w.m_count), 0.5))
+        assert ew.to_csv() == EdgeWeights.uniform(w, 0.5).to_csv()
+        assert all(w.contains(a) and w.contains(b) for a, b, _ in ew.edges())
+        assert len(ew) == 4 * 2 + 3 * 2 + 3 * 3  # along (0, 1), (1, -1) and (1, 0)
+
+    def test_constructor_copies_values(self):
+        values = np.full((3, 3, 3), np.nan)
+        ew = EdgeWeights(Window(-1, 1, -1, 1), values)
+        values[2, 1, 1] = 0.5
+        assert not ew.has((0, 0), (1, 0))
+
+    def test_stored_weight_out_of_range_names_its_edge(self):
+        values = np.full((3, 3, 3), np.nan)
+        values[2, 1, 1] = 2.0
+        with pytest.raises(ValueError, match=r"edge weight on \(\(0, 0\), \(1, 0\)\) must lie in "
+                                             r"\(0, 2\), got 2\.0"):
+            EdgeWeights(Window(-1, 1, -1, 1), values)
 
     def test_csv_format(self):
         ew = EdgeWeights.uniform(Window(0, 1, 0, 0), 1.0 / SQRT3)
@@ -223,6 +250,11 @@ def test_weights_overflowing_to_nan_raise():
     signs = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1.0, 1.0)
     u = ScalarField(Window(-2, 2, -2, 2), 9e307 * signs)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="edge weight on"):
+        compute_edge_weights(u)
+    # a NaN weight on an edge with two faces is not a missing one
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^edge weight on \(\(-2, -1\), \(-1, -2\)\) must lie in \(0, 2\), "
+                              r"got nan$"):
         compute_edge_weights(u)
 
 
@@ -277,12 +309,19 @@ class TestBatchedWeights:
             except (WindowTooSmallError, MissingEdgeError):
                 continue
         assert expected
-        assert harmonic_residuals(u, ew) == expected
+        got = harmonic_residuals(u, ew)
+        assert got.shape == u.values.shape
+        for v in u.window.vertices():
+            at = got[v[1] - u.window.n_min, v[0] - u.window.m_min]
+            assert at == expected[v] if v in expected else math.isnan(at)
 
     def test_walk_matches_rebuilt_weights(self):
         u = REFERENCE_FIELDS["spiral"]
         ew = compute_edge_weights(u)
-        rebuilt = EdgeWeights(u.window, {(v, w): value for v, w, value in ew.edges()})
+        values = np.full((3, u.window.n_count, u.window.m_count), np.nan)
+        for v, w, value in ew.edges():
+            values[ew._slot(v, w)] = value
+        rebuilt = EdgeWeights(u.window, values)
         assert rebuilt.to_csv() == ew.to_csv()
         a = random_walk_return(ew, (0, 0), 20, 3000, seed=8)
         assert a == random_walk_return(rebuilt, (0, 0), 20, 3000, seed=8)
@@ -332,6 +371,22 @@ class TestVolume:
         for n in range(1, 6):
             cap = 12.0 * (3 * n * n + 3 * n + 1)
             assert volume(weights, ball((0, 0), n)) <= cap
+
+
+    def test_missing_interior_weight_raises(self):
+        # vertices at distance 4 are interior, but only the edges touching
+        # the ball of radius 2 carry weights
+        u = spiral_field(SpiralParams(1.0, 1.1, 0.95), Window(-8, 8, -8, 8))
+        weights = compute_edge_weights(u, around=ball((0, 0), 2))
+        with pytest.raises(MissingEdgeError, match=r"no weight stored for edge \(\("):
+            volume(weights, ball((0, 0), 4))
+
+    def test_matches_per_vertex_sum(self):
+        u = wavy_field(Window(-6, 7, -6, 6))
+        weights = compute_edge_weights(u)
+        vertices = ball((0, 0), 4)
+        direct = sum(weights.get(v, x) for v in vertices for x in neighbors(v))
+        assert volume(weights, vertices) == pytest.approx(direct, rel=1e-14)
 
 
 class TestRandomWalk:

@@ -331,6 +331,35 @@ class TestRatioBounds:
         assert seen > 100
 
 
+class TestLayoutArrays:
+    def test_arrays_of_the_wrong_shape_raise(self):
+        w = Window(0, 1, 0, 1)
+        with pytest.raises(ValueError, match="do not fit Window"):
+            Layout(w, np.zeros((2, 3), dtype=complex), np.ones((2, 2)), Anchor((0, 0)))
+        with pytest.raises(ValueError, match="do not fit Window"):
+            Layout(w, np.zeros((2, 2), dtype=complex), np.ones((3, 2)), Anchor((0, 0)))
+
+    def test_no_circle_outside_the_window(self):
+        # a circle keyed by a vertex outside the window once wrapped to (1, 0)
+        w = Window(0, 1, 0, 1)
+        with pytest.raises(ValueError, match="do not fit Window"):
+            Layout(w, {(-1, 0): 5j}, {(-1, 0): 2.0}, Anchor((0, 0)))
+        centers = np.full((2, 2), np.nan, dtype=complex)
+        radii = np.full((2, 2), np.nan)
+        centers[0, 1], radii[0, 1] = 5j, 2.0
+        lay = Layout(w, centers, radii, Anchor((0, 0)))
+        assert dict(lay.circles) == {(1, 0): Circle(5j, 2.0)}
+
+    def test_arrays_are_read_only_copies(self):
+        centers, radii = np.zeros((2, 2), dtype=complex), np.ones((2, 2))
+        lay = Layout(Window(0, 1, 0, 1), centers, radii, Anchor((0, 0)))
+        centers[0, 0], radii[0, 0] = 1j, 3.0
+        assert lay.centers[0, 0] == 0j and lay.radii[0, 0] == 1.0
+        with pytest.raises(ValueError):
+            lay.radii[0, 0] = 2.0
+        assert centers.flags.writeable and radii.flags.writeable
+
+
 class TestLayoutJson:
     def test_round_trip_bit_exact(self):
         lay = develop(spiral(1.2, 0.9))
@@ -347,5 +376,6 @@ class TestLayoutJson:
         assert len(entries) == 4
 
     def test_empty_layout_serializes(self):
-        lay = Layout(Window(0, 1, 0, 1), {}, Anchor((0, 0)))
+        lay = Layout(Window(0, 1, 0, 1), np.full((2, 2), np.nan, dtype=complex),
+                     np.full((2, 2), np.nan), Anchor((0, 0)))
         assert json.loads(layout_to_json(lay)) == []

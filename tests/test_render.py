@@ -3,11 +3,14 @@
 import math
 import re
 
+import numpy as np
 import pytest
 
 from hexpack.lattice import ScalarField, Window, read_field_csv, write_field_csv
+from hexpack.harmonic import compute_edge_weights, harmonic_residuals
 from hexpack.layout import Anchor, Layout, develop
 from hexpack.render import RenderStyle, render_svg
+from hexpack.solver import solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
 CIRCLE_RE = re.compile(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)" stroke="([^"]+)"/>')
@@ -44,7 +47,8 @@ class TestRenderSvg:
                 )
 
     def test_empty_layout_is_valid_svg(self):
-        svg = render_svg(Layout(Window(0, 0, 0, 0), {}, Anchor((0, 0))))
+        svg = render_svg(Layout(Window(0, 0, 0, 0), np.full((1, 1), np.nan, dtype=complex),
+                                np.full((1, 1), np.nan), Anchor((0, 0))))
         assert svg.startswith('<?xml version="1.0"')
         assert "<svg" in svg and "</svg>" in svg
         assert "<circle" not in svg
@@ -82,9 +86,33 @@ class TestRenderSvg:
         svg = render_svg(
             regular_layout(),
             RenderStyle(color_map="residual"),
-            values={(0, 0): 1.0, (1, 0): -1.0},
+            values=np.array([[np.nan] * 5, [np.nan] * 5, [np.nan, np.nan, 1.0, -1.0, np.nan],
+                             [np.nan] * 5, [np.nan] * 5]),
         )
         assert CIRCLE_RE.findall(svg)
+
+    def test_residual_map_colors(self):
+        w = Window(-4, 4, -4, 4)
+        u0 = spiral_field(SpiralParams(1.0, 1.2, 0.9), w)
+        for v in w.interior_vertices():
+            u0[v] = 0.0
+        u, _ = solve_patch(u0)
+        residuals = harmonic_residuals(u, compute_edge_weights(u))
+        lay = develop(u)
+        svg = render_svg(lay, RenderStyle(color_map="residual"), values=residuals)
+        ms, ns = lay.placed()
+        colors = dict(zip(zip(ms, ns), (c for (_, _, _, c) in CIRCLE_RE.findall(svg))))
+        at = {v: residuals[v[1] - w.n_min, v[0] - w.m_min] for v in colors}
+        known = {v: r for v, r in at.items() if not math.isnan(r)}
+        assert 0 < len(known) < len(at)
+        assert all(colors[v] == "#f7f7f7" for v in at if v not in known)
+        assert colors[min(known, key=known.get)] == "#2166ac"
+        assert colors[max(known, key=known.get)] == "#b2182b"
+
+    def test_residual_values_of_the_wrong_shape_raise(self):
+        with pytest.raises(ValueError, match="needs values of shape"):
+            render_svg(regular_layout(), RenderStyle(color_map="residual"),
+                       values=np.zeros((4, 5)))
 
     def test_viewbox_covers_circles(self):
         lay = regular_layout(1)
