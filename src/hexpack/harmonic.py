@@ -206,10 +206,10 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     """Weights for every window edge whose two faces and their m-translates
     fit inside the window (others are skipped).  The faces on m_min ..
     m_max - 1 are integrated in one pass, node by node so that temporaries
-    stay window-sized; with ``around`` given, only edges incident to that
-    vertex set are kept.  A weight outside (0, 2), such as one that
-    underflows to zero or a NaN from overflowing log radii, raises a
-    ValueError naming its edge.
+    stay window-sized.  ``around`` keeps only the edges incident to that
+    vertex set, but every face is still integrated.  A weight outside (0, 2),
+    such as one that underflows to zero or a NaN from overflowing log radii,
+    raises a ValueError naming its edge.
     """
     window, rows, cols = u.window, u.window.n_count, u.window.m_count
     values = np.full((3, rows, cols), np.nan)
@@ -302,10 +302,14 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     within ``steps`` steps.
 
     Transition probabilities at a vertex are proportional to its incident
-    edge weights.  A trial reaching a vertex with incomplete incident
-    weights is censored: counted, but excluded from the frequency.  All
-    trials are driven by one generator seeded with ``seed``, so the result
-    is reproducible bit for bit.
+    edge weights.  A trial that would step from a vertex with incomplete
+    incident weights is censored: counted, but excluded from the frequency.
+    The walk is one absorbing Markov chain on the window's flat vertex
+    indices plus the states ``returned`` and ``censored``: a step into
+    ``start`` enters ``returned``, every row of a vertex without six weights
+    leads to ``censored``, and both loop to themselves.  One generator seeded
+    with ``seed`` draws once per step for all trials, so the result is
+    reproducible bit for bit.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -315,34 +319,25 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     if not window.contains(start):
         raise ValueError(f"start vertex {start} is outside window {window}")
 
+    start_idx = (start[1] - window.n_min) * window.m_count + start[0] - window.m_min
+    returned, censored = window.num_vertices, window.num_vertices + 1
+    nbr_idx = np.full((window.num_vertices + 2, 6), censored, dtype=np.int64)
+    cum = np.ones((window.num_vertices + 2, 6))
     # Only interior vertices can have all six weights, so only they step.
-    nbr_idx = np.full((window.num_vertices, 6), -1, dtype=np.int64)
-    cum = np.ones((window.num_vertices, 6))
     centre, ring = interior_rings(window)
     etas = ring_gather(weights.values, centre, ring)
     full = ~np.isnan(etas).any(axis=1)
-    c = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
-    c[:, -1] = 1.0
-    cum[centre[full]] = c
-    nbr_idx[centre[full]] = ring[full]
-    steppable = nbr_idx[:, 0] >= 0
+    cum[centre[full]] = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    nbr_idx[centre[full]] = np.where(ring[full] == start_idx, returned, ring[full])
+    nbr_idx[returned] = returned
 
     rng = np.random.default_rng(seed)
-    start_idx = (start[1] - window.n_min) * window.m_count + start[0] - window.m_min
     state = np.full(trials, start_idx, dtype=np.int64)
-    returned = np.zeros(trials, dtype=bool)
-    censored = np.zeros(trials, dtype=bool)
     for _ in range(steps):
-        active = ~(returned | censored)
-        censored |= active & ~steppable[state]
-        active &= ~censored
-        draws = rng.random(trials)
-        k = (draws[:, None] > cum[state]).sum(axis=1)
-        state = np.where(active, nbr_idx[state, k], state)
-        returned |= active & (state == start_idx)
-
-    n_returned = int(returned.sum())
-    n_censored = int(censored.sum())
+        state = nbr_idx[state, (rng.random(trials)[:, None] > cum[state]).sum(axis=1)]
+    n_returned = int(np.count_nonzero(state == returned))
+    n_censored = int(np.count_nonzero(state == censored))
     effective = trials - n_censored
     frequency = n_returned / effective if effective > 0 else 0.0
     return WalkReport(trials, n_returned, n_censored, frequency, seed)

@@ -332,14 +332,16 @@ def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarr
     point, or None, leaving ``vals`` as it was, when it finds no step."""
     centre, values = grid.centre, vals.reshape(grid.shape)  # a view of vals
     # d(angle sum)/d(u of neighbor k): the partials of the two faces at that edge.
-    coeff = ring_gather(edge_sums(face_partials(*faces(values))), centre, grid.ring)
+    with np.errstate(over="ignore"):  # an infinite partial in the Hessian leaves no step
+        coeff = ring_gather(edge_sums(face_partials(*faces(values))), centre, grid.ring)
     # The functional's Hessian, minus the Jacobian of the angle sums.
     hessian = grid.matrix(coeff.sum(axis=1), -coeff)
     try:
         delta = _direction(grid, hessian, defects)
     except RuntimeError:
         return None
-    g0 = defects @ delta
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite: rejected below
+        g0 = defects @ delta
     if not (np.all(np.isfinite(delta)) and -np.inf < g0 < 0.0):
         return None
     base = vals[centre]

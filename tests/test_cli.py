@@ -495,15 +495,34 @@ def run_fresh(code, cwd):
     return json.loads(result.stdout)
 
 
-def test_solve_writes_nothing_to_stderr(tmp_path):
-    # jumps of ~1400 between neighbors: a colour solve's Newton step f/slope
-    # overflows where the slope is near 0, and bisection takes over
+def _jumps_between_neighbors():
     rng = np.random.default_rng(4)
     width = int(rng.integers(4, 6))
     amplitude = rng.uniform(800, 2000)
     values = rng.uniform(-amplitude, amplitude, size=(width, width))
+    return ScalarField(Window(0, width - 1, 0, width - 1), values)
+
+
+def _random_boundary(h, amplitude, seed):
+    values = np.random.default_rng([h, amplitude, seed]).uniform(
+        -amplitude, amplitude, size=(2 * h + 1, 2 * h + 1))
+    return ScalarField(Window(-h, h, -h, h), values)
+
+
+@pytest.mark.parametrize("field", [
+    # jumps of ~1400 between neighbors: a colour solve's Newton step f/slope
+    # overflows where the slope is near 0, and bisection takes over
+    pytest.param(_jumps_between_neighbors, id="colour-step-overflow"),
+    # a Newton step of ~1e308 overflows its slope along the step
+    pytest.param(lambda: _random_boundary(2, 1500, 34), id="slope-overflow"),
+    # an infinite Newton step makes its slope NaN
+    pytest.param(lambda: _random_boundary(3, 300, 15), id="slope-nan"),
+    # after an accepted step to |u| ~ 1e60, log radii ~1e19 apart overflow a face partial
+    pytest.param(lambda: _random_boundary(3, 1500, 24), id="partial-overflow"),
+])
+def test_solve_writes_nothing_to_stderr(tmp_path, field):
     src = tmp_path / "u.csv"
-    src.write_text(write_field_csv(ScalarField(Window(0, width - 1, 0, width - 1), values)))
+    src.write_text(write_field_csv(field()))
     result = subprocess.run(
         [sys.executable, "-W", "default", "-m", "hexpack.cli", "solve", "--in", str(src),
          "--out", str(tmp_path / "s.csv"), "--init", "keep"],

@@ -17,6 +17,7 @@ from hexpack.harmonic import (
     EdgeWeights,
     MissingEdgeError,
     Quadrature,
+    WalkReport,
     WindowTooSmallError,
     compute_edge_weights,
     eta,
@@ -451,6 +452,23 @@ class TestRandomWalk:
         assert report.censored == 500
         assert report.returned == 0
         assert report.frequency == 0.0
+
+    @pytest.mark.parametrize("around, start, steps, trials, seed, returned, censored", [
+        (None, (0, 0), 100, 10_000, 7, 5376, 3610),
+        (None, (7, 0), 4, 1000, 4, 252, 191),
+        (None, (-9, 9), 6, 1000, 2, 129, 675),
+        (None, (10, 0), 5, 100, 3, 0, 100),  # boundary start: censored on the first step
+        (None, (0, 0), 0, 10, 1, 0, 0),
+        (3, (0, 0), 50, 2000, 5, 828, 1171),  # weights only around ball((0, 0), 3)
+    ])
+    def test_reports_pinned(self, around, start, steps, trials, seed, returned, censored):
+        # the calibration tests above cannot see a changed draw; these pin
+        # every report bit for bit
+        u = spiral_field(SpiralParams(1, 1.2, 0.85), Window(-10, 10, -10, 10))
+        weights = compute_edge_weights(u, around=None if around is None else ball((0, 0), around))
+        effective = trials - censored
+        assert random_walk_return(weights, start, steps, trials, seed) == WalkReport(
+            trials, returned, censored, returned / effective if effective else 0.0, seed)
 
     def test_report_json_shape(self, uniform_weights):
         report = random_walk_return(uniform_weights, (0, 0), 2, 100, seed=0)

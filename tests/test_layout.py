@@ -121,6 +121,11 @@ class TestDevelop:
         with pytest.raises(ValueError, match="two rows"):
             develop(ScalarField.constant(window, 0.0), Anchor((0, 0)))
 
+    def test_rejects_centres_outside_the_float_range(self):
+        # radii exp(708) ~ 3e307 are finite, centres a few diameters from the anchor are not
+        with pytest.raises(ValueError, match=r"circle at \(-4, -4\) is placed outside the float range"):
+            develop(ScalarField.constant(Window(-4, 4, -4, 4), 708.0))
+
     def test_single_vertex(self):
         lay = develop(ScalarField.constant(Window(3, 3, 5, 5), 0.5), Anchor((3, 5), 1j))
         assert list(lay.circles) == [(3, 5)]
