@@ -19,6 +19,7 @@ import click
 import numpy as np
 
 from .harmonic import (
+    DEFAULT_QUADRATURE,
     EdgeWeights,
     Quadrature,
     compute_edge_weights,
@@ -31,13 +32,12 @@ from .render import COLOR_MAPS, RenderStyle, render_svg
 from .solver import (
     INITS,
     MODES,
-    InvalidPatch,
     NonConvergence,
     SolveOptions,
     angle_defects,
     solve_patch,
 )
-from .spiral import SpiralParams, classify, spiral_field
+from .spiral import DEFAULT_CLASSIFY_TOL, SpiralParams, classify, spiral_field
 
 
 class WindowType(click.ParamType):
@@ -171,13 +171,13 @@ def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
 @click.option("--out", type=str, required=True, help="Output field CSV path.")
-@click.option("--tol", type=float, default=1e-10, show_default=True, callback=_positive,
-              help="Largest allowed angle defect, radians.")
-@click.option("--max-iter", type=int, default=100000, show_default=True,
+@click.option("--tol", type=float, default=SolveOptions.tolerance, show_default=True,
+              callback=_positive, help="Largest allowed angle defect, radians.")
+@click.option("--max-iter", type=int, default=SolveOptions.max_iterations, show_default=True,
               help="Iteration budget.")
-@click.option("--mode", type=click.Choice(MODES), default="newton",
+@click.option("--mode", type=click.Choice(MODES), default=SolveOptions.mode,
               show_default=True, help="Update scheme.")
-@click.option("--init", type=click.Choice(INITS), default="harmonic",
+@click.option("--init", type=click.Choice(INITS), default=SolveOptions.init,
               show_default=True, help="Interior starting guess.")
 @_config_option
 @click.pass_context
@@ -190,10 +190,8 @@ def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
     """
     u0 = _read_field(in_path)
     opts = _checked(SolveOptions, tolerance=tol, max_iterations=max_iter, mode=mode, init=init)
-    try:
-        solved, report = solve_patch(u0, opts)
-    except InvalidPatch as exc:
-        raise click.UsageError(str(exc)) from exc
+    try:  # InvalidPatch is the ValueError of a window without interior
+        solved, report = _checked(solve_patch, u0=u0, options=opts)
     except NonConvergence as exc:
         _write_text(out, write_field_csv(exc.field))
         click.echo(exc.report.to_json())
@@ -204,10 +202,10 @@ def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
 
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
-@click.option("--order", type=ORDER, default=32, show_default=True,
+@click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for edge weights.")
-@click.option("--tol", type=float, default=1e-9, show_default=True, callback=_positive,
-              help="Classification tolerance.")
+@click.option("--tol", type=float, default=DEFAULT_CLASSIFY_TOL, show_default=True,
+              callback=_positive, help="Classification tolerance.")
 @_config_option
 def verify(in_path: str, order: int, tol: float) -> None:
     """Print JSON diagnostics: defects, weight bounds, residuals, ratio
@@ -248,7 +246,8 @@ def verify(in_path: str, order: int, tol: float) -> None:
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
 @click.option("--out", type=str, required=True, help="Output weights CSV path.")
-@click.option("--order", type=ORDER, default=32, show_default=True, help="Quadrature order.")
+@click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
+              help="Quadrature order.")
 @_config_option
 def harmonic(in_path: str, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
@@ -259,15 +258,15 @@ def harmonic(in_path: str, out: str, order: int) -> None:
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
 @click.option("--out", type=str, required=True, help="Output SVG path.")
-@click.option("--stroke-width", type=float, default=0.05, show_default=True,
+@click.option("--stroke-width", type=float, default=RenderStyle.stroke_width, show_default=True,
               help="Stroke width in user units.")
-@click.option("--color-map", type=click.Choice(COLOR_MAPS), default="uniform",
+@click.option("--color-map", type=click.Choice(COLOR_MAPS), default=RenderStyle.color_map,
               show_default=True, help="Per-circle stroke coloring.")
-@click.option("--padding", type=float, default=0.05, show_default=True,
+@click.option("--padding", type=float, default=RenderStyle.padding, show_default=True,
               help="Viewport padding as a fraction of the bounding box.")
 @click.option("--base", type=VERTEX, default=None,
               help="Base vertex m,n of the development (default: window center).")
-@click.option("--order", type=ORDER, default=32, show_default=True,
+@click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for the residual color map.")
 @_config_option
 def render(in_path: str, out: str, stroke_width: float, color_map: str, padding: float,
@@ -294,7 +293,7 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
               help="Number of independent trials.")
 @click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True,
               help="Random seed.")
-@click.option("--order", type=ORDER, default=32, show_default=True,
+@click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for edge weights.")
 @_config_option
 def walk(in_path: str, start: tuple[int, int], steps: int, trials: int, seed: int,

@@ -50,6 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 Triple = tuple[float, float, float]
+TWO_PI = 2.0 * math.pi
 
 
 def _require_finite(*xs: float) -> None:

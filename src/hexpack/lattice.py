@@ -10,6 +10,7 @@ mostly) live on rectangular index windows and are stored densely, and
 from __future__ import annotations
 
 import cmath
+import io
 import math
 from dataclasses import dataclass
 
@@ -302,11 +303,10 @@ def write_field_csv(f: ScalarField) -> str:
     """Serialize a field: a window header, then one CSV row per n from
     n_max down to n_min, values in m order with 17 significant digits
     (exact round trip for doubles)."""
-    w = f.window
-    lines = [f"# window {w.m_min} {w.m_max} {w.n_min} {w.n_max}"]
-    for i in range(w.n_count - 1, -1, -1):
-        lines.append(",".join(f"{x:.16e}" for x in f.values[i]))
-    return "\n".join(lines) + "\n"
+    w, buf = f.window, io.StringIO()
+    np.savetxt(buf, f.values[::-1], fmt="%.16e", delimiter=",",
+               header=f"window {w.m_min} {w.m_max} {w.n_min} {w.n_max}", comments="# ")
+    return buf.getvalue()
 
 
 def read_field_csv(text: str) -> ScalarField:
@@ -327,12 +327,13 @@ def read_field_csv(text: str) -> ScalarField:
     rows = lines[1:]
     if len(rows) != window.n_count:
         raise ValueError(f"expected {window.n_count} rows, got {len(rows)}")
+    for r, line in enumerate(rows):  # before allocating what the header claims
+        cells = line.count(",") + 1
+        if cells != window.m_count:
+            raise ValueError(f"row {r} has {cells} cells, expected {window.m_count}")
     data = np.empty((window.n_count, window.m_count), dtype=float)
     for r, line in enumerate(rows):
-        cells = line.split(",")
-        if len(cells) != window.m_count:
-            raise ValueError(f"row {r} has {len(cells)} cells, expected {window.m_count}")
-        data[window.n_count - 1 - r] = [float(c) for c in cells]
+        data[window.n_count - 1 - r] = [float(c) for c in line.split(",")]
     bad = np.argwhere(~(np.abs(data) <= MAX_FIELD_VALUE))
     if bad.size:
         i, j = bad[0].tolist()

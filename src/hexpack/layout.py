@@ -30,7 +30,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import face_angles
+from .geometry import TWO_PI, face_angles
 from .lattice import (
     NEIGHBOR_OFFSETS,
     ScalarField,
@@ -41,7 +41,7 @@ from .lattice import (
     interior_rings,
     neighbors,
 )
-from .solver import TWO_PI, _flower, angle_defects
+from .solver import _flower, angle_defects
 
 # Largest angle defect a field may carry into the developing map.
 DEVELOP_DEFECT_TOL = 1e-8

@@ -54,11 +54,9 @@ def _colors(layout: Layout, style: RenderStyle, values: np.ndarray | None) -> li
     # a range at rounding level is noise, not signal
     t = (t - lo) / (hi - lo) if hi - lo > 1e-12 * max(abs(lo), abs(hi)) else np.full_like(t, 0.5)
     # piecewise-linear palette over [0, 1], midpoint where a circle has no value
-    t = np.where(np.isnan(t), 0.5, t)[:, None]
-    upper = t > 0.5
-    a, b = np.where(upper, _PALETTE[1], _PALETTE[0]), np.where(upper, _PALETTE[2], _PALETTE[1])
-    rgb = np.rint(a + (b - a) * np.where(upper, 2.0 * t - 1.0, 2.0 * t)).astype(int)
-    return [f"#{c:06x}" for c in (rgb @ (1 << 16, 1 << 8, 1)).tolist()]
+    t = np.where(np.isnan(t), 0.5, t)
+    rgb = np.rint([np.interp(t, (0.0, 0.5, 1.0), channel) for channel in _PALETTE.T]).astype(int)
+    return [f"#{c:06x}" for c in ((1 << 16, 1 << 8, 1) @ rgb).tolist()]
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle(), values=None) -> str:

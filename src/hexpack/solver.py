@@ -60,7 +60,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import face_angles, face_partials
+from .geometry import TWO_PI, face_angles, face_partials
 from .lattice import (ScalarField, Vertex, Window, _ring_faces, corner_sums, edge_sums, faces,
                       interior_rings, neighbors, ring_gather)
 
@@ -69,8 +69,6 @@ if TYPE_CHECKING:
 
     import scipy.sparse
     import scipy.sparse.linalg
-
-TWO_PI = 2.0 * math.pi
 
 MODES = ("gauss-seidel", "newton")
 INITS = ("harmonic", "keep", "zero")

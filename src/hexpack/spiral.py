@@ -15,10 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import face_angles
+from .geometry import TWO_PI, face_angles
 from .lattice import ScalarField, Window, _ring_faces, d1, d2
-
-TWO_PI = 2.0 * math.pi
 
 # Bisection bracket and residual target for the flower closure solve.
 _CLOSURE_BRACKET = 50.0
@@ -42,7 +40,10 @@ class SpiralParams:
 def spiral_field(params: SpiralParams, window: Window) -> ScalarField:
     """Log radii ln r0 + m ln x + n ln y on the window."""
     lr0, lx, ly = math.log(params.r0), math.log(params.x), math.log(params.y)
-    return ScalarField.from_function(window, lambda v: lr0 + v[0] * lx + v[1] * ly)
+    # not np.arange, which overflows past int64 where Python's int * float does not
+    m = np.array(range(window.m_min, window.m_max + 1), dtype=float)
+    n = np.array(range(window.n_min, window.n_max + 1), dtype=float)
+    return ScalarField(window, lr0 + m * lx + n[:, None] * ly)
 
 
 def flower_angle_sum(a: float, b: float) -> float:
@@ -71,7 +72,8 @@ def solve_flower_closure(a1: float, k1: float) -> float:
 
     The three angles that depend on a2 are strictly increasing in it, so
     the residual is monotone and bisection converges unconditionally.  The
-    returned a2 satisfies |angle sum - 2*pi| < 1e-13.
+    returned a2 satisfies |angle sum - 2*pi| < 1e-13.  The root is -a1 for
+    every k1, the spiral's own bottom row (u(m,-1) = -a1 + k1*m).
     """
     if not (math.isfinite(a1) and math.isfinite(k1)):
         raise ValueError(f"arguments must be finite, got {(a1, k1)!r}")

@@ -286,6 +286,18 @@ def test_one_row_or_column_window_exits_2(runner, tmp_path, window):
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "harmonic", "render", "walk"])
+def test_header_claiming_a_huge_window_exits_2(runner, tmp_path, command):
+    src = tmp_path / "huge.csv"
+    src.write_text("# window 0 9999999999 0 0\n1.0\n")
+    out = tmp_path / "out.txt"
+    extra = ["--out", out] if command in ("solve", "harmonic", "render") else []
+    result = run(runner, command, "--in", src, *extra)
+    assert result.exit_code == 2
+    assert "row 0 has 1 cells" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "harmonic", "render", "walk"])
 def test_values_near_the_float_range_exit_2(runner, tmp_path, command):
     # log radii of +-1e308 overflow the angle kernels' differences
     signs = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1.0, 1.0)

@@ -312,6 +312,21 @@ class TestFieldCsv:
         text = write_field_csv(f)
         assert "3.1415926535897931e+00" in text
 
+    def test_bytes_pinned(self):
+        f = ScalarField(Window(-1, 0, 0, 1), np.array([[-0.0, 5e-324], [-1e300, math.pi]]))
+        assert write_field_csv(f) == (
+            "# window -1 0 0 1\n"
+            "-1.0000000000000001e+300,3.1415926535897931e+00\n"
+            "-0.0000000000000000e+00,4.9406564584124654e-324\n")
+        row = ScalarField(Window(0, 2, 5, 5), np.array([[1.5, -2.0, 1e-7]]))
+        assert write_field_csv(row) == (
+            "# window 0 2 5 5\n"
+            "1.5000000000000000e+00,-2.0000000000000000e+00,9.9999999999999995e-08\n")
+        column = ScalarField(Window(3, 3, -1, 1), np.array([[0.1], [0.2], [-0.3]]))
+        assert write_field_csv(column) == (
+            "# window 3 3 -1 1\n"
+            "-2.9999999999999999e-01\n2.0000000000000001e-01\n1.0000000000000001e-01\n")
+
     def test_values_past_1e300_name_their_vertex(self):
         w = Window(-1, 1, 0, 1)
         f = ScalarField(w, np.array([[1e300, -1e300, 0.0], [0.0, 0.0, 0.0]]))
@@ -328,3 +343,6 @@ class TestFieldCsv:
             read_field_csv("# window 0 1 0 0\n1.0\n")  # wrong cell count
         with pytest.raises(ValueError):
             read_field_csv("# window 0 0 0 1\n1.0\n")  # missing row
+        # a header claiming 10^10 columns is rejected before anything is allocated
+        with pytest.raises(ValueError, match="row 0 has 1 cells"):
+            read_field_csv("# window 0 9999999999 0 0\n1.0\n")

@@ -80,6 +80,24 @@ class TestRenderSvg:
         # constant data degenerates to the palette midpoint everywhere
         assert colors == {"#f7f7f7"}
 
+    def test_log_radius_colors_pinned(self):
+        u = spiral_field(SpiralParams(1.0, 1.3, 0.8), Window(-2, 2, -2, 1))
+        svg = render_svg(develop(u), RenderStyle(color_map="log-radius"))
+        assert [c for (_, _, _, c) in CIRCLE_RE.findall(svg)] == [
+            "#c8d7e6", "#90b1d3", "#598cbf", "#2166ac", "#f1e4e6", "#d1deea", "#9ab8d6",
+            "#6292c3", "#dca0a8", "#eedadd", "#dbe4ed", "#a4bfda", "#c75c69", "#d9969e",
+            "#ebd0d3", "#e5ebf1", "#b2182b", "#c45260", "#d68c95", "#e8c6ca"]
+
+    def test_d1u_colors_pinned(self):
+        # no D1u in the last column or next to the unplaced circle: palette midpoint
+        radii = np.exp([[0.0, 0.3, -0.2, 0.9], [0.5, np.nan, 0.1, -0.4], [1.2, 0.7, 0.75, 0.2]])
+        lay = Layout(Window(0, 3, 0, 2), np.arange(4) + 3j * np.arange(3)[:, None], radii,
+                     Anchor((0, 0)))
+        svg = render_svg(lay, RenderStyle(color_map="d1u"))
+        assert [c for (_, _, _, c) in CIRCLE_RE.findall(svg)] == [
+            "#f5f0f1", "#f7f7f7", "#2e6fb1", "#2e6fb1", "#bdcfe3", "#b2182b", "#2e6fb1",
+            "#2166ac", "#f7f7f7", "#f7f7f7", "#f7f7f7"]
+
     def test_residual_map_needs_values(self):
         with pytest.raises(ValueError):
             render_svg(regular_layout(), RenderStyle(color_map="residual"))
