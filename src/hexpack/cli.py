@@ -303,7 +303,11 @@ def walk(in_path: str, start: tuple[int, int], steps: int, trials: int, seed: in
     if not u.window.contains(start):
         raise click.UsageError(f"--start {start[0]},{start[1]} is outside window {u.window}")
     weights = _edge_weights(u, order)
-    report = random_walk_return(weights, start, steps, trials, seed)
+    try:
+        # Every trial is held at once: chunking the trials would reorder the draws.
+        report = random_walk_return(weights, start, steps, trials, seed)
+    except MemoryError as exc:
+        raise click.UsageError(f"--trials {trials} needs more memory than is available") from exc
     click.echo(report.to_json())
 
 

@@ -132,7 +132,9 @@ def _listed(window: Window, mask: np.ndarray, values: np.ndarray) -> list:
     """(v, w, value) for each true entry of a mask shaped like ``values``,
     sorted by edge."""
     col, row, k = np.nonzero(mask.transpose(2, 1, 0))
-    m, n = (window.m_min + col).tolist(), (window.n_min + row).tolist()
+    # The corner is added as a Python int, so coordinates past int64 stay exact.
+    m = [window.m_min + c for c in col.tolist()]
+    n = [window.n_min + r for r in row.tolist()]
     return [((a, b), (a + DIRECTIONS[d][0], b + DIRECTIONS[d][1]), x)
             for a, b, d, x in zip(m, n, k.tolist(), values[k, row, col].tolist())]
 
@@ -310,6 +312,12 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     leads to ``censored``, and both loop to themselves.  One generator seeded
     with ``seed`` draws once per step for all trials, so the result is
     reproducible bit for bit.
+
+    A trial at state s with draw r steps to the neighbour numbered by how
+    many of the row's cumulative probabilities lie below r.  The last one,
+    ``cum[s, -1]``, is exactly 1.0 and every draw is below 1, so the count
+    runs over the first five columns only, one column at a time for all
+    trials: it picks the same neighbour as a count over all six.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -332,10 +340,14 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     nbr_idx[centre[full]] = np.where(ring[full] == start_idx, returned, ring[full])
     nbr_idx[returned] = returned
 
+    cols, nbr = cum[:, :-1].T.copy(), nbr_idx.ravel()
     rng = np.random.default_rng(seed)
     state = np.full(trials, start_idx, dtype=np.int64)
     for _ in range(steps):
-        state = nbr_idx[state, (rng.random(trials)[:, None] > cum[state]).sum(axis=1)]
+        r, k = rng.random(trials), state * 6
+        for col in cols:
+            k += r > col[state]
+        state = nbr[k]
     n_returned = int(np.count_nonzero(state == returned))
     n_censored = int(np.count_nonzero(state == censored))
     effective = trials - n_censored

@@ -180,9 +180,10 @@ class _Grid:
         size = self.centre.size
         pos = np.full(window.num_vertices, -1)
         pos[self.centre] = np.arange(size)
-        m = window.m_min + self.centre % window.m_count
-        n = window.n_min + self.centre // window.m_count
-        colour = (m + 2 * n) % 3
+        # (m + 2n) % 3 with the window's offset reduced first, as a Python
+        # int, so that corners past int64 do not overflow.
+        offset = (window.m_min + 2 * window.n_min) % 3
+        colour = (offset + self.centre % window.m_count + 2 * (self.centre // window.m_count)) % 3
         self.colours = [(self.centre[colour == c], self.ring[colour == c]) for c in range(3)]
         # The pattern of a matrix over the interior: the diagonal, then each
         # row's interior neighbors, numbered in that order.

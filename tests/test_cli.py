@@ -361,6 +361,32 @@ class TestWalkCommand:
             assert result.exit_code == 2
             assert "--seed" in result.output
 
+    def test_trials_past_memory_exit_2(self, runner, tmp_path, monkeypatch):
+        # stands in for the real allocation, which would ask for terabytes
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setattr("hexpack.cli.random_walk_return", out_of_memory)
+        src = write_spiral(runner, tmp_path / "c.csv", 1, 1, window="-2:2,-2:2")
+        result = run(runner, "walk", "--in", src, "--trials", 1000000000000)
+        assert result.exit_code == 2
+        assert "--trials 1000000000000" in result.output
+        assert "Traceback" not in result.output
+
+
+def test_window_past_int64_solves_and_lists_exact_edges(runner, tmp_path):
+    src = write_spiral(runner, tmp_path / "u.csv", 1, 1,
+                       window="99999999999999999999:100000000000000000002,-2:2")
+    solved, csv = tmp_path / "s.csv", tmp_path / "w.csv"
+    result = run(runner, "solve", "--in", src, "--out", solved)
+    assert result.exit_code == 0
+    assert json.loads(result.output)["iterations"] == 0
+    assert solved.read_text() == src.read_text()
+    assert run(runner, "harmonic", "--in", src, "--out", csv).exit_code == 0
+    lines = csv.read_text().splitlines()
+    assert len(lines) == 19
+    assert lines[1].startswith("99999999999999999999,-1,100000000000000000000,-2,")
+
 
 @pytest.mark.parametrize("command", ["spiral", "harmonic"])
 def test_unwritable_out_exits_2(runner, tmp_path, command):

@@ -29,7 +29,7 @@ from hexpack.harmonic import (
 )
 from hexpack.geometry import face_partials
 from hexpack.lattice import (ScalarField, Window, ball, edge_sums, faces, faces_containing_edge,
-                             neighbors)
+                             interior_rings, neighbors, ring_gather)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -390,6 +390,41 @@ class TestVolume:
         assert volume(weights, vertices) == pytest.approx(direct, rel=1e-14)
 
 
+def walk_reference(weights, start, steps, trials, seed):
+    """The walk's earlier step loop: each step compares one draw per trial
+    with all six cumulative probabilities of its state and sums the row."""
+    window = weights.window
+    start_idx = (start[1] - window.n_min) * window.m_count + start[0] - window.m_min
+    returned, censored = window.num_vertices, window.num_vertices + 1
+    nbr_idx = np.full((window.num_vertices + 2, 6), censored, dtype=np.int64)
+    cum = np.ones((window.num_vertices + 2, 6))
+    centre, ring = interior_rings(window)
+    etas = ring_gather(weights.values, centre, ring)
+    full = ~np.isnan(etas).any(axis=1)
+    cum[centre[full]] = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
+    cum[:, -1] = 1.0
+    nbr_idx[centre[full]] = np.where(ring[full] == start_idx, returned, ring[full])
+    nbr_idx[returned] = returned
+    rng = np.random.default_rng(seed)
+    state = np.full(trials, start_idx, dtype=np.int64)
+    for _ in range(steps):
+        state = nbr_idx[state, (rng.random(trials)[:, None] > cum[state]).sum(axis=1)]
+    n_returned = int(np.count_nonzero(state == returned))
+    n_censored = int(np.count_nonzero(state == censored))
+    effective = trials - n_censored
+    return WalkReport(trials, n_returned, n_censored,
+                      n_returned / effective if effective else 0.0, seed)
+
+
+WALK_WINDOW = Window(-8, 8, -8, 8)
+WALK_WEIGHTS = {
+    "spiral": compute_edge_weights(spiral_field(SpiralParams(1.0, 1.2, 0.85), WALK_WINDOW)),
+    "wavy": compute_edge_weights(wavy_field(WALK_WINDOW)),
+    "spiral-ball": compute_edge_weights(spiral_field(SpiralParams(1.0, 1.2, 0.85), WALK_WINDOW),
+                                        around=ball((1, -1), 3)),
+}
+
+
 class TestRandomWalk:
     @pytest.fixture()
     def uniform_weights(self):
@@ -469,6 +504,17 @@ class TestRandomWalk:
         effective = trials - censored
         assert random_walk_return(weights, start, steps, trials, seed) == WalkReport(
             trials, returned, censored, returned / effective if effective else 0.0, seed)
+
+    @pytest.mark.parametrize("name", sorted(WALK_WEIGHTS))
+    @pytest.mark.parametrize("start", [(0, 0), (1, -1), (-7, 7), (6, -6), (8, 0), (-8, -8)])
+    def test_matches_the_six_column_reference(self, name, start):
+        # 6 steps/trials pairs x 3 seeds x 18 parametrizations: 324 reports,
+        # from boundary and corner starts, empty walks and single trials
+        weights = WALK_WEIGHTS[name]
+        for steps, trials in ((0, 5), (1, 1), (9, 1), (2, 400), (25, 300), (60, 50)):
+            for seed in (0, 3, 11):
+                assert random_walk_return(weights, start, steps, trials, seed) == \
+                    walk_reference(weights, start, steps, trials, seed)
 
     def test_report_json_shape(self, uniform_weights):
         report = random_walk_return(uniform_weights, (0, 0), 2, 100, seed=0)
