@@ -31,12 +31,23 @@ The partial derivative with respect to x1 has the closed form
 evaluated the same way.  It is strictly positive and strictly below 1 for
 all finite arguments.
 
-``face_angles`` and ``face_partials`` evaluate arrays of faces from one
-half exponent each: in a face with log radii (a, b, c) the corners' half
-exponents are T - a, T - b, T - c with 2T = a + b + c - log(e^a + e^b +
-e^c), and d(angle at b)/d(c) = d(angle at c)/d(b) = exp(T - log(e^b + e^c)).
-They are the one angle kernel: the faces of windows and the six faces
-around single flowers are both evaluated through them.  The scalar
+``face_angles`` evaluates arrays of faces from one half exponent each: in
+a face with log radii (a, b, c) the corners' half exponents are T - a,
+T - b, T - c with 2T = a + b + c - L and L = log(e^a + e^b + e^c).
+``face_partials`` gives the symmetric partials on the face's edges in the
+cosh form
+
+    d(angle at b)/d(c) = d(angle at c)/d(b) = exp(T - log(e^b + e^c))
+                       = e^((a - L)/2) / (2 cosh((b - c)/2)),
+
+evaluated from the edge differences alone.  With M = max(a, b, c),
+h = e^((corner - M)/2) in (0, 1], S = h_a^2 + h_b^2 + h_c^2 in [1, 3] and
+g = e^(-|b - c|/2), the partial is h_a / sqrt(S) * g / (1 + g^2): every
+exponent is at most 0 and every divisor at least 1, so nothing overflows,
+and a partial that is too small for a float underflows to 0.  The two are
+the one angle kernel: the faces of windows and the six faces around single
+flowers are both evaluated through them, and the edge weights integrate
+the partials' private form ``_edge_partials`` in place.  The scalar
 ``theta`` and ``dtheta_dx1`` are their reference.
 
 All functions are pure and thread-safe.
@@ -122,12 +133,52 @@ def face_angles(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _angle(np.stack([half, half - (q - p), half - (r - p)]))
 
 
+def _edge_partials(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``face_partials`` from the stacked edge differences x = (r - q,
+    r - p, q - p), shaped (3, faces, ...), of faces with log radii p, q, r,
+    written into ``out`` (shaped like x) when it is given.  A face with a
+    difference that is not finite gets NaN partials, with no floating-point
+    error."""
+    qr, rp, pq = x
+    out = np.empty_like(x) if out is None else out
+    # In place, with two temporaries: at window sizes a fresh array per
+    # operation costs more than the arithmetic on it.
+    with np.errstate(invalid="ignore"):
+        # M - p, the face's largest log radius over p; the term 0 * (qr - rp + pq)
+        # is 0 for finite differences and NaN where one is infinite.
+        top = np.subtract(qr, rp)
+        top += pq
+        top *= 0.0
+        np.maximum(top, rp, out=top)
+        np.maximum(top, pq, out=top)
+        # h = e^((corner - M)/2) at the corners opposite the edges: p, q and r.
+        np.negative(top, out=out[0])
+        np.subtract(pq, top, out=out[1])
+        np.subtract(rp, top, out=out[2])
+        out *= 0.5
+        np.exp(out, out=out)
+        # sqrt(S) into top.
+        g = np.square(out)
+        np.add(g[0], g[1], out=top)
+        top += g[2]
+        np.sqrt(top, out=top)
+        # g = e^(-|difference|/2), and the partial h g / (sqrt(S) (1 + g^2)).
+        np.abs(x, out=g)
+        g *= -0.5
+        np.exp(g, out=g)
+        out *= g
+        g *= g
+        g += 1.0
+        g *= top
+        out /= g
+    return out
+
+
 def face_partials(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Symmetric partials of faces with log radii p, q, r on the edges qr, rp
     and pq, stacked (3, ...): d(angle at q)/d(r) = d(angle at r)/d(q) first."""
-    half = _half_exponent(q - p, r - p)
-    return np.exp(np.stack([half - (q - p) - _softplus_array(r - q),
-                            half - _softplus_array(r - p), half - _softplus_array(q - p)]))
+    x = np.stack(np.broadcast_arrays(r - q, r - p, q - p))
+    return _edge_partials(x.reshape(3, -1)).reshape(x.shape)
 
 
 def inner_angles(u: Triple) -> tuple[float, float, float]:

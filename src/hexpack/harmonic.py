@@ -14,12 +14,16 @@ is analytic in the segment parameter, so Gauss-Legendre quadrature
 converges spectrally; for spiral fields it is constant and any order is
 exact.  The weights are symmetric and lie strictly between 0 and 2.
 
-``compute_edge_weights`` integrates ``geometry.face_partials`` over every
-face of the window in one pass, summed at each edge by ``lattice.edge_sums``
-(at the field itself that sum is the Newton solver's Jacobian), and stores
-the weights as three window-shaped arrays, one per edge direction; the
-residuals and the random walk read those arrays.  The per-edge ``eta`` and
-per-vertex ``harmonic_residual`` are the scalar reference implementations.
+``compute_edge_weights`` integrates the face partials of ``geometry``'s
+one kernel over every face of the window in one pass, summed at each edge
+by ``lattice.edge_sums`` (at the field itself that sum is the Newton
+solver's Jacobian), and stores the weights as three window-shaped arrays,
+one per edge direction; the residuals and the random walk read those
+arrays.  The segment is linear in the faces' edge differences, so each
+quadrature node costs one multiply-add of the start's and the step's
+differences and one kernel call, all in preallocated buffers.  The
+per-edge ``eta`` and per-vertex ``harmonic_residual`` are the scalar
+reference implementations.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import dtheta_dx1_array, face_partials
+from .geometry import _edge_partials, dtheta_dx1_array
 from .lattice import (
     DIRECTIONS,
     Face,
@@ -128,15 +132,23 @@ def eta(u: ScalarField, v: Vertex, w: Vertex,
     return total
 
 
+def _cells(window: Window, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """(m1, n1, m2, n2, value) for each true entry of a mask shaped like
+    ``values``, sorted by edge: an (E, 5) array of Python ints and floats."""
+    col, row, k = np.nonzero(mask.transpose(2, 1, 0))
+    cells = np.empty((col.size, 5), dtype=object)
+    # The corner is added to Python ints, so coordinates past int64 stay exact.
+    cells[:, 0] = col.astype(object) + window.m_min
+    cells[:, 1] = row.astype(object) + window.n_min
+    cells[:, 2:4] = cells[:, :2] + np.array(DIRECTIONS, dtype=object)[k]
+    cells[:, 4] = values[k, row, col]
+    return cells
+
+
 def _listed(window: Window, mask: np.ndarray, values: np.ndarray) -> list:
     """(v, w, value) for each true entry of a mask shaped like ``values``,
     sorted by edge."""
-    col, row, k = np.nonzero(mask.transpose(2, 1, 0))
-    # The corner is added as a Python int, so coordinates past int64 stay exact.
-    m = [window.m_min + c for c in col.tolist()]
-    n = [window.n_min + r for r in row.tolist()]
-    return [((a, b), (a + DIRECTIONS[d][0], b + DIRECTIONS[d][1]), x)
-            for a, b, d, x in zip(m, n, k.tolist(), values[k, row, col].tolist())]
+    return [((a, b), (c, d), x) for a, b, c, d, x in _cells(window, mask, values).tolist()]
 
 
 def _check_range(window: Window, values: np.ndarray, stored: np.ndarray) -> None:
@@ -197,10 +209,34 @@ class EdgeWeights:
         return all(self.has(v, w) for w in neighbors(v))
 
     def to_csv(self) -> str:
-        lines = ["m1,n1,m2,n2,eta"]
-        for v, w, value in self.edges():
-            lines.append(f"{v[0]},{v[1]},{w[0]},{w[1]},{value:.16e}")
-        return "\n".join(lines) + "\n"
+        cells = _cells(self.window, ~np.isnan(self.values), self.values)
+        return "m1,n1,m2,n2,eta\n" + "%d,%d,%d,%d,%.16e\n" * len(cells) % tuple(cells.ravel())
+
+
+def _face_differences(a: np.ndarray) -> np.ndarray:
+    """The edge differences (r - q, r - p, q - p) of the ``faces`` of a
+    window-shaped array, stacked (3, 2, rows - 1, cols - 1)."""
+    p, q, r = faces(a)
+    return np.stack([r - q, r - p, q - p])
+
+
+def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
+    """The face partials integrated along the segments from the faces on
+    the first cols - 1 columns of ``values`` to their m-translates, in the
+    layout of ``face_partials(*faces(values[:, :-1]))``.  The segments are
+    linear in the edge differences, so the differences at each node are
+    one multiply-add of the start's and the step's, into one buffer."""
+    nodes, wts = _nodes_weights_01(quad.order)
+    start = _face_differences(values[:, :-1])
+    step = _face_differences(np.diff(values, axis=1))
+    x, f, total = np.empty_like(start), np.empty_like(start), np.zeros_like(start)
+    for t, wt in zip(nodes, wts):
+        np.multiply(step, t, out=x)
+        x += start
+        _edge_partials(x, out=f)
+        f *= wt
+        total += f
+    return total
 
 
 def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
@@ -217,9 +253,7 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     values = np.full((3, rows, cols), np.nan)
     stored = np.zeros(values.shape, dtype=bool)
     if cols >= 2:
-        nodes, wts = _nodes_weights_01(quad.order)
-        start, step = u.values[:, :-1], np.diff(u.values, axis=1)
-        partials = sum(wt * face_partials(*faces(start + step * t)) for t, wt in zip(nodes, wts))
+        partials = _integrated_partials(u.values, quad)
         values[:, :, :-1] = edge_sums(partials)
         # The edges with two faces on m_min .. m_max - 1, whatever their weights.
         stored[:, :, :-1] = ~np.isnan(edge_sums(np.zeros_like(partials)))

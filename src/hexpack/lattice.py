@@ -10,7 +10,6 @@ mostly) live on rectangular index windows and are stored densely, and
 from __future__ import annotations
 
 import cmath
-import io
 import math
 from dataclasses import dataclass
 
@@ -303,10 +302,10 @@ def write_field_csv(f: ScalarField) -> str:
     """Serialize a field: a window header, then one CSV row per n from
     n_max down to n_min, values in m order with 17 significant digits
     (exact round trip for doubles)."""
-    w, buf = f.window, io.StringIO()
-    np.savetxt(buf, f.values[::-1], fmt="%.16e", delimiter=",",
-               header=f"window {w.m_min} {w.m_max} {w.n_min} {w.n_max}", comments="# ")
-    return buf.getvalue()
+    w = f.window
+    row = ",".join(["%.16e"] * w.m_count) + "\n"
+    return (f"# window {w.m_min} {w.m_max} {w.n_min} {w.n_max}\n"
+            + row * w.n_count % tuple(f.values[::-1].ravel().tolist()))
 
 
 def read_field_csv(text: str) -> ScalarField:

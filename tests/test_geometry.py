@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexpack.geometry import (
     AngleGradient,
+    _edge_partials,
     angle_gradient,
     dtheta_dx1,
     dtheta_dx1_array,
@@ -227,6 +228,33 @@ class TestFaceKernel:
             angles, partials = face_angles(*u), face_partials(*u)
         assert np.all((angles >= 0.0) & (angles <= math.pi))
         assert np.all(np.isfinite(partials) & (partials >= 0.0))
+
+    @pytest.mark.parametrize("spread", [1.0, 30.0, 1e3, 1e5])
+    def test_edge_partials_into_a_buffer_match_scalar_reference(self, spread):
+        u = np.random.default_rng(int(spread)).uniform(-spread / 2, spread / 2, size=(3, 200))
+        u[:, :27] = np.array(list(itertools.product((-spread / 2, 0.0, spread / 2), repeat=3))).T
+        p, q, r = u
+        out = np.full((3, u.shape[1]), np.nan)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            got = _edge_partials(np.stack([r - q, r - p, q - p]), out=out)
+        assert got is out
+        for face, (a, b, c) in enumerate(u.T):
+            tol = 8.0 * np.finfo(float).eps * (1.0 + max(a, b, c) - min(a, b, c))
+            # edge qr opposite p, rp opposite q, pq opposite r
+            for k, (opposite, x, y) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
+                expected = dtheta_dx1(y - x, opposite - x)
+                assert abs(out[k, face] - expected) <= tol * max(expected, sys.float_info.min)
+
+    def test_infinite_differences_give_nan(self):
+        corners = [np.zeros((3, 1)) for _ in range(6)]
+        for i, c in enumerate(corners):
+            c[i // 2] = math.inf if i % 2 else -math.inf
+        x = np.zeros((3, 6))
+        x[np.arange(6) // 2, np.arange(6)] = np.where(np.arange(6) % 2, math.inf, -math.inf)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            for u in corners:
+                assert np.isnan(face_partials(*u)).all()
+            assert np.isnan(_edge_partials(x)).all()
 
 
 class TestAngleGradient:

@@ -259,6 +259,14 @@ def test_weights_overflowing_to_nan_raise():
         compute_edge_weights(u)
 
 
+def reference_csv(weights):
+    """The weights CSV written the earlier way, one f-string per edge."""
+    lines = ["m1,n1,m2,n2,eta"]
+    for v, w, value in weights.edges():
+        lines.append(f"{v[0]},{v[1]},{w[0]},{w[1]},{value:.16e}")
+    return "\n".join(lines) + "\n"
+
+
 def window_edges(window):
     return [(v, (v[0] + dm, v[1] + dn)) for v in window.vertices()
             for dm, dn in ((0, 1), (1, -1), (1, 0)) if window.contains((v[0] + dm, v[1] + dn))]
@@ -298,6 +306,27 @@ class TestBatchedWeights:
         around = ball((1, 0), 2) | {(-5, -5), (40, 40)}
         kept = {(v, w): value for v, w, value in compute_edge_weights(u, around=around).edges()}
         assert kept == {e: value for e, value in full.items() if e[0] in around or e[1] in around}
+
+    @pytest.mark.parametrize("name", ["spiral", "wavy", "past-int64"])
+    def test_csv_matches_the_per_edge_reference(self, name):
+        big = Window(99999999999999999999, 100000000000000000002, -2, 2)
+        u = (ScalarField(big, np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 4)))
+             if name == "past-int64" else REFERENCE_FIELDS[name])
+        ew = compute_edge_weights(u)
+        assert len(ew) > 0
+        assert ew.to_csv() == reference_csv(ew)
+
+    def test_spreads_past_the_exp_range_match_per_edge_reference(self):
+        # log radii near 1000, so e^u overflows, with jumps in the hundreds
+        rng = np.random.default_rng(19)
+        u = ScalarField(Window(-3, 3, -3, 3), 1000.0 + rng.uniform(-300.0, 300.0, size=(7, 7)))
+        ew = compute_edge_weights(u)
+        assert len(ew) == 79
+        # the face kernel's bound: 8 ulp times (1 + the spread of the log radii)
+        tol = 8.0 * np.finfo(float).eps * (1.0 + np.ptp(u.values))
+        for v, w, value in ew.edges():
+            expected = 0.5 * (eta(u, v, w) + eta(u, w, v))
+            assert abs(value - expected) <= tol * expected
 
     @pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
     def test_residuals_match_per_vertex_reference(self, name):

@@ -2,6 +2,7 @@
 and the field CSV format.  Ball sizes are checked against a breadth-first
 enumeration oracle and orientation against the planar embedding."""
 
+import gc
 import math
 import sys
 
@@ -326,6 +327,12 @@ class TestFieldCsv:
         assert write_field_csv(column) == (
             "# window 3 3 -1 1\n"
             "-2.9999999999999999e-01\n2.0000000000000001e-01\n1.0000000000000001e-01\n")
+
+    def test_leaves_no_cyclic_garbage(self):
+        f = ScalarField(Window(-3, 4, -2, 2), np.random.default_rng(3).normal(size=(5, 8)))
+        gc.collect()
+        write_field_csv(f)
+        assert gc.collect() == 0
 
     def test_values_past_1e300_name_their_vertex(self):
         w = Window(-1, 1, 0, 1)
