@@ -135,7 +135,7 @@ def _checked(fn, **kwargs):
 def _edge_weights(u: ScalarField, order: int) -> EdgeWeights:
     """Edge weights at the given quadrature order; a weight outside (0, 2),
     such as one that underflows to zero, is an input error."""
-    return _checked(compute_edge_weights, u=u, quad=_checked(Quadrature, order=order))
+    return _checked(compute_edge_weights, u=u, quad=Quadrature(order=order))
 
 
 def _write_text(path: str, text: str) -> None:

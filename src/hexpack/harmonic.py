@@ -42,7 +42,6 @@ from .lattice import (
     ScalarField,
     Vertex,
     Window,
-    are_adjacent,
     edge_sums,
     faces,
     faces_containing_edge,
@@ -83,14 +82,14 @@ def _nodes_weights_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def _require_translatable(u: ScalarField, face: Face) -> None:
+def _require_translatable(u: ScalarField, vertices: list[Vertex] | Face) -> None:
     window = u.window
-    for v in face:
+    for v in vertices:
         if not window.contains(v):
-            raise WindowTooSmallError(f"face vertex {v} is outside window {window}")
+            raise WindowTooSmallError(f"vertex {v} is outside window {window}")
         if not window.contains(translate(v)):
             raise WindowTooSmallError(
-                f"translated face vertex {translate(v)} is outside window {window}"
+                f"translated vertex {translate(v)} is outside window {window}"
             )
 
 
@@ -123,8 +122,6 @@ def eta(u: ScalarField, v: Vertex, w: Vertex,
         quad: Quadrature = DEFAULT_QUADRATURE) -> float:
     """Edge weight for {v, w}: the segment integral of d(angle at v)/d(u_w),
     summed over the two faces containing the edge.  Strictly in (0, 2)."""
-    if not are_adjacent(v, w):
-        raise ValueError(f"{v} and {w} are not adjacent")
     total = 0.0
     for face in faces_containing_edge(v, w):
         _require_translatable(u, face)
@@ -272,12 +269,7 @@ def harmonic_residual(u: ScalarField, v: Vertex,
     """Weighted sum over the neighbors of (D1u_w - D1u_v); zero, up to
     solver and quadrature tolerance, wherever the packing equation holds
     at both ``v`` and its m-translate."""
-    window = u.window
-    for x in [v, *neighbors(v)]:
-        if not window.contains(x) or not window.contains(translate(x)):
-            raise WindowTooSmallError(
-                f"residual at {v} needs {x} and its translate inside {window}"
-            )
+    _require_translatable(u, [v, *neighbors(v)])
     d1u_v = u[translate(v)] - u[v]
     total = 0.0
     for w in neighbors(v):
@@ -303,18 +295,9 @@ def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> np.ndarray:
 
 def volume(weights: EdgeWeights, vertices: set) -> float:
     """Sum over the vertex set of all incident edge weights (interior edges
-    count twice); one that is not stored raises :class:`MissingEdgeError`."""
-    window, verts = weights.window, list(vertices)
-    # Offsets (m, n) from the first interior vertex, and their interior rows.
-    at = np.array(verts, dtype=np.int64).reshape(-1, 2) - (window.m_min + 1, window.n_min + 1)
-    inner = ((0 <= at) & (at < (window.m_count - 2, window.n_count - 2))).all(axis=1)
-    i = at[inner] @ (1, window.m_count - 2)
-    etas = np.full((len(verts), 6), np.nan)
-    etas[inner] = ring_gather(weights.values, *(a[i] for a in interior_rings(window)))
-    for j in np.flatnonzero(np.isnan(etas).any(axis=1))[:1]:
-        for w in neighbors(verts[j]):  # raises at the first missing edge
-            weights.get(verts[j], w)
-    return float(etas.sum())
+    count twice), read one by one with :meth:`EdgeWeights.get`, so the first
+    one that is not stored raises :class:`MissingEdgeError` naming its edge."""
+    return float(sum(weights.get(v, w) for v in vertices for w in neighbors(v)))
 
 
 @dataclass(frozen=True)

@@ -313,9 +313,9 @@ def read_field_csv(text: str) -> ScalarField:
     number of magnitude at most ``MAX_FIELD_VALUE`` raises a ValueError
     naming its vertex."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# window"):
+    parts = lines[0].split() if lines else []
+    if parts[:2] != ["#", "window"]:
         raise ValueError("field CSV must start with a '# window ...' header")
-    parts = lines[0].split()
     if len(parts) != 6:
         raise ValueError(f"malformed window header: {lines[0]!r}")
     try:

@@ -297,6 +297,14 @@ def test_header_claiming_a_huge_window_exits_2(runner, tmp_path, command):
     assert not out.exists()
 
 
+def test_header_that_is_not_a_window_header_exits_2(runner, tmp_path):
+    src = tmp_path / "u.csv"
+    src.write_text("# windowed 0 2 0 2\n" + "0,0,0\n" * 3)
+    result = run(runner, "verify", "--in", src)
+    assert result.exit_code == 2
+    assert "must start with a '# window ...' header" in result.output
+
+
 @pytest.mark.parametrize("command", ["solve", "verify", "harmonic", "render", "walk"])
 def test_values_near_the_float_range_exit_2(runner, tmp_path, command):
     # log radii of +-1e308 overflow the angle kernels' differences
@@ -488,6 +496,18 @@ class TestConfigFile:
             assert result.exit_code == 2
             assert repr(key) in result.output
         assert not (tmp_path / "s.csv").exists()
+
+    def test_order_below_2_in_a_config_exits_2(self, runner, tmp_path):
+        src = write_spiral(runner, tmp_path / "u.csv", 1.1, 1.0, window="-2:2,-2:2")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"order": 1}))
+        for command, extra in (("verify", []), ("walk", []),
+                               ("harmonic", ["--out", tmp_path / "w.csv"]),
+                               ("render", ["--out", tmp_path / "f.svg"])):
+            result = run(runner, command, "--in", src, "--config", cfg, *extra)
+            assert result.exit_code == 2
+            assert "1 is not in the range 2<=x<=1024" in result.output
+        assert not (tmp_path / "w.csv").exists() and not (tmp_path / "f.svg").exists()
 
 
 class TestGroupOptions:

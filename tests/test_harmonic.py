@@ -181,6 +181,13 @@ class TestHarmonicResidual:
         with pytest.raises(WindowTooSmallError):
             harmonic_residual(u, (1, 1))
 
+    def test_window_too_small_names_the_vertex(self):
+        u = ScalarField.constant(Window(0, 2, 0, 2), 0.0)
+        with pytest.raises(WindowTooSmallError, match=r"^translated vertex \(3, 1\) is outside"):
+            harmonic_residual(u, (1, 1))
+        with pytest.raises(WindowTooSmallError, match=r"^vertex \(-1, 2\) is outside"):
+            harmonic_residual(u, (0, 1))
+
 
 class TestEdgeWeights:
     def test_uniform_constructor_and_lookup(self):
@@ -345,6 +352,12 @@ class TestBatchedWeights:
             at = got[v[1] - u.window.n_min, v[0] - u.window.m_min]
             assert at == expected[v] if v in expected else math.isnan(at)
 
+    def test_residuals_reject_weights_of_another_window(self):
+        u = REFERENCE_FIELDS["spiral"]
+        other = EdgeWeights.uniform(Window(-1, 1, -1, 1), 0.5)
+        with pytest.raises(ValueError, match="do not match field window"):
+            harmonic_residuals(u, other)
+
     def test_walk_matches_rebuilt_weights(self):
         u = REFERENCE_FIELDS["spiral"]
         ew = compute_edge_weights(u)
@@ -410,6 +423,10 @@ class TestVolume:
         weights = compute_edge_weights(u, around=ball((0, 0), 2))
         with pytest.raises(MissingEdgeError, match=r"no weight stored for edge \(\("):
             volume(weights, ball((0, 0), 4))
+
+    def test_window_past_int64(self):
+        ew = EdgeWeights.uniform(Window(99999999999999999999, 100000000000000000004, -2, 2), 0.5)
+        assert volume(ew, {(100000000000000000001, 0)}) == 3.0
 
     def test_matches_per_vertex_sum(self):
         u = wavy_field(Window(-6, 7, -6, 6))

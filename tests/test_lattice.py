@@ -106,6 +106,16 @@ class TestFaces:
         with pytest.raises(ValueError):
             faces_containing_edge((0, 0), (2, 0))
 
+    @pytest.mark.parametrize("corners, reason", [
+        (((0, 0), (2, 0), (0, 1)), "pairwise adjacent"),
+        (((0, 0), (1, 0), (1, 1)), "pairwise adjacent"),
+        (((0, 0), (0, 1), (1, 0)), "positively oriented"),
+        (((0, 0), (1, -1), (0, -1)), "positively oriented"),
+    ])
+    def test_canonical_face_rejects_non_faces(self, corners, reason):
+        with pytest.raises(ValueError, match=reason):
+            canonical_face(*corners)
+
 
 class TestFaceArrays:
     """``faces``, ``corner_sums`` and ``edge_sums`` against the tuple
@@ -353,3 +363,10 @@ class TestFieldCsv:
         # a header claiming 10^10 columns is rejected before anything is allocated
         with pytest.raises(ValueError, match="row 0 has 1 cells"):
             read_field_csv("# window 0 9999999999 0 0\n1.0\n")
+        # the header's first two tokens are exactly "#" and "window"
+        with pytest.raises(ValueError, match="must start with a '# window ...' header"):
+            read_field_csv("# windowed 0 2 0 2\n" + "0,0,0\n" * 3)
+        for header in ("# window 0 2 0", "# window 0 2 0 2 7", "# window 0 2.0 0 2",
+                       "# window 0 two 0 2"):
+            with pytest.raises(ValueError, match="malformed window header"):
+                read_field_csv(header + "\n" + "0,0,0\n" * 3)

@@ -175,6 +175,23 @@ class TestBasePositions:
         with pytest.raises(ValueError, match=r"\(1\.5, 0\)"):
             Anchor((1.5, 0))
 
+    @pytest.mark.parametrize("direction", [0j, 0.0, complex(math.nan, 1.0), math.inf])
+    def test_direction_must_be_a_nonzero_finite_vector(self, direction):
+        with pytest.raises(ValueError, match="direction must be a nonzero vector"):
+            Anchor((0, 0), direction=direction)
+
+
+class TestCircle:
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.inf, math.nan])
+    def test_radius_must_be_positive_and_finite(self, radius):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            Circle(0j, radius)
+
+    @pytest.mark.parametrize("center", [complex(math.inf, 0.0), complex(0.0, math.nan)])
+    def test_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Circle(center, 1.0)
+
 
 class TestLocalUnivalence:
     def test_regular_field(self):

@@ -324,6 +324,28 @@ class TestNewtonWithoutAStep:
         assert not (np.all(np.isfinite(delta)) and defects @ delta < 0.0)
 
 
+def test_newton_step_without_an_accepted_step_restores_the_values(monkeypatch):
+    # g(s) = defects(s) @ delta alternates between -g(0), above the target
+    # -g(0) / 2, and 2 g(0), below -(-g(0) / 2): every one of the line
+    # search's 101 trial points is rejected, and s closes in on 2/3, not 0
+    rng = np.random.default_rng(12)
+    u0 = random_interior(spiral_field(SpiralParams(1.0, 1.2, 0.9), Window(-3, 3, -3, 3)), rng)
+    grid = solver._Grid(u0.window)
+    vals = u0.values.ravel().copy()
+    defects = solver._defects(vals.reshape(grid.shape))
+    calls = []
+
+    def alternating(values):
+        calls.append(values.copy())
+        return (-1.0 if len(calls) % 2 else 2.0) * defects
+
+    monkeypatch.setattr(solver, "_defects", alternating)
+    assert solver._newton_step(vals, grid, defects) is None
+    assert len(calls) == 101
+    assert not np.array_equal(calls[-1], u0.values)  # the last trial point moved
+    assert vals.tobytes() == u0.values.tobytes()
+
+
 def count_factors(monkeypatch):
     # every sparse factor a solve makes, L's and any exact Newton step's
     import scipy.sparse.linalg
@@ -461,6 +483,13 @@ class TestHarmonicInterpolation:
         out = harmonic_interpolation(u0)
         for v in w.boundary_vertices():
             assert out[v] == u0[v]
+
+    def test_window_without_interior_returns_an_equal_copy(self):
+        u0 = ScalarField(Window(0, 4, 0, 1), np.arange(10.0).reshape(2, 5))
+        out = harmonic_interpolation(u0)
+        assert out == u0 and out is not u0
+        out[(0, 0)] = 99.0
+        assert u0[(0, 0)] == 0.0
 
 
 class TestOptionsAndReport:
