@@ -40,39 +40,6 @@ from .solver import (
 from .spiral import DEFAULT_CLASSIFY_TOL, SpiralParams, classify, spiral_field
 
 
-class WindowType(click.ParamType):
-    name = "WINDOW"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, Window):
-            return value
-        try:
-            m_part, n_part = str(value).split(",")
-            m_min, m_max = (int(x) for x in m_part.split(":"))
-            n_min, n_max = (int(x) for x in n_part.split(":"))
-            return Window(m_min, m_max, n_min, n_max)
-        except ValueError:
-            self.fail(
-                f"{value!r} is not a window; expected m_min:m_max,n_min:n_max",
-                param, ctx,
-            )
-
-
-class VertexType(click.ParamType):
-    name = "VERTEX"
-
-    def convert(self, value, param, ctx):
-        if isinstance(value, tuple):
-            return value
-        try:
-            m, n = (int(x) for x in str(value).split(","))
-            return (m, n)
-        except ValueError:
-            self.fail(f"{value!r} is not a vertex; expected m,n", param, ctx)
-
-
-WINDOW = WindowType()
-VERTEX = VertexType()
 # numpy's Gauss-Legendre rule allocates order**2 floats.
 ORDER = click.IntRange(2, 1024)
 
@@ -81,6 +48,29 @@ def _positive(ctx: click.Context, param: click.Parameter, value: float) -> float
     if not (math.isfinite(value) and value > 0):
         raise click.BadParameter(f"must be positive, got {value}", ctx, param)
     return value
+
+
+# Callbacks of click.UNPROCESSED options, so that a config's JSON number is echoed unquoted.
+def _window(ctx: click.Context, param: click.Parameter, value) -> Window:
+    try:
+        m_part, n_part = str(value).split(",")
+        m_min, m_max = (int(x) for x in m_part.split(":"))
+        n_min, n_max = (int(x) for x in n_part.split(":"))
+        return Window(m_min, m_max, n_min, n_max)
+    except ValueError:
+        raise click.BadParameter(
+            f"{value!r} is not a window; expected m_min:m_max,n_min:n_max", ctx, param
+        ) from None
+
+
+def _vertex(ctx: click.Context, param: click.Parameter, value) -> tuple[int, int] | None:
+    if value is None:
+        return None
+    try:
+        m, n = (int(x) for x in str(value).split(","))
+    except ValueError:
+        raise click.BadParameter(f"{value!r} is not a vertex; expected m,n", ctx, param) from None
+    return (m, n)
 
 
 def _load_config(ctx: click.Context, param: click.Parameter, path: str | None) -> None:
@@ -158,14 +148,18 @@ def main() -> None:
               help="Radius ratio per +m step.")
 @click.option("--y", type=float, required=True, callback=_positive,
               help="Radius ratio per +n step.")
-@click.option("--window", type=WINDOW, required=True,
-              help="Index box m_min:m_max,n_min:n_max.")
+@click.option("--window", type=click.UNPROCESSED, metavar="WINDOW", required=True,
+              callback=_window, help="Index box m_min:m_max,n_min:n_max.")
 @click.option("--out", type=str, required=True, help="Output field CSV path.")
 @_config_option
 def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     """Write the log-radius field of a Doyle spiral."""
-    field = spiral_field(SpiralParams(r0, x, y), window)
-    _write_text(out, write_field_csv(field))
+    try:
+        text = write_field_csv(spiral_field(SpiralParams(r0, x, y), window))
+    except MemoryError as exc:
+        w = f"{window.m_min}:{window.m_max},{window.n_min}:{window.n_max}"
+        raise click.UsageError(f"--window {w} needs more memory than is available") from exc
+    _write_text(out, text)
 
 
 @main.command()
@@ -264,7 +258,7 @@ def harmonic(in_path: str, out: str, order: int) -> None:
               show_default=True, help="Per-circle stroke coloring.")
 @click.option("--padding", type=float, default=RenderStyle.padding, show_default=True,
               help="Viewport padding as a fraction of the bounding box.")
-@click.option("--base", type=VERTEX, default=None,
+@click.option("--base", type=click.UNPROCESSED, metavar="VERTEX", callback=_vertex,
               help="Base vertex m,n of the development (default: window center).")
 @click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for the residual color map.")
@@ -285,8 +279,8 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
 
 @main.command()
 @click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
-@click.option("--start", type=VERTEX, default="0,0", show_default=True,
-              help="Start vertex m,n.")
+@click.option("--start", type=click.UNPROCESSED, metavar="VERTEX", default="0,0",
+              show_default=True, callback=_vertex, help="Start vertex m,n.")
 @click.option("--steps", type=click.IntRange(min=0), default=100, show_default=True,
               help="Walk length per trial.")
 @click.option("--trials", type=click.IntRange(min=1), default=10000, show_default=True,

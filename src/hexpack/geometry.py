@@ -133,6 +133,11 @@ def face_angles(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     return _angle(np.stack([half, half - (q - p), half - (r - p)]))
 
 
+def _edge_differences(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """``_edge_partials``' input: the edge differences (r - q, r - p, q - p)."""
+    return np.stack(np.broadcast_arrays(r - q, r - p, q - p))
+
+
 def _edge_partials(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``face_partials`` from the stacked edge differences x = (r - q,
     r - p, q - p), shaped (3, faces, ...), of faces with log radii p, q, r,
@@ -177,7 +182,7 @@ def _edge_partials(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 def face_partials(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Symmetric partials of faces with log radii p, q, r on the edges qr, rp
     and pq, stacked (3, ...): d(angle at q)/d(r) = d(angle at r)/d(q) first."""
-    x = np.stack(np.broadcast_arrays(r - q, r - p, q - p))
+    x = _edge_differences(p, q, r)
     return _edge_partials(x.reshape(3, -1)).reshape(x.shape)
 
 

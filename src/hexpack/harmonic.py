@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _edge_partials, dtheta_dx1_array
+from .geometry import _edge_differences, _edge_partials, dtheta_dx1_array
 from .lattice import (
     DIRECTIONS,
     Face,
@@ -210,13 +210,6 @@ class EdgeWeights:
         return "m1,n1,m2,n2,eta\n" + "%d,%d,%d,%d,%.16e\n" * len(cells) % tuple(cells.ravel())
 
 
-def _face_differences(a: np.ndarray) -> np.ndarray:
-    """The edge differences (r - q, r - p, q - p) of the ``faces`` of a
-    window-shaped array, stacked (3, 2, rows - 1, cols - 1)."""
-    p, q, r = faces(a)
-    return np.stack([r - q, r - p, q - p])
-
-
 def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
     """The face partials integrated along the segments from the faces on
     the first cols - 1 columns of ``values`` to their m-translates, in the
@@ -224,8 +217,8 @@ def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
     linear in the edge differences, so the differences at each node are
     one multiply-add of the start's and the step's, into one buffer."""
     nodes, wts = _nodes_weights_01(quad.order)
-    start = _face_differences(values[:, :-1])
-    step = _face_differences(np.diff(values, axis=1))
+    start = _edge_differences(*faces(values[:, :-1]))
+    step = _edge_differences(*faces(np.diff(values, axis=1)))
     x, f, total = np.empty_like(start), np.empty_like(start), np.zeros_like(start)
     for t, wt in zip(nodes, wts):
         np.multiply(step, t, out=x)

@@ -38,7 +38,10 @@ class SpiralParams:
 
 
 def spiral_field(params: SpiralParams, window: Window) -> ScalarField:
-    """Log radii ln r0 + m ln x + n ln y on the window."""
+    """Log radii ln r0 + m ln x + n ln y on the window.  A window with more
+    vertices than a float array can hold raises a MemoryError."""
+    if window.num_vertices > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{window} has more vertices than a float array can hold")
     lr0, lx, ly = math.log(params.r0), math.log(params.x), math.log(params.y)
     # not np.arange, which overflows past int64 where Python's int * float does not
     m = np.array(range(window.m_min, window.m_max + 1), dtype=float)
@@ -71,9 +74,11 @@ def solve_flower_closure(a1: float, k1: float) -> float:
     when the top row offset is a1 and the m-direction slope is k1.
 
     The three angles that depend on a2 are strictly increasing in it, so
-    the residual is monotone and bisection converges unconditionally.  The
-    returned a2 satisfies |angle sum - 2*pi| < 1e-13.  The root is -a1 for
-    every k1, the spiral's own bottom row (u(m,-1) = -a1 + k1*m).
+    the residual is monotone.  Its root is -a1 for every k1, the spiral's
+    own bottom row (u(m,-1) = -a1 + k1*m), and bisection on the fixed
+    bracket [-50, 50] returns an a2 with |angle sum - 2*pi| < 1e-13.  The
+    domain is |a1| < 50: a root outside the bracket, or so near its end
+    that the residual there rounds to zero, raises a RuntimeError.
     """
     if not (math.isfinite(a1) and math.isfinite(k1)):
         raise ValueError(f"arguments must be finite, got {(a1, k1)!r}")
@@ -82,8 +87,9 @@ def solve_flower_closure(a1: float, k1: float) -> float:
     f_hi = _closure_angle_sum(a1, k1, hi) - TWO_PI
     if not (f_lo < 0.0 < f_hi):
         raise RuntimeError(
-            f"closure residual does not change sign on [{lo}, {hi}] for "
-            f"a1={a1}, k1={k1}; the monotone-closure assumption is violated"
+            f"closure residual does not change sign on [{lo}, {hi}] for a1={a1}, "
+            f"k1={k1}: its root a2 = -a1 = {-a1} must lie inside the bracket, "
+            f"clear of its ends, so |a1| < {hi} is required"
         )
     for _ in range(200):
         mid = 0.5 * (lo + hi)

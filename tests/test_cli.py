@@ -69,6 +69,26 @@ class TestSpiralCommand:
                      "--window", "oops", "--out", tmp_path / "u.csv")
         assert result.exit_code == 2
 
+    def test_window_past_array_size_exits_2(self, runner, tmp_path):
+        result = run(runner, "spiral", "--x", 1.2, "--y", 0.9,
+                     "--window", "0:100000000000000000000,0:0", "--out", tmp_path / "u.csv")
+        assert result.exit_code == 2
+        assert "--window 0:100000000000000000000,0:0 needs more memory" in result.output
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_window_past_memory_exits_2(self, runner, tmp_path, monkeypatch):
+        # stands in for the real allocation, which would ask for petabytes
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 2.84 PiB")
+
+        monkeypatch.setattr("hexpack.cli.spiral_field", out_of_memory)
+        window = "-10000000:10000000,-10000000:10000000"
+        result = run(runner, "spiral", "--x", 1.2, "--y", 0.9,
+                     "--window", window, "--out", tmp_path / "u.csv")
+        assert result.exit_code == 2
+        assert f"--window {window} needs more memory" in result.output
+        assert "Traceback" not in result.output
+
 
 class TestSolveCommand:
     def test_solves_spiral_boundary_from_zero(self, runner, tmp_path):
@@ -466,6 +486,28 @@ class TestConfigFile:
         assert report["converged"] is True
         assert report["final_defect"] <= 1e-9
 
+    def test_config_holding_an_array_or_number_rejected(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        for value in ([1, 2], 3, 2.5):
+            cfg.write_text(json.dumps(value))
+            result = run(runner, "spiral", "--config", cfg)
+            assert result.exit_code == 2
+            assert "config file must hold a JSON object" in result.output
+
+    def test_config_window_and_start_strings(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        out = tmp_path / "u.csv"
+        cfg.write_text(json.dumps({"window": "-2:2,-2:2"}))
+        result = run(runner, "spiral", "--x", 1.1, "--y", 1.0, "--out", out, "--config", cfg)
+        assert result.exit_code == 0
+        assert read_field_csv(out.read_text()).window == Window(-2, 2, -2, 2)
+        cfg.write_text(json.dumps({"start": "1,1"}))
+        args = ["walk", "--in", out, "--steps", 4, "--trials", 500, "--seed", 2]
+        result = run(runner, *args, "--config", cfg)
+        assert result.exit_code == 0
+        assert result.output == run(runner, *args, "--start", "1,1").output
+        assert result.output != run(runner, *args).output
+
     def test_config_rejects_bad_json(self, runner, tmp_path):
         cfg = tmp_path / "broken.json"
         cfg.write_text("{not json")
@@ -538,6 +580,39 @@ class TestGroupOptions:
             result = run(runner, command, "--in", src, "--order", 1025, *extra)
             assert result.exit_code == 2
             assert "--order" in result.output
+
+
+class TestWindowAndVertexValues:
+    @pytest.mark.parametrize("window", ["1:2", "a:b,1:2", "2:1,0:0"])
+    def test_malformed_window_exits_2(self, runner, tmp_path, window):
+        result = run(runner, "spiral", "--x", 1.2, "--y", 0.9,
+                     "--window", window, "--out", tmp_path / "u.csv")
+        assert result.exit_code == 2
+        assert (f"Error: Invalid value for '--window': '{window}' is not a window; "
+                "expected m_min:m_max,n_min:n_max") in result.output
+
+    @pytest.mark.parametrize("command, flag, vertex", [
+        ("walk", "--start", "1"), ("walk", "--start", "1,2,3"), ("render", "--base", "x,1")])
+    def test_malformed_vertex_exits_2(self, runner, tmp_path, command, flag, vertex):
+        src = write_spiral(runner, tmp_path / "u.csv", 1.1, 1.0, window="-2:2,-2:2")
+        extra = ["--out", tmp_path / "f.svg"] if command == "render" else []
+        result = run(runner, command, "--in", src, *extra, flag, vertex)
+        assert result.exit_code == 2
+        assert (f"Error: Invalid value for '{flag}': '{vertex}' is not a vertex; "
+                "expected m,n") in result.output
+
+    def test_config_number_is_echoed_unquoted(self, runner, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"window": 5}))
+        result = run(runner, "spiral", "--x", 1.2, "--y", 0.9, "--out", tmp_path / "u.csv",
+                     "--config", cfg)
+        assert result.exit_code == 2
+        assert "'--window': 5 is not a window" in result.output
+
+    def test_help_shows_window_and_vertex_metavars(self, runner):
+        assert "--window WINDOW" in run(runner, "spiral", "--help").output
+        assert "--base VERTEX" in run(runner, "render", "--help").output
+        assert "--start VERTEX" in run(runner, "walk", "--help").output
 
 
 # scipy serves only the solver's sparse factor, so it loads on the first

@@ -91,6 +91,14 @@ class TestFlowerClosure:
         with pytest.raises(ValueError):
             solve_flower_closure(math.inf, 0.0)
 
+    @pytest.mark.parametrize("a1, k1", [(51.0, 0.0), (60.0, 5.0), (-60.0, 3.0)])
+    def test_root_outside_the_bracket_names_it(self, a1, k1):
+        with pytest.raises(RuntimeError) as info:
+            solve_flower_closure(a1, k1)
+        assert "[-50.0, 50.0]" in str(info.value)
+        assert f"a2 = -a1 = {-a1}" in str(info.value)
+        assert "|a1| < 50.0" in str(info.value)
+
 
 class TestClassify:
     def test_spiral_recovers_parameters(self):
