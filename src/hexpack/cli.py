@@ -26,7 +26,7 @@ from .harmonic import (
     harmonic_residuals,
     random_walk_return,
 )
-from .lattice import ScalarField, Window, read_field_csv, write_field_csv
+from .lattice import MAX_FIELD_VALUE, ScalarField, Window, read_field_csv, write_field_csv
 from .layout import Anchor, develop, ring_ratio_bound
 from .render import COLOR_MAPS, RenderStyle, render_svg
 from .solver import (
@@ -154,11 +154,14 @@ def main() -> None:
 @_config_option
 def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     """Write the log-radius field of a Doyle spiral."""
+    w = f"{window.m_min}:{window.m_max},{window.n_min}:{window.n_max}"
     try:
         text = write_field_csv(spiral_field(SpiralParams(r0, x, y), window))
     except MemoryError as exc:
-        w = f"{window.m_min}:{window.m_max},{window.n_min}:{window.n_max}"
         raise click.UsageError(f"--window {w} needs more memory than is available") from exc
+    except ValueError as exc:  # a log radius that read_field_csv would reject
+        raise click.UsageError(
+            f"--window {w} gives a log radius past {MAX_FIELD_VALUE:.0e}") from exc
     _write_text(out, text)
 
 

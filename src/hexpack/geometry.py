@@ -99,8 +99,9 @@ def dtheta_dx1(x1: float, x2: float) -> float:
     Strictly inside (0, 1) for finite inputs; decays to 0 as x1 -> +inf.
     """
     _require_finite(x1, x2)
-    ell = _log1p_exp2(x1, x2)
-    return math.exp(0.5 * (x1 + x2 - ell) - _softplus(x1))
+    # x1 + x2 - log(1 + e^x1 + e^x2) = a + b - log1p(e^(a-c) + e^(b-c)): c cancels exactly
+    a, b, c = sorted((0.0, x1, x2))
+    return math.exp(0.5 * (a + b - math.log1p(math.exp(a - c) + math.exp(b - c))) - _softplus(x1))
 
 
 def _half_exponent(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
@@ -231,11 +232,9 @@ def angle_gradient(u: Triple, i: int) -> AngleGradient:
         raise ValueError(f"vertex index must be 1, 2 or 3, got {i}")
     u1, u2, u3 = u
     _require_finite(u1, u2, u3)
-    j, k = [x for x in (1, 2, 3) if x != i]
-    vals = {1: u1, 2: u2, 3: u3}
-    ui, uj, uk = vals[i], vals[j], vals[k]
+    vals = [u1, u2, u3]
+    ui, uj, uk = vals[i - 1], vals[i % 3], vals[(i + 1) % 3]
     dj = dtheta_dx1(uj - ui, uk - ui)
     dk = dtheta_dx1(uk - ui, uj - ui)
-    parts = {j: dj, k: dk}
-    parts[i] = -(dj + dk)
-    return AngleGradient(parts[1], parts[2], parts[3])
+    vals[i - 1], vals[i % 3], vals[(i + 1) % 3] = -(dj + dk), dj, dk
+    return AngleGradient(*vals)

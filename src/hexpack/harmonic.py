@@ -354,6 +354,8 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     rng = np.random.default_rng(seed)
     state = np.full(trials, start_idx, dtype=np.int64)
     for _ in range(steps):
+        if state.min() >= returned:  # every trial absorbed: no state moves again
+            break
         r, k = rng.random(trials), state * 6
         for col in cols:
             k += r > col[state]

@@ -16,11 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import TWO_PI, face_angles
-from .lattice import ScalarField, Window, _ring_faces, d1, d2
-
-# Bisection bracket and residual target for the flower closure solve.
-_CLOSURE_BRACKET = 50.0
-_CLOSURE_TOL = 1e-13
+from .lattice import MAX_FIELD_VALUE, ScalarField, Window, _ring_faces, d1, d2
 
 
 @dataclass(frozen=True)
@@ -38,11 +34,18 @@ class SpiralParams:
 
 
 def spiral_field(params: SpiralParams, window: Window) -> ScalarField:
-    """Log radii ln r0 + m ln x + n ln y on the window.  A window with more
-    vertices than a float array can hold raises a MemoryError."""
+    """Log radii ln r0 + m ln x + n ln y on the window.  Raises a MemoryError
+    if a float array cannot hold it, a ValueError if |log radius| > MAX_FIELD_VALUE."""
     if window.num_vertices > np.iinfo(np.intp).max // 8:
         raise MemoryError(f"{window} has more vertices than a float array can hold")
     lr0, lx, ly = math.log(params.r0), math.log(params.x), math.log(params.y)
+    try:  # the field is monotone in m and n, in floats too: its corners hold its extremes
+        ok = all(abs(lr0 + m * lx + n * ly) <= MAX_FIELD_VALUE
+                 for m in (window.m_min, window.m_max) for n in (window.n_min, window.n_max))
+    except OverflowError:  # a coordinate past the float range
+        ok = False
+    if not ok:
+        raise ValueError(f"{window} has a log radius past {MAX_FIELD_VALUE:.0e} in magnitude")
     # not np.arange, which overflows past int64 where Python's int * float does not
     m = np.array(range(window.m_min, window.m_max + 1), dtype=float)
     n = np.array(range(window.n_min, window.n_max + 1), dtype=float)
@@ -75,34 +78,26 @@ def solve_flower_closure(a1: float, k1: float) -> float:
 
     The three angles that depend on a2 are strictly increasing in it, so
     the residual is monotone.  Its root is -a1 for every k1, the spiral's
-    own bottom row (u(m,-1) = -a1 + k1*m), and bisection on the fixed
-    bracket [-50, 50] returns an a2 with |angle sum - 2*pi| < 1e-13.  The
+    own bottom row (u(m,-1) = -a1 + k1*m).  Bisection on the fixed bracket
+    [-50, 50] returns the float at which the residual changes sign.  The
     domain is |a1| < 50: a root outside the bracket, or so near its end
     that the residual there rounds to zero, raises a RuntimeError.
     """
     if not (math.isfinite(a1) and math.isfinite(k1)):
         raise ValueError(f"arguments must be finite, got {(a1, k1)!r}")
-    lo, hi = -_CLOSURE_BRACKET, _CLOSURE_BRACKET
-    f_lo = _closure_angle_sum(a1, k1, lo) - TWO_PI
-    f_hi = _closure_angle_sum(a1, k1, hi) - TWO_PI
-    if not (f_lo < 0.0 < f_hi):
+    lo, hi = -50.0, 50.0
+    if not (_closure_angle_sum(a1, k1, lo) < TWO_PI < _closure_angle_sum(a1, k1, hi)):
         raise RuntimeError(
             f"closure residual does not change sign on [{lo}, {hi}] for a1={a1}, "
             f"k1={k1}: its root a2 = -a1 = {-a1} must lie inside the bracket, "
             f"clear of its ends, so |a1| < {hi} is required"
         )
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        f = _closure_angle_sum(a1, k1, mid) - TWO_PI
-        if abs(f) <= _CLOSURE_TOL:
-            return mid
-        if f < 0.0:
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if _closure_angle_sum(a1, k1, mid) < TWO_PI:
             lo = mid
         else:
             hi = mid
-    raise RuntimeError(
-        f"closure bisection stalled for a1={a1}, k1={k1}: residual {f:.3e}"
-    )
+    return mid
 
 
 @dataclass(frozen=True)

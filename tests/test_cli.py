@@ -89,6 +89,32 @@ class TestSpiralCommand:
         assert f"--window {window} needs more memory" in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("x, m", [
+        pytest.param(2, 10**400, id="m-past-float-range"),
+        pytest.param(1e308, 10**306, id="product-overflows"),  # numpy would warn
+        pytest.param(1e10, 10**299, id="past-field-bound"),  # 2.3e300: read_field_csv rejects it
+    ])
+    def test_log_radius_past_the_field_bound_exits_2(self, tmp_path, x, m):
+        window = f"{m}:{m},0:0"
+        result = subprocess.run(
+            [sys.executable, "-W", "default", "-m", "hexpack.cli", "spiral", "--x", str(x),
+             "--y", "1", "--window", window, "--out", str(tmp_path / "u.csv")],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert result.returncode == 2
+        assert result.stdout == ""
+        # click's usage block and error line, and no warning before them
+        assert result.stderr.splitlines()[0].startswith("Usage:")
+        assert result.stderr.splitlines()[-1] == (
+            f"Error: --window {window} gives a log radius past 1e+300")
+        assert len(result.stderr.splitlines()) == 4
+        assert not (tmp_path / "u.csv").exists()
+
+    def test_log_radius_at_the_field_bound_is_readable(self, runner, tmp_path):
+        m = 4 * 10**298
+        out = write_spiral(runner, tmp_path / "u.csv", 1e10, 1, window=f"{m}:{m},0:1")
+        assert run(runner, "verify", "--in", out).exit_code == 0
+
 
 class TestSolveCommand:
     def test_solves_spiral_boundary_from_zero(self, runner, tmp_path):

@@ -159,6 +159,17 @@ class TestDthetaDx1:
     def test_decays_for_large_first_argument(self):
         assert dtheta_dx1(30.0, 0.0) < 1e-6
 
+    @pytest.mark.parametrize("x1, x2, exact", [
+        # the values rounded from 50-digit arithmetic
+        (0.05, 512.0, 0.4998437906797647),
+        (2.0, 300.5, 0.3240271368319427),
+        (-3.0, 700.0, 0.21254801747114024),
+    ])
+    def test_large_second_argument_loses_no_digits(self, x1, x2, exact):
+        # x2 cancels against log(1 + e^x1 + e^x2); subtracting the two in floats
+        # rounds at the scale of x2 and was 1.1e-14 off at x2 = 512
+        assert abs(dtheta_dx1(x1, x2) - exact) <= 2e-16
+
     def test_array_variant_matches_scalar(self):
         rng = np.random.default_rng(32)
         x1 = rng.uniform(-6.0, 6.0, size=64)

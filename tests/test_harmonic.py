@@ -562,6 +562,30 @@ class TestRandomWalk:
                 assert random_walk_return(weights, start, steps, trials, seed) == \
                     walk_reference(weights, start, steps, trials, seed)
 
+    def test_stops_drawing_once_every_trial_is_absorbed(self, monkeypatch):
+        # returned and censored both absorb, so a long walk on a small window
+        # ends long before its step budget, with the report of the full budget
+        weights = compute_edge_weights(spiral_field(SpiralParams(1.0, 1.2, 0.85),
+                                                    Window(-3, 3, -3, 3)))
+        draws = []
+        default_rng = np.random.default_rng
+
+        class CountingGenerator:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def random(self, size):
+                draws.append(size)
+                return self.rng.random(size)
+
+        monkeypatch.setattr(np.random, "default_rng", CountingGenerator)
+        report = random_walk_return(weights, (0, 0), 10**4, 20, seed=3)
+        assert 0 < len(draws) < 200
+        assert report.returned + report.censored == 20
+        monkeypatch.undo()
+        assert report == walk_reference(weights, (0, 0), 10**4, 20, seed=3)
+        assert report == random_walk_return(weights, (0, 0), len(draws), 20, seed=3)
+
     def test_report_json_shape(self, uniform_weights):
         report = random_walk_return(uniform_weights, (0, 0), 2, 100, seed=0)
         parsed = json.loads(report.to_json())

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hexpack.lattice import Window, d1, d2
+from hexpack.lattice import MAX_FIELD_VALUE, Window, d1, d2
 from hexpack.spiral import (
     SpiralParams,
     classify,
@@ -36,6 +36,22 @@ class TestSpiralField:
         for bad in [(0.0, 1.0, 1.0), (1.0, -2.0, 1.0), (1.0, 1.0, 0.0)]:
             with pytest.raises(ValueError):
                 SpiralParams(*bad)
+
+    @pytest.mark.parametrize("x, m", [
+        pytest.param(2.0, 10**400, id="m-past-float-range"),
+        pytest.param(1e308, 10**306, id="product-overflows"),
+        pytest.param(1e10, 10**299, id="past-field-bound"),
+        pytest.param(1e10, -(10**299), id="below-minus-field-bound"),
+    ])
+    def test_log_radius_past_the_field_bound_raises(self, x, m):
+        with pytest.raises(ValueError, match="has a log radius past 1e\\+300 in magnitude"):
+            spiral_field(SpiralParams(1.0, x, 1.0), Window(m, m, 0, 0))
+
+    def test_log_radius_at_the_field_bound_is_kept(self):
+        m = 4 * 10**298
+        f = spiral_field(SpiralParams(1.0, 1e10, 1.0), Window(m, m, -2, 2))
+        assert np.all(f.values == m * math.log(1e10))
+        assert np.abs(f.values).max() <= MAX_FIELD_VALUE
 
 
 class TestFlowerAngleSum:
@@ -98,6 +114,24 @@ class TestFlowerClosure:
         assert "[-50.0, 50.0]" in str(info.value)
         assert f"a2 = -a1 = {-a1}" in str(info.value)
         assert "|a1| < 50.0" in str(info.value)
+
+
+class TestFlowerClosurePrecision:
+    """The residual is flat near its root, so a residual target would stop
+    early; bisection to the bracket's float resolution lands on -a1."""
+
+    SLOPES = (-100.0, -5.0, 0.0, 1.0, 10.0, 1000.0)
+
+    @pytest.mark.parametrize("a1", [-10.0, -7.5, -5.0, -1.0, -0.1, 0.0, 0.3, 1.0, 5.0,
+                                    9.99, 10.0])
+    def test_root_within_1e_12_for_moderate_offsets(self, a1):
+        for k1 in self.SLOPES:
+            assert abs(solve_flower_closure(a1, k1) + a1) <= 1e-12, k1
+
+    @pytest.mark.parametrize("a1", [49.999, -49.999])
+    def test_root_within_1e_3_near_the_bracket_end(self, a1):
+        for k1 in self.SLOPES:
+            assert abs(solve_flower_closure(a1, k1) + a1) <= 1e-3, k1
 
 
 class TestClassify:
