@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -83,9 +84,8 @@ def faces_containing_edge(v: Vertex, w: Vertex) -> tuple[Face, Face]:
     k = _OFFSET_INDEX.get(off)
     if k is None:
         raise ValueError(f"{v} and {w} are not adjacent")
-    left = (v[0] + NEIGHBOR_OFFSETS[(k + 1) % 6][0], v[1] + NEIGHBOR_OFFSETS[(k + 1) % 6][1])
-    right = (v[0] + NEIGHBOR_OFFSETS[(k - 1) % 6][0], v[1] + NEIGHBOR_OFFSETS[(k - 1) % 6][1])
-    return canonical_face(v, w, left), canonical_face(v, right, w)
+    nbrs = neighbors(v)
+    return canonical_face(v, w, nbrs[(k + 1) % 6]), canonical_face(v, nbrs[k - 1], w)
 
 
 def graph_distance(v: Vertex, w: Vertex) -> int:
@@ -121,6 +121,11 @@ class Window:
     n_max: int
 
     def __post_init__(self) -> None:
+        try:  # Python ints: numpy corners overflow counts and make flags that cannot index lists
+            for corner in fields(self):
+                object.__setattr__(self, corner.name, operator.index(getattr(self, corner.name)))
+        except TypeError:
+            raise ValueError(f"window corners must be integers, got {self}") from None
         if self.m_min > self.m_max or self.n_min > self.n_max:
             raise ValueError(f"empty window: {self}")
 

@@ -103,10 +103,14 @@ class Anchor:
             object.__setattr__(self, "vertex", tuple(map(operator.index, self.vertex)))
         except TypeError:
             raise ValueError(f"vertex must be a pair of integers, got {self.vertex!r}") from None
-        mag = abs(self.direction)
-        if not (math.isfinite(mag) and mag > 0):
+        if not cmath.isfinite(self.center):
+            raise ValueError(f"center must be finite, got {self.center!r}")
+        # Scaled to a largest component of 1, so that abs neither overflows nor underflows.
+        scale = max(abs(self.direction.real), abs(self.direction.imag))
+        if not (cmath.isfinite(self.direction) and scale > 0):
             raise ValueError(f"direction must be a nonzero vector, got {self.direction!r}")
-        object.__setattr__(self, "direction", self.direction / mag)
+        unit = self.direction / scale
+        object.__setattr__(self, "direction", unit / abs(unit))
 
 
 class Layout:

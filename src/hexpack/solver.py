@@ -281,12 +281,6 @@ def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> Non
     vals[centre] = t
 
 
-def _sweep(vals: np.ndarray, grid: _Grid) -> None:
-    """One Gauss-Seidel sweep: the three colour classes in turn."""
-    for centre, ring in grid.colours:
-        _solve_colour(vals, centre, ring)
-
-
 def _pcg(mat: scipy.sparse.csc_matrix, precondition: Callable[[np.ndarray], np.ndarray],
          b: np.ndarray, rtol: float) -> np.ndarray | None:
     """Conjugate gradients from zero for ``mat @ x = b``, preconditioned by
@@ -393,7 +387,8 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
         defects = _newton_step(vals, grid, defects) if newton else None
         if defects is None:
             fallback = "gauss-seidel" if newton else None
-            _sweep(vals, grid)
+            for centre, ring in grid.colours:
+                _solve_colour(vals, centre, ring)
             defects = _defects(vals.reshape(grid.shape))
         iterations += 1
 

@@ -272,6 +272,16 @@ class TestWindow:
         assert w.num_vertices == 441
         assert len(w.interior_vertices()) == 361
 
+    def test_numpy_corners_are_stored_as_python_ints(self):
+        w = Window(np.int32(-50000), np.int32(50000), np.int32(-50000), np.int32(50000))
+        assert all(type(c) is int for c in (w.m_min, w.m_max, w.n_min, w.n_max))
+        assert w.num_vertices == 10_000_200_001  # no int32 overflow
+
+    @pytest.mark.parametrize("corners", [(0.5, 1.5, 0, 1), (0, 1, 0.0, 1), (0, 1, "0", 1)])
+    def test_non_integer_corners_rejected(self, corners):
+        with pytest.raises(ValueError, match=r"window corners must be integers, got Window\("):
+            Window(*corners)
+
 
 class TestScalarField:
     def test_get_set(self):

@@ -29,6 +29,7 @@ from hexpack.layout import (
     min_face_orientation,
     ring_ratio_bound,
 )
+from hexpack.render import render_svg
 from hexpack.solver import solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -179,6 +180,30 @@ class TestBasePositions:
     def test_direction_must_be_a_nonzero_finite_vector(self, direction):
         with pytest.raises(ValueError, match="direction must be a nonzero vector"):
             Anchor((0, 0), direction=direction)
+
+    @pytest.mark.parametrize("direction", [5e-324 + 5e-324j, 1e-320 + 1e-320j,
+                                           1.5e308 + 1.5e308j])
+    def test_direction_of_any_finite_size_is_normalised(self, direction):
+        anchor = Anchor((0, 0), direction=direction)
+        assert abs(anchor.direction - (1 + 1j) / math.sqrt(2.0)) <= 2.3e-16
+        u = ScalarField.constant(Window(-2, 2, -2, 2), 0.0)
+        assert max_tangency_residual(develop(u, anchor)) <= 1e-14
+
+    @pytest.mark.parametrize("center", [complex(math.inf, 0.0), complex(0.0, math.nan)])
+    def test_center_must_be_finite(self, center):
+        with pytest.raises(ValueError, match="center must be finite"):
+            Anchor((0, 0), center=center)
+
+    @pytest.mark.parametrize("vertex", [None, (-4, -4), (4, 4), (-4, 4)])
+    def test_window_of_numpy_integers(self, vertex):
+        # the same layout, SVG and JSON as on the window of Python ints
+        base = None if vertex is None else Anchor(vertex)
+        layouts = [develop(spiral_field(SpiralParams(1.0, 1.2, 0.85), window), base)
+                   for window in (Window(*(np.int64(c) for c in (-4, 4, -4, 4))),
+                                  Window(-4, 4, -4, 4))]
+        assert max_tangency_residual(layouts[0]) <= 1e-12
+        assert render_svg(layouts[0]) == render_svg(layouts[1])
+        assert layout_to_json(layouts[0]) == layout_to_json(layouts[1])
 
 
 class TestCircle:
