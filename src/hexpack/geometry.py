@@ -181,10 +181,10 @@ def _edge_partials(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def face_partials(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Symmetric partials of faces with log radii p, q, r on the edges qr, rp
-    and pq, stacked (3, ...): d(angle at q)/d(r) = d(angle at r)/d(q) first."""
-    x = _edge_differences(p, q, r)
-    return _edge_partials(x.reshape(3, -1)).reshape(x.shape)
+    """Symmetric partials of faces with log radii p, q, r, arrays of one or
+    more dimensions, on the edges qr, rp and pq, stacked (3, ...):
+    d(angle at q)/d(r) = d(angle at r)/d(q) first."""
+    return _edge_partials(_edge_differences(p, q, r))
 
 
 def inner_angles(u: Triple) -> tuple[float, float, float]:

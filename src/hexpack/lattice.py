@@ -147,9 +147,6 @@ class Window:
     def is_interior(self, v: Vertex) -> bool:
         return self.m_min < v[0] < self.m_max and self.n_min < v[1] < self.n_max
 
-    def is_boundary(self, v: Vertex) -> bool:
-        return self.contains(v) and not self.is_interior(v)
-
     def vertices(self) -> list[Vertex]:
         return [(m, n) for n in range(self.n_min, self.n_max + 1)
                 for m in range(self.m_min, self.m_max + 1)]
@@ -159,7 +156,7 @@ class Window:
                 for m in range(self.m_min + 1, self.m_max)]
 
     def boundary_vertices(self) -> list[Vertex]:
-        return [v for v in self.vertices() if self.is_boundary(v)]
+        return [v for v in self.vertices() if not self.is_interior(v)]
 
     def center_vertex(self) -> Vertex:
         return ((self.m_min + self.m_max) // 2, (self.n_min + self.n_max) // 2)

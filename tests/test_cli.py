@@ -278,6 +278,14 @@ class TestRenderCommand:
         # different anchor vertex, different circle coordinates
         assert out_a.read_bytes() != out_b.read_bytes()
 
+    def test_exact_spiral_with_coinciding_float_centres(self, runner, tmp_path):
+        # the smallest circles, radius ~1e-19, share float centres near |z| ~ 1.8
+        src = write_spiral(runner, tmp_path / "u.csv", 3, 1, window="-40:40,-40:40")
+        out = tmp_path / "fig.svg"
+        result = run(runner, "render", "--in", src, "--out", out)
+        assert result.exit_code == 0, result.output
+        assert out.read_text().count("<circle") == 6561
+
     def test_residual_color_map(self, runner, tmp_path):
         src = write_spiral(runner, tmp_path / "u.csv", 1.1, 0.95, window="-4:4,-4:4")
         out = tmp_path / "res.svg"

@@ -117,6 +117,24 @@ class TestDevelop:
         assert max_tangency_residual(lay) <= 1e-9
         assert min_face_orientation(lay) > 0.0
 
+    @pytest.mark.parametrize("x, y, half", [(1.2, 0.85, 60), (3.0, 1.0, 40)])
+    @pytest.mark.parametrize("corner", [None, (-1, -1), (1, -1), (-1, 1), (1, 1)],
+                             ids=["centre", "lower-left", "lower-right", "upper-left",
+                                  "upper-right"])
+    def test_exact_spiral_tangent_over_the_picture(self, x, y, half, corner):
+        # circles of radius ~1e-19 share a float centre with their neighbours
+        # on the (3, 1) window; each edge's direction must not come from them
+        base = None if corner is None else Anchor((corner[0] * half, corner[1] * half))
+        lay = develop(spiral(x, y, half), base)
+        z, r = lay.centers, lay.radii
+        assert np.isfinite(z).all()
+        # the larger side of the circles' bounding box
+        span = max(np.max(part + r) - np.min(part - r) for part in (z.real, z.imag))
+        edges = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:]),
+                 (np.s_[:-1, 1:], np.s_[1:, :-1]))
+        error = max(np.max(np.abs(np.abs(z[a] - z[b]) - (r[a] + r[b]))) for a, b in edges)
+        assert error <= 1e-12 * span
+
     @pytest.mark.parametrize("window", [Window(0, 4, 0, 0), Window(0, 0, -2, 2)])
     def test_rejects_one_row_or_column(self, window):
         with pytest.raises(ValueError, match="two rows"):

@@ -6,10 +6,14 @@ the benchmark's inputs.
 For each workload of ``perfbench/workloads.py`` and seeds 1-3, the case
 that ``make_case`` draws is built in a fresh directory per tree, and its
 commands run one by one as ``python -m hexpack.cli ...`` with
-``PYTHONPATH=<tree>/src``.  The exit codes, stdout and stderr (with the
-directory's path replaced) and every file left in the directory must be
-equal byte for byte.  Prints one line per case and exits 1 on any
-difference.  ``perfbench/`` is only imported, never written to.
+``PYTHONPATH=<tree>/src``.  Two commands that no workload runs follow:
+a ``render --base`` at the window's upper right corner, and on the
+``readme-gs`` window (larger ones take minutes) a ``solve --mode
+gauss-seidel``.  One more case runs ``--help`` and each command's
+``--help``.  The exit codes, stdout and stderr (with the directory's path
+replaced) and every file left in the directory must be equal byte for
+byte.  Prints one line per case and exits 1 on any difference.
+``perfbench/`` is only imported, never written to.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
 sys.dont_write_bytecode = True  # leaves no __pycache__ under perfbench/
@@ -26,26 +31,50 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
+COMMANDS = ("spiral", "solve", "verify", "harmonic", "render", "walk")
 
 
-def outputs(tree: Path, workload: str, seed: int) -> dict[str, bytes]:
-    """What one case's commands print and write with ``tree``'s package."""
+def outputs(tree: Path, work: Path, steps: list[tuple[str, list[str]]]) -> dict[str, bytes]:
+    """What the named commands print and write in ``work`` with ``tree``'s
+    package."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    here = os.fsencode(work)
+    out = {}
+    for name, args in steps:
+        proc = subprocess.run([sys.executable, "-m", "hexpack.cli", *args],
+                              cwd=work, env=env, capture_output=True)
+        out[f"{name} exit code"] = str(proc.returncode).encode()
+        out[f"{name} stdout"] = proc.stdout.replace(here, b"<work>")
+        out[f"{name} stderr"] = proc.stderr.replace(here, b"<work>")
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            out[f"file {path.relative_to(work)}"] = path.read_bytes()
+    return out
+
+
+def case_outputs(tree: Path, workload: str, seed: int) -> dict[str, bytes]:
+    """One case's commands, then the ones no workload runs."""
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         case = workloads.make_case(workload, seed, work)
-        here = os.fsencode(work)
-        out = {}
-        for step in case.steps:
-            proc = subprocess.run([sys.executable, "-m", "hexpack.cli", *step.args],
-                                  cwd=work, env=env, capture_output=True)
-            out[f"{step.name} exit code"] = str(proc.returncode).encode()
-            out[f"{step.name} stdout"] = proc.stdout.replace(here, b"<work>")
-            out[f"{step.name} stderr"] = proc.stderr.replace(here, b"<work>")
-        for path in sorted(work.rglob("*")):
-            if path.is_file():
-                out[f"file {path.relative_to(work)}"] = path.read_bytes()
-    return out
+        steps = [(step.name, step.args) for step in case.steps]
+        solve = next(args for name, args in steps if name == "solve")
+        source, solved = (solve[solve.index(flag) + 1] for flag in ("--in", "--out"))
+        half = workloads.HALF_WIDTH[workload]
+        steps.append(("render --base", ["render", "--in", solved, "--out", "corner.svg",
+                                        "--base", f"{half},{half}"]))
+        if workload == "readme-gs":
+            steps.append(("solve --mode gauss-seidel",
+                          ["solve", "--in", source, "--out", "gauss-seidel.csv",
+                           "--mode", "gauss-seidel", "--init", "zero"]))
+        return outputs(tree, work, steps)
+
+
+def help_outputs(tree: Path) -> dict[str, bytes]:
+    """``--help`` and each command's ``--help``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        steps = [("--help", ["--help"]), *((f"{c} --help", [c, "--help"]) for c in COMMANDS)]
+        return outputs(tree, Path(tmp), steps)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -57,14 +86,15 @@ def main(argv: list[str] | None = None) -> int:
     for tree in trees:
         if not (tree / "src" / "hexpack").is_dir():
             parser.error(f"{tree} holds no src/hexpack")
+    cases = [(f"{workload} seed {seed}", partial(case_outputs, workload=workload, seed=seed))
+             for workload in workloads.HALF_WIDTH for seed in SEEDS]
     differing = 0
-    for workload in workloads.HALF_WIDTH:
-        for seed in SEEDS:
-            old, new = (outputs(tree, workload, seed) for tree in trees)
-            diff = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
-            differing += bool(diff)
-            verdict = f"differ: {', '.join(diff)}" if diff else f"same, {len(old)} outputs"
-            print(f"{workload} seed {seed}: {verdict}", flush=True)
+    for label, run in [*cases, ("--help", help_outputs)]:
+        old, new = (run(tree) for tree in trees)
+        diff = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
+        differing += bool(diff)
+        verdict = f"differ: {', '.join(diff)}" if diff else f"same, {len(old)} outputs"
+        print(f"{label}: {verdict}", flush=True)
     return 1 if differing else 0
 
 
