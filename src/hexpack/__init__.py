@@ -42,7 +42,6 @@ from .layout import (
     Anchor,
     Circle,
     DefectTooLarge,
-    InconsistentPlacement,
     Layout,
     check_local_univalence,
     check_univalent_flower,

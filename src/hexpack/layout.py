@@ -9,8 +9,10 @@ two faces between two row edges; one turn puts the base's first edge
 along the anchor's direction.  The base circle sits at the anchor, its row
 follows by a cumulative sum of edge vectors, and every other row by
 cumulative sums up and down the columns.  Walking the six inner angles
-around each interior circle must return the first petal to its starting
-position; the gap of that loop stays at the local angle defect.
+around an interior circle turns its first petal by the angle defect d, so
+the loop misses by the chord 2 sin(|d|/2) in tangency distances (the
+flower's holonomy).  The gap is read from the defects: placed centers
+carry a float error of about ulp(|z|)/r, far above it on small circles.
 
 The flower functions read a vertex's petal offsets u(w) - u(v) and its six
 inner angles from ``solver._flower``.  The univalence and ratio checks
@@ -41,17 +43,12 @@ from .lattice import (
     Window,
     d1,
     faces,
-    interior_rings,
     neighbors,
 )
 from .solver import _flower, angle_defects
 
 # Largest angle defect a field may carry into the developing map.
 DEVELOP_DEFECT_TOL = 1e-8
-# Loop-closure gap (relative to the tangency distance) around one vertex
-# beyond which the development is declared inconsistent; ten times the
-# defect precondition, so it cannot fire for admissible fields.
-PLACEMENT_TOL = 1e-7
 # Angle-sum tolerance of the local univalence test and the flower closure.
 LOCAL_UNIVALENCE_TOL = 1e-9
 # Relative slack allowed in pairwise tangency / disjointness tests.
@@ -68,16 +65,6 @@ class DefectTooLarge(ValueError):
         )
         self.vertex = vertex
         self.defect = defect
-
-
-class InconsistentPlacement(RuntimeError):
-    def __init__(self, vertex: Vertex, discrepancy: float) -> None:
-        super().__init__(
-            f"developing around {vertex} misses its starting circle by "
-            f"{discrepancy:.3e} (relative); the development does not close up"
-        )
-        self.vertex = vertex
-        self.discrepancy = discrepancy
 
 
 @dataclass(frozen=True)
@@ -119,8 +106,9 @@ class Anchor:
 class Layout:
     """Circles on a window as read-only copies of the arrays ``centers``
     (complex) and ``radii``, shaped like a field's values (else a ValueError),
-    NaN where no circle sits.  ``monodromy_residual`` is the worst relative
-    loop-closure gap over the interior vertices."""
+    NaN where no circle sits.  ``monodromy_residual`` is the worst flower
+    loop gap over the interior vertices, 2 sin(|d|/2) in tangency distances
+    for an angle defect d."""
 
     def __init__(self, window: Window, centers: np.ndarray, radii: np.ndarray, base: Anchor,
                  monodromy_residual: float = 0.0) -> None:
@@ -157,9 +145,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     The window must be one vertex or at least two rows by two columns (else
     a ValueError), and every interior angle defect at most
     ``DEVELOP_DEFECT_TOL`` (else :class:`DefectTooLarge`).  The worst gap
-    of the flower loops around the interior vertices is stored on the
-    layout; one above ``PLACEMENT_TOL`` raises :class:`InconsistentPlacement`,
-    which admissible fields cannot reach.  A radius exp(u) that is not a
+    of the flower loops around the interior vertices, 2 sin(|d|/2) for a
+    defect d, is stored on the layout.  A radius exp(u) that is not a
     positive normal float (a subnormal one has too few bits for the
     tangencies to close), an overflowing tangency distance r_v + r_w and an
     overflowing center raise a ValueError naming the vertex.
@@ -174,7 +161,6 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     if min(rows, cols) < 2 and window.num_vertices > 1:
         raise ValueError(f"develop needs a single vertex or a window at least two rows "
                          f"tall and two columns wide, got {window}")
-    centre, ring = interior_rings(window)
     defects = angle_defects(u)
     bad = np.flatnonzero(np.abs(defects) > DEVELOP_DEFECT_TOL)
     if bad.size:
@@ -230,18 +216,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     if bad.size:
         raise ValueError(f"circle at {window.vertices()[bad[0]]} is placed outside the "
                          "float range")
-    worst = 0.0
-    if centre.size:
-        # How far the first petal misses itself, turned by the six angles:
-        # by e^(i (2 pi - defect)) = e^(-i defect).
-        z, rad, petal = centers.ravel(), radii.ravel(), ring[:, 0]
-        closed = z[centre] + (z[petal] - z[centre]) * np.exp(-1j * defects)
-        gaps = np.abs(closed - z[petal]) / (rad[centre] + rad[petal])
-        bad = np.flatnonzero(gaps > PLACEMENT_TOL)
-        if bad.size:
-            raise InconsistentPlacement(window.interior_vertices()[bad[0]], float(gaps[bad[0]]))
-        worst = float(gaps.max())
-    return Layout(window, centers, radii, base, worst)
+    return Layout(window, centers, radii, base,
+                  float(np.max(2.0 * np.sin(0.5 * np.abs(defects)), initial=0.0)))
 
 
 def max_tangency_residual(layout: Layout) -> float:

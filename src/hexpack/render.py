@@ -8,6 +8,7 @@ Identical inputs produce byte-identical documents.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +46,16 @@ def _colors(layout: Layout, style: RenderStyle, values: np.ndarray | None) -> li
         if np.shape(values) != r.shape:  # None has shape ()
             raise ValueError(f"the residual color map needs values of shape {r.shape}")
         data = values
+    elif style.color_map == "log-radius":
+        data = np.log(r)
     else:
-        data = np.log(r) if style.color_map == "log-radius" else np.pad(
-            np.log(r[:, 1:] / r[:, :-1]), ((0, 0), (0, 1)), constant_values=np.nan)
+        # log r(m+1, n) - log r(m, n); a ratio that is not a normal float
+        # takes the difference of the logs instead
+        with np.errstate(all="ignore"):
+            ratio = r[:, 1:] / r[:, :-1]
+            d1u = np.where((ratio >= sys.float_info.min) & (ratio < math.inf), np.log(ratio),
+                           np.log(r[:, 1:]) - np.log(r[:, :-1]))
+        data = np.pad(d1u, ((0, 0), (0, 1)), constant_values=np.nan)
     t = np.array(layout.placed(data)[2], dtype=float)
     known = t[~np.isnan(t)]
     lo, hi = (known.min(), known.max()) if known.size else (0.0, 0.0)

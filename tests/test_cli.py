@@ -278,13 +278,18 @@ class TestRenderCommand:
         # different anchor vertex, different circle coordinates
         assert out_a.read_bytes() != out_b.read_bytes()
 
-    def test_exact_spiral_with_coinciding_float_centres(self, runner, tmp_path):
+    @pytest.mark.parametrize("x, y, half, base", [(3, 1, 40, None), (1.5, 1.5, 60, "-60,60")])
+    def test_exact_spiral_with_coinciding_float_centres(self, runner, tmp_path, x, y, half, base):
         # the smallest circles, radius ~1e-19, share float centres near |z| ~ 1.8
-        src = write_spiral(runner, tmp_path / "u.csv", 3, 1, window="-40:40,-40:40")
+        # on the (3, 1) window; from the upper left corner of the (1.5, 1.5)
+        # window the centres' float error is far above the defects
+        window = f"-{half}:{half},-{half}:{half}"
+        src = write_spiral(runner, tmp_path / "u.csv", x, y, window=window)
         out = tmp_path / "fig.svg"
-        result = run(runner, "render", "--in", src, "--out", out)
+        extra = ["--base", base] if base else []
+        result = run(runner, "render", "--in", src, "--out", out, *extra)
         assert result.exit_code == 0, result.output
-        assert out.read_text().count("<circle") == 6561
+        assert out.read_text().count("<circle") == (2 * half + 1) ** 2
 
     def test_residual_color_map(self, runner, tmp_path):
         src = write_spiral(runner, tmp_path / "u.csv", 1.1, 0.95, window="-4:4,-4:4")

@@ -30,10 +30,14 @@ from hexpack.layout import (
     ring_ratio_bound,
 )
 from hexpack.render import render_svg
-from hexpack.solver import solve_patch
+from hexpack.solver import angle_defects, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
 UNIVALENCE_BREAK_X = 5.0 + 2.0 * math.sqrt(6.0)
+# the base at the window's centre or at one of its corners, as unit signs
+BASE_CORNERS = pytest.mark.parametrize(
+    "corner", [None, (-1, -1), (1, -1), (-1, 1), (1, 1)],
+    ids=["centre", "lower-left", "lower-right", "upper-left", "upper-right"])
 
 
 def spiral(x, y, half=4):
@@ -117,13 +121,13 @@ class TestDevelop:
         assert max_tangency_residual(lay) <= 1e-9
         assert min_face_orientation(lay) > 0.0
 
-    @pytest.mark.parametrize("x, y, half", [(1.2, 0.85, 60), (3.0, 1.0, 40)])
-    @pytest.mark.parametrize("corner", [None, (-1, -1), (1, -1), (-1, 1), (1, 1)],
-                             ids=["centre", "lower-left", "lower-right", "upper-left",
-                                  "upper-right"])
+    @pytest.mark.parametrize("x, y, half", [(1.2, 0.85, 60), (3.0, 1.0, 40), (1.5, 1.5, 60)])
+    @BASE_CORNERS
     def test_exact_spiral_tangent_over_the_picture(self, x, y, half, corner):
         # circles of radius ~1e-19 share a float centre with their neighbours
-        # on the (3, 1) window; each edge's direction must not come from them
+        # on the (3, 1) window; each edge's direction must not come from them.
+        # On the (1.5, 1.5) window, placed from its upper left corner, the
+        # centres' float error is far above the defects.
         base = None if corner is None else Anchor((corner[0] * half, corner[1] * half))
         lay = develop(spiral(x, y, half), base)
         z, r = lay.centers, lay.radii
@@ -134,6 +138,13 @@ class TestDevelop:
                  (np.s_[:-1, 1:], np.s_[1:, :-1]))
         error = max(np.max(np.abs(np.abs(z[a] - z[b]) - (r[a] + r[b]))) for a, b in edges)
         assert error <= 1e-12 * span
+
+    @BASE_CORNERS
+    def test_monodromy_is_the_defect_gap_from_every_base(self, corner):
+        # the loop gap comes from the defects, not from the centres' float error
+        u = spiral(1.4, 1.4, half=60)
+        base = None if corner is None else Anchor((corner[0] * 60, corner[1] * 60))
+        assert develop(u, base).monodromy_residual <= np.abs(angle_defects(u)).max()
 
     @pytest.mark.parametrize("window", [Window(0, 4, 0, 0), Window(0, 0, -2, 2)])
     def test_rejects_one_row_or_column(self, window):

@@ -98,6 +98,13 @@ class TestRenderSvg:
             "#f5f0f1", "#f7f7f7", "#2e6fb1", "#2e6fb1", "#bdcfe3", "#b2182b", "#2e6fb1",
             "#2166ac", "#f7f7f7", "#f7f7f7", "#f7f7f7"]
 
+    def test_d1u_ratio_past_the_float_range(self):
+        # r(1, n) / r(0, n) = exp(1400) overflows; the map takes log differences
+        u = ScalarField(Window(0, 2, 0, 1), [[-700.0, 700.0, 0.0], [-700.0, 700.0, 0.0]])
+        svg = render_svg(develop(u, Anchor((0, 0))), RenderStyle(color_map="d1u"))
+        assert [c for (_, _, _, c) in CIRCLE_RE.findall(svg)] == (
+            ["#b2182b"] * 2 + ["#2166ac"] * 2 + ["#f7f7f7"] * 2)
+
     def test_residual_map_needs_values(self):
         with pytest.raises(ValueError):
             render_svg(regular_layout(), RenderStyle(color_map="residual"))

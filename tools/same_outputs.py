@@ -6,8 +6,9 @@ the benchmark's inputs.
 For each workload of ``perfbench/workloads.py`` and seeds 1-3, the case
 that ``make_case`` draws is built in a fresh directory per tree, and its
 commands run one by one as ``python -m hexpack.cli ...`` with
-``PYTHONPATH=<tree>/src``.  Two commands that no workload runs follow:
-a ``render --base`` at the window's upper right corner, and on the
+``PYTHONPATH=<tree>/src``.  Commands that no workload runs follow: a
+``render --base`` at the window's upper right corner, a ``render
+--color-map d1u --base`` at its upper left corner, and on the
 ``readme-gs`` window (larger ones take minutes) a ``solve --mode
 gauss-seidel``.  One more case runs ``--help`` and each command's
 ``--help``.  The exit codes, stdout and stderr (with the directory's path
@@ -63,6 +64,9 @@ def case_outputs(tree: Path, workload: str, seed: int) -> dict[str, bytes]:
         half = workloads.HALF_WIDTH[workload]
         steps.append(("render --base", ["render", "--in", solved, "--out", "corner.svg",
                                         "--base", f"{half},{half}"]))
+        steps.append(("render --color-map d1u", ["render", "--in", solved, "--out", "d1u.svg",
+                                                 "--color-map", "d1u",
+                                                 "--base", f"-{half},{half}"]))
         if workload == "readme-gs":
             steps.append(("solve --mode gauss-seidel",
                           ["solve", "--in", source, "--out", "gauss-seidel.csv",
