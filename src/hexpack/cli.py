@@ -7,13 +7,15 @@ keys are the parameter names (``in_path`` for ``--in``, ``max_iter`` for
 (JSON integers or strings for integer options); click reads it as the
 command's default map, so explicit flags override the file, and unknown
 keys are rejected.  Exit codes: 0 success, 2 usage or input error (an
-unwritable output path included), 3 solver non-convergence.
+unwritable output path and a window past the memory available
+included), 3 solver non-convergence.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from contextlib import contextmanager
 
 import click
 import numpy as np
@@ -105,12 +107,30 @@ _config_option = click.option(
 )
 
 
+@contextmanager
+def _in_memory(what: str):
+    """Map a MemoryError in the block to a usage error naming ``what``."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise click.UsageError(f"{what} needs more memory than is available") from exc
+
+
+def _window_text(window: Window) -> str:
+    return f"{window.m_min}:{window.m_max},{window.n_min}:{window.n_max}"
+
+
 def _read_field(path: str) -> ScalarField:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with _in_memory(f"field CSV {path}"), open(path, encoding="utf-8") as fh:
             return read_field_csv(fh.read())
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot read field CSV {path}: {exc}") from exc
+
+
+def _field_memory(u: ScalarField, path: str):
+    """``_in_memory`` naming the window of the field read from ``path``."""
+    return _in_memory(f"window {_window_text(u.window)} of {path}")
 
 
 def _checked(fn, **kwargs):
@@ -154,11 +174,10 @@ def main() -> None:
 @_config_option
 def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     """Write the log-radius field of a Doyle spiral."""
-    w = f"{window.m_min}:{window.m_max},{window.n_min}:{window.n_max}"
+    w = _window_text(window)
     try:
-        text = write_field_csv(spiral_field(SpiralParams(r0, x, y), window))
-    except MemoryError as exc:
-        raise click.UsageError(f"--window {w} needs more memory than is available") from exc
+        with _in_memory(f"--window {w}"):
+            text = write_field_csv(spiral_field(SpiralParams(r0, x, y), window))
     except ValueError as exc:  # a log radius that read_field_csv would reject
         raise click.UsageError(
             f"--window {w} gives a log radius past {MAX_FIELD_VALUE:.0e}") from exc
@@ -187,13 +206,14 @@ def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
     """
     u0 = _read_field(in_path)
     opts = _checked(SolveOptions, tolerance=tol, max_iterations=max_iter, mode=mode, init=init)
-    try:  # InvalidPatch is the ValueError of a window without interior
-        solved, report = _checked(solve_patch, u0=u0, options=opts)
-    except NonConvergence as exc:
-        _write_text(out, write_field_csv(exc.field))
-        click.echo(exc.report.to_json())
-        ctx.exit(3)
-    _write_text(out, write_field_csv(solved))
+    with _field_memory(u0, in_path):
+        try:  # InvalidPatch is the ValueError of a window without interior
+            solved, report = _checked(solve_patch, u0=u0, options=opts)
+        except NonConvergence as exc:
+            _write_text(out, write_field_csv(exc.field))
+            click.echo(exc.report.to_json())
+            ctx.exit(3)
+        _write_text(out, write_field_csv(solved))
     click.echo(report.to_json())
 
 
@@ -209,23 +229,24 @@ def verify(in_path: str, order: int, tol: float) -> None:
     bound, and the field classification."""
     u = _read_field(in_path)
     window = u.window
-    defects = angle_defects(u)
-    max_defect = float(np.abs(defects).max()) if defects.size else None
+    with _field_memory(u, in_path):
+        defects = angle_defects(u)
+        max_defect = float(np.abs(defects).max()) if defects.size else None
 
-    weights = _edge_weights(u, order)
-    etas = weights.values[~np.isnan(weights.values)]
-    min_eta = float(etas.min()) if etas.size else None
-    max_eta = float(etas.max()) if etas.size else None
-    residuals = np.abs(harmonic_residuals(u, weights))
-    max_residual = None if np.isnan(residuals).all() else float(np.nanmax(residuals))
+        weights = _edge_weights(u, order)
+        etas = weights.values[~np.isnan(weights.values)]
+        min_eta = float(etas.min()) if etas.size else None
+        max_eta = float(etas.max()) if etas.size else None
+        residuals = np.abs(harmonic_residuals(u, weights))
+        max_residual = None if np.isnan(residuals).all() else float(np.nanmax(residuals))
 
-    min_d1_ratio = ring_ratio_bound(u) if window.m_count >= 2 else None
+        min_d1_ratio = ring_ratio_bound(u) if window.m_count >= 2 else None
 
-    if window.m_count >= 2 and window.n_count >= 2:
-        cls = classify(u, tol)
-        kind, k1, k2, spread = cls.kind, cls.k1, cls.k2, cls.spread
-    else:
-        kind = k1 = k2 = spread = None
+        if window.m_count >= 2 and window.n_count >= 2:
+            cls = classify(u, tol)
+            kind, k1, k2, spread = cls.kind, cls.k1, cls.k2, cls.spread
+        else:
+            kind = k1 = k2 = spread = None
 
     click.echo(json.dumps({
         "max_defect": max_defect,
@@ -249,7 +270,8 @@ def verify(in_path: str, order: int, tol: float) -> None:
 def harmonic(in_path: str, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
     u = _read_field(in_path)
-    _write_text(out, _edge_weights(u, order).to_csv())
+    with _field_memory(u, in_path):
+        _write_text(out, _edge_weights(u, order).to_csv())
 
 
 @main.command()
@@ -271,13 +293,14 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
     """Develop a field into circles and write an SVG figure."""
     u = _read_field(in_path)
     anchor = Anchor(base) if base is not None else None
-    lay = _checked(develop, u=u, base=anchor)
-    style = _checked(RenderStyle, stroke_width=stroke_width, color_map=color_map,
-                     padding=padding)
-    values = None
-    if color_map == "residual":
-        values = harmonic_residuals(u, _edge_weights(u, order))
-    _write_text(out, _checked(render_svg, layout=lay, style=style, values=values))
+    with _field_memory(u, in_path):
+        lay = _checked(develop, u=u, base=anchor)
+        style = _checked(RenderStyle, stroke_width=stroke_width, color_map=color_map,
+                         padding=padding)
+        values = None
+        if color_map == "residual":
+            values = harmonic_residuals(u, _edge_weights(u, order))
+        _write_text(out, _checked(render_svg, layout=lay, style=style, values=values))
 
 
 @main.command()
@@ -299,12 +322,11 @@ def walk(in_path: str, start: tuple[int, int], steps: int, trials: int, seed: in
     u = _read_field(in_path)
     if not u.window.contains(start):
         raise click.UsageError(f"--start {start[0]},{start[1]} is outside window {u.window}")
-    weights = _edge_weights(u, order)
-    try:
-        # Every trial is held at once: chunking the trials would reorder the draws.
+    with _field_memory(u, in_path):
+        weights = _edge_weights(u, order)
+    # Every trial is held at once: chunking the trials would reorder the draws.
+    with _in_memory(f"--trials {trials}"):
         report = random_walk_return(weights, start, steps, trials, seed)
-    except MemoryError as exc:
-        raise click.UsageError(f"--trials {trials} needs more memory than is available") from exc
     click.echo(report.to_json())
 
 

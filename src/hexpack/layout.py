@@ -41,11 +41,12 @@ from .lattice import (
     ScalarField,
     Vertex,
     Window,
+    corner_sums,
     d1,
     faces,
     neighbors,
 )
-from .solver import _flower, angle_defects
+from .solver import _flower
 
 # Largest angle defect a field may carry into the developing map.
 DEVELOP_DEFECT_TOL = 1e-8
@@ -161,7 +162,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     if min(rows, cols) < 2 and window.num_vertices > 1:
         raise ValueError(f"develop needs a single vertex or a window at least two rows "
                          f"tall and two columns wide, got {window}")
-    defects = angle_defects(u)
+    angles = face_angles(*faces(u.values))
+    defects = (TWO_PI - corner_sums(angles)[1:-1, 1:-1]).ravel()  # as angle_defects(u)
     bad = np.flatnonzero(np.abs(defects) > DEVELOP_DEFECT_TOL)
     if bad.size:
         raise DefectTooLarge(window.interior_vertices()[bad[0]], abs(float(defects[bad[0]])))
@@ -188,7 +190,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         ib, jb = base.vertex[1] - window.n_min, base.vertex[0] - window.m_min
         first = next((w for w in neighbors(base.vertex) if window.contains(w)), None)
         if first is not None:
-            at_p, at_q, at_r = face_angles(*faces(u.values))
+            at_p, at_q, at_r = angles
             # The angle of each row edge, up to one common turn: along row 0,
             # pi minus the angles above the row at each vertex; up a column,
             # across the faces A and B between two row edges.

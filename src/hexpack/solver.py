@@ -17,21 +17,30 @@ and the flower of ``_flower`` (its petal offsets and six angles, which
 ``angle_sum`` and the flower checks of ``layout`` read) from the six faces
 around each flower.  Each iterate's defects are evaluated once.
 
-A solve builds one ``_Grid`` and factors the interior graph Laplacian L
-(6 on the diagonal, -1 per interior neighbor) at most once, with SuperLU's
-diagonal pivots in a symmetric minimum-degree ordering, and only when the
-harmonic start or a Newton step needs it.  That factor gives the harmonic
-start, and it preconditions Newton's systems: the Hessian is a weighted
+A solve builds one ``_Grid``.  Its linear systems, the harmonic start's
+in the interior graph Laplacian L (6 on the diagonal, -1 per interior
+neighbor) and each Newton step's in the Hessian, are solved by one
+preconditioned conjugate-gradient routine over per-edge coefficients,
+with a matrix-free product.  The preconditioner is the inverse of the
+five-point Laplacian M of the interior rectangle, applied as four
+matrix products with the orthonormal sine (DST-I) matrices of its rows
+and columns, which diagonalise M (Concus and Golub, SIAM J. Numer. Anal.
+10, 1973).  M <= L <= 3M: L - M is the Laplacian of the anti-diagonal
+edges, and each of them is bounded by a two-edge lattice path,
+(a - c)^2 <= 2 (a - b)^2 + 2 (b - c)^2.  The Hessian is a weighted
 interior Laplacian whose weights the paper's ratio bound keeps uniformly
-elliptic, so it is spectrally equivalent to L.  This module is the only
-one that uses scipy, and it imports scipy inside ``_Grid``: the first
-``solve_patch`` or ``harmonic_interpolation`` call loads it, and importing
-hexpack does not.  There are two modes:
+elliptic, so it is spectrally equivalent to M as well (Axelsson,
+Iterative Solution Methods, 1994).  Only when conjugate gradients miss
+is a system solved exactly, by SuperLU with diagonal pivots in a
+symmetric minimum-degree ordering.  That exact step is the only use of
+scipy, imported there: importing hexpack, ``harmonic_interpolation``
+and a solve whose conjugate gradients converge load no scipy.  There are
+two modes:
 
 - "newton" (default) is inexact Newton (Dembo, Eisenstat and Steihaug,
   SIAM J. Numer. Anal. 19, 1982; Orick, Stephenson and Collins, Comput.
   Geom. 64, 2017).  Each step solves hessian @ delta = -defects by
-  conjugate gradients preconditioned with L's factor, to the forcing
+  conjugate gradients preconditioned with M^-1, to the forcing
   tolerance ||r|| <= eta ||defects||, eta = min(0.1, max |defect|), a
   forcing term in the style of Eisenstat and Walker (SIAM J. Sci. Comput.
   17, 1996).  When CG meets a non-positive curvature or runs out of steps,
@@ -55,14 +64,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import asdict, dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .geometry import TWO_PI, face_angles, face_partials
-from .lattice import (ScalarField, Vertex, Window, _ring_faces, corner_sums, edge_sums, faces,
-                      interior_rings, neighbors, ring_gather)
+from .lattice import (DIRECTIONS, ScalarField, Vertex, Window, _ring_faces, corner_sums, edge_sums,
+                      faces, interior_rings, neighbors, ring_gather)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -80,7 +89,7 @@ DEFAULT_MAX_ITERATIONS = 100_000
 # field tolerance and above angle-evaluation noise.
 _VERTEX_TOL = 1e-14
 
-# Conjugate-gradient steps per Newton step before the exact factor is used.
+# Conjugate-gradient steps per linear solve before the exact factor is used.
 _CG_STEPS = 200
 
 
@@ -169,40 +178,98 @@ def _defects(values: np.ndarray) -> np.ndarray:
 class _Grid:
     """Flat-index view of a window: the interior vertices, their six
     neighbors, the interior split into the three colour classes, and the
-    sparsity pattern of matrices over the interior.  scipy is imported
-    here and in the methods, so only a solve loads it."""
+    matrices over the interior of per-edge coefficients, stored as
+    ``edge_sums`` returns them and 0 off the edges with an interior end.
+
+    Such a matrix A has at each interior v the sum of v's six coefficients
+    on the diagonal and minus the coefficient of the edge vw at each
+    interior neighbor w.  ``product`` applies it without building it, and
+    ``precondition`` applies the inverse of the five-point Laplacian M of
+    the interior rectangle.  The interior graph Laplacian L (every
+    coefficient 1) satisfies M <= L <= 3M, and an A whose coefficients lie
+    in [c, C] satisfies c M <= A <= 3C M.  scipy is imported only in
+    ``matrix`` and ``factor``, for the exact solve that conjugate gradients
+    fall back to."""
 
     def __init__(self, window: Window) -> None:
-        import scipy.sparse
-
         self.shape = (window.n_count, window.m_count)
         self.centre, self.ring = interior_rings(window)
-        size = self.centre.size
-        pos = np.full(window.num_vertices, -1)
-        pos[self.centre] = np.arange(size)
         # (m + 2n) % 3 with the window's offset reduced first, as a Python
         # int, so that corners past int64 do not overflow.
         offset = (window.m_min + 2 * window.n_min) % 3
         colour = (offset + self.centre % window.m_count + 2 * (self.centre // window.m_count)) % 3
         self.colours = [(self.centre[colour == c], self.ring[colour == c]) for c in range(3)]
-        # The pattern of a matrix over the interior: the diagonal, then each
-        # row's interior neighbors, numbered in that order.
-        self.inner = pos[self.ring] >= 0
+        interior = np.zeros(self.shape, dtype=bool)
+        interior[1:-1, 1:-1] = True
+        self.inner = interior.ravel()[self.ring]
+        # The edges with an interior end, in ``edge_sums``' layout.
+        padded = np.pad(interior, 1)
+        rows, cols = self.shape
+        self.edge_mask = np.array([interior | padded[1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
+                                   for dm, dn in DIRECTIONS])
+
+    def product(self, edges: np.ndarray, p: np.ndarray) -> np.ndarray:
+        """The matrix of the per-edge coefficients ``edges`` times ``p``: at
+        each interior v, the sum of c_vw (p_v - p_w) over v's six edges, with
+        p = 0 on the boundary."""
+        full = np.zeros(self.shape)
+        full[1:-1, 1:-1] = p.reshape(full[1:-1, 1:-1].shape)
+        out = np.zeros(self.shape)
+        # The edges from v to v + (0, 1), v + (1, -1) and v + (1, 0).
+        for c, v, w in ((edges[0, :-1], np.s_[:-1], np.s_[1:]),
+                        (edges[1, 1:, :-1], np.s_[1:, :-1], np.s_[:-1, 1:]),
+                        (edges[2, :, :-1], np.s_[:, :-1], np.s_[:, 1:])):
+            flux = c * (full[v] - full[w])
+            out[v] += flux
+            out[w] -= flux
+        return out[1:-1, 1:-1].ravel()
+
+    @cached_property
+    def _sines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The orthonormal DST-I matrices of the interior's rows and columns,
+        which diagonalise the second difference in each axis, and the
+        eigenvalues of M on the interior rectangle."""
+        def basis(n: int) -> tuple[np.ndarray, np.ndarray]:
+            k = np.arange(1, n + 1)
+            # j k reduced mod 2(n + 1) first: the sine's argument stays below 2 pi.
+            step = np.pi / (n + 1)
+            sines = np.sqrt(2.0 / (n + 1)) * np.sin(step * (np.outer(k, k) % (2 * n + 2)))
+            return sines, 4.0 * np.sin(0.5 * step * k) ** 2
+
+        (s_rows, e_rows), (s_cols, e_cols) = (basis(n - 2) for n in self.shape)
+        return s_rows, s_cols, e_rows[:, None] + e_cols[None, :]
+
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        """M^-1 r: the sine transform diagonalises M in each axis."""
+        s_rows, s_cols, eig = self._sines
+        return (s_rows @ (s_rows @ r.reshape(eig.shape) @ s_cols / eig) @ s_cols).ravel()
+
+    @cached_property
+    def _csc(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
+        """The pattern of a CSC matrix over the interior, the diagonal and
+        then each row's interior neighbors numbered in that order, and the
+        positions of those entries in CSC order."""
+        import scipy.sparse
+
+        size = self.centre.size
+        pos = np.full(self.shape[0] * self.shape[1], -1)
+        pos[self.centre] = np.arange(size)
         index = np.arange(size)
         rows = np.concatenate([index, np.repeat(index, 6)[self.inner.ravel()]])
         cols = np.concatenate([index, pos[self.ring][self.inner]])
-        self.pattern = scipy.sparse.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
-                                               shape=(size, size))
-        self.csc_order = self.pattern.data.astype(int) - 1
+        pattern = scipy.sparse.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
+                                          shape=(size, size))
+        return pattern, pattern.data.astype(int) - 1
 
-    def matrix(self, diag: np.ndarray, coeff: np.ndarray) -> scipy.sparse.csc_matrix:
-        """CSC matrix over the interior with ``diag`` on the diagonal and
-        ``coeff[a, k]`` in row a at the column of interior neighbor k."""
+    def matrix(self, edges: np.ndarray) -> scipy.sparse.csc_matrix:
+        """The matrix of the per-edge coefficients ``edges``, in CSC form."""
         import scipy.sparse
 
-        data = np.concatenate([diag, coeff[self.inner]])[self.csc_order]
-        p = self.pattern
-        return scipy.sparse.csc_matrix((data, p.indices, p.indptr), shape=p.shape)
+        coeff = ring_gather(edges, self.centre, self.ring)
+        pattern, order = self._csc
+        data = np.concatenate([coeff.sum(axis=1), -coeff[self.inner]])[order]
+        return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr),
+                                       shape=pattern.shape)
 
     @staticmethod
     def factor(mat: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
@@ -214,19 +281,17 @@ class _Grid:
         return scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                         options={"SymmetricMode": True})
 
-    @cached_property
-    def laplacian(self) -> scipy.sparse.linalg.SuperLU:
-        """The factor of the interior graph Laplacian L (6 on the diagonal,
-        -1 per interior neighbor), made on first use."""
-        return self.factor(self.matrix(np.full(self.centre.size, 6.0),
-                                       np.full(self.inner.shape, -1.0)))
-
 
 def _harmonic(vals: np.ndarray, grid: _Grid) -> None:
     """Set the interior of the flat values to the graph-harmonic
     interpolation of their boundary, leaving the boundary untouched."""
     b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1)
-    vals[grid.centre] = grid.laplacian.solve(b)
+    # Scaled to a largest entry of 1, so that no norm overflows.
+    scale = float(np.abs(b).max())
+    if scale:
+        vals[grid.centre] = scale * _solve(grid, grid.edge_mask.astype(float), b / scale, 1e-14)
+    else:
+        vals[grid.centre] = 0.0
 
 
 def harmonic_interpolation(u0: ScalarField) -> ScalarField:
@@ -281,20 +346,21 @@ def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> Non
     vals[centre] = t
 
 
-def _pcg(mat: scipy.sparse.csc_matrix, precondition: Callable[[np.ndarray], np.ndarray],
+def _pcg(product: Callable[[np.ndarray], np.ndarray],
+         precondition: Callable[[np.ndarray], np.ndarray],
          b: np.ndarray, rtol: float) -> np.ndarray | None:
-    """Conjugate gradients from zero for ``mat @ x = b``, preconditioned by
+    """Conjugate gradients from zero for ``product(x) = b``, preconditioned by
     ``precondition`` (r -> M^-1 r), to ||r|| <= rtol ||b||.  Returns None on
     a non-positive curvature or after ``_CG_STEPS`` steps."""
     x = np.zeros_like(b)
     r = b.copy()
     z = precondition(r)
     p, rz, target = z, r @ z, rtol * np.linalg.norm(b)
-    # A nearly singular matrix can overflow x; the caller rejects a step
-    # that is not finite.
+    # A nearly singular matrix can overflow x, and an infinite coefficient
+    # makes the curvature NaN; the caller rejects a step that is not finite.
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_CG_STEPS):
-            q = mat @ p
+            q = product(p)
             curvature = p @ q
             if not curvature > 0.0:
                 return None
@@ -309,14 +375,13 @@ def _pcg(mat: scipy.sparse.csc_matrix, precondition: Callable[[np.ndarray], np.n
     return None
 
 
-def _direction(grid: _Grid, hessian: scipy.sparse.csc_matrix, defects: np.ndarray) -> np.ndarray:
-    """Newton's step delta, a solution of hessian @ delta = -defects: by
-    conjugate gradients preconditioned with L's factor, to the forcing
-    tolerance min(0.1, max |defect|), else by an exact factor of the
-    Hessian.  Raises RuntimeError when that factor is exactly singular."""
-    rtol = min(0.1, float(np.abs(defects).max()))
-    delta = _pcg(hessian, grid.laplacian.solve, -defects, rtol)
-    return grid.factor(hessian).solve(-defects) if delta is None else delta
+def _solve(grid: _Grid, edges: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
+    """A solution of A x = b for the matrix A of the per-edge coefficients
+    ``edges``: by conjugate gradients preconditioned with M^-1, to
+    ||A x - b|| <= rtol ||b||, else by an exact factor of A.  Raises
+    RuntimeError when that factor is exactly singular."""
+    x = _pcg(partial(grid.product, edges), grid.precondition, b, rtol)
+    return grid.factor(grid.matrix(edges)).solve(b) if x is None else x
 
 
 def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarray | None:
@@ -324,13 +389,13 @@ def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarr
     search of the module docstring.  Returns the defects at the accepted
     point, or None, leaving ``vals`` as it was, when it finds no step."""
     centre, values = grid.centre, vals.reshape(grid.shape)  # a view of vals
-    # d(angle sum)/d(u of neighbor k): the partials of the two faces at that edge.
+    # d(angle sum at v)/d(u at w): the partials of the two faces at the edge
+    # vw.  Their matrix is the functional's Hessian, minus the Jacobian of
+    # the angle sums.
     with np.errstate(over="ignore"):  # an infinite partial in the Hessian leaves no step
-        coeff = ring_gather(edge_sums(face_partials(*faces(values))), centre, grid.ring)
-    # The functional's Hessian, minus the Jacobian of the angle sums.
-    hessian = grid.matrix(coeff.sum(axis=1), -coeff)
+        edges = np.where(grid.edge_mask, edge_sums(face_partials(*faces(values))), 0.0)
     try:
-        delta = _direction(grid, hessian, defects)
+        delta = _solve(grid, edges, -defects, min(0.1, float(np.abs(defects).max())))
     except RuntimeError:
         return None
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite: rejected below

@@ -654,9 +654,9 @@ class TestWindowAndVertexValues:
         assert "--start VERTEX" in run(runner, "walk", "--help").output
 
 
-# scipy serves only the solver's sparse factor, so it loads on the first
-# solve and not before.  Each check runs in a fresh interpreter, because
-# this one has long since loaded scipy.
+# scipy serves only the solver's exact step, taken when conjugate gradients
+# miss, so it loads there and nowhere else.  Each check runs in a fresh
+# interpreter, because this one has long since loaded scipy.
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -705,6 +705,43 @@ def test_solve_writes_nothing_to_stderr(tmp_path, field):
     assert result.stderr == ""
 
 
+# The child limits its own address space to 32 MB past what it holds after
+# its imports: reading the 401x401 field fits, each command's work does
+# not.  BLAS runs on one thread, and its buffers and numpy.random load
+# before the limit, since a failure there aborts the process instead of
+# raising MemoryError.
+LIMITED_CHILD = textwrap.dedent("""\
+    import resource, sys
+    import numpy as np, numpy.random
+    from hexpack.cli import main
+    np.ones((64, 64)) @ np.ones((64, 64))
+    with open("/proc/self/statm") as fh:
+        held = int(fh.read().split()[0]) * resource.getpagesize()
+    hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+    resource.setrlimit(resource.RLIMIT_AS, (held + 32 * 2**20, hard))
+    main(sys.argv[1:])
+""")
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--out", "s.csv"], ["verify"], ["harmonic", "--out", "w.csv"],
+    ["render", "--out", "f.svg"], ["walk"],
+])
+def test_command_past_memory_exits_2_naming_the_window(tmp_path, command):
+    src = tmp_path / "u.csv"
+    src.write_text(write_field_csv(spiral_field(SpiralParams(1.0, 1.001, 0.999),
+                                                Window(-200, 200, -200, 200))))
+    threads = dict.fromkeys(["OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"], "1")
+    result = subprocess.run(
+        [sys.executable, "-c", LIMITED_CHILD, command[0], "--in", "u.csv", *command[1:]],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, **threads, "PYTHONPATH": str(SRC)})
+    assert result.returncode == 2, result.stderr
+    assert ("Error: window -200:200,-200:200 of u.csv needs more memory than is available"
+            in result.stderr)
+    assert "Traceback" not in result.stderr
+
+
 @pytest.mark.parametrize("window, expected", [
     (Window(0, 0, 0, 0), dict.fromkeys([
         "max_defect", "min_eta", "max_eta", "max_harmonic_residual", "min_d1_ratio",
@@ -745,6 +782,7 @@ class TestScipyLoadsOnlyToSolve:
         code = textwrap.dedent("""\
             import json, sys
             from click.testing import CliRunner
+            import hexpack.solver
             from hexpack.cli import main
             runner, steps = CliRunner(), []
             for args in (
@@ -753,16 +791,21 @@ class TestScipyLoadsOnlyToSolve:
                     "harmonic --in u.csv --out w.csv --order 8",
                     "render --in u.csv --out f.svg --color-map d1u --order 8",
                     "walk --in u.csv --steps 2 --trials 100 --seed 1 --order 8",
-                    "solve --in u.csv --out s.csv --init zero"):
+                    "solve --in u.csv --out s.csv --init zero",
+                    "solve --in u.csv --out s.csv"):
                 result = runner.invoke(main, args.split())
                 steps.append([args.split()[0], result.exit_code, "scipy" in sys.modules])
+            # one conjugate-gradient step is too few: the exact step loads scipy
+            hexpack.solver._CG_STEPS = 1
+            result = runner.invoke(main, "solve --in u.csv --out s.csv".split())
+            steps.append(["exact step", result.exit_code, "scipy" in sys.modules])
             print(json.dumps(steps))
         """)
         steps = run_fresh(code, tmp_path)
         assert [name for name, _, _ in steps] == [
-            "spiral", "verify", "harmonic", "render", "walk", "solve"]
+            "spiral", "verify", "harmonic", "render", "walk", "solve", "solve", "exact step"]
         assert all(status == 0 for _, status, _ in steps), steps
-        assert [loaded for _, _, loaded in steps] == [False] * 5 + [True]
+        assert [loaded for _, _, loaded in steps] == [False] * 7 + [True]
 
 
 # Fuzzed CLI contract: every command exits 0, 2 or 3 and raises nothing but

@@ -13,14 +13,18 @@ commands run one by one as ``python -m hexpack.cli ...`` with
 gauss-seidel``.  One more case runs ``--help`` and each command's
 ``--help``.  The exit codes, stdout and stderr (with the directory's path
 replaced) and every file left in the directory must be equal byte for
-byte.  Prints one line per case and exits 1 on any difference.
-``perfbench/`` is only imported, never written to.
+byte.  Prints one line per case and exits 1 on any difference.  An
+output whose two versions differ only in their numbers (the same text
+between them and as many numbers) gets one more line with the largest
+absolute and relative difference of those numbers.  ``perfbench/`` is
+only imported, never written to.
 """
 
 from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -33,6 +37,20 @@ import workloads  # noqa: E402
 
 SEEDS = (1, 2, 3)
 COMMANDS = ("spiral", "solve", "verify", "harmonic", "render", "walk")
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+
+
+def numeric_difference(old: bytes, new: bytes) -> tuple[float, float] | None:
+    """The largest absolute and relative difference between the numbers of
+    two outputs that differ in nothing else, else None.  The relative
+    difference of two numbers is taken against the larger magnitude."""
+    old_text, new_text = NUMBER.split(old), NUMBER.split(new)
+    if old_text != new_text:  # also unequal when the counts of numbers differ
+        return None
+    a = [float(x) for x in NUMBER.findall(old)]
+    b = [float(x) for x in NUMBER.findall(new)]
+    diffs = [(abs(x - y), abs(x - y) / max(abs(x), abs(y))) for x, y in zip(a, b) if x != y]
+    return max((d for d, _ in diffs), default=0.0), max((r for _, r in diffs), default=0.0)
 
 
 def outputs(tree: Path, work: Path, steps: list[tuple[str, list[str]]]) -> dict[str, bytes]:
@@ -99,6 +117,11 @@ def main(argv: list[str] | None = None) -> int:
         differing += bool(diff)
         verdict = f"differ: {', '.join(diff)}" if diff else f"same, {len(old)} outputs"
         print(f"{label}: {verdict}", flush=True)
+        for key in diff:
+            numeric = numeric_difference(old.get(key, b""), new.get(key, b""))
+            if numeric is not None:
+                print(f"  {key}: numbers only, largest difference {numeric[0]:.3g} absolute, "
+                      f"{numeric[1]:.3g} relative", flush=True)
     return 1 if differing else 0
 
 
