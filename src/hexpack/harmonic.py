@@ -38,6 +38,7 @@ import numpy as np
 from .geometry import _edge_differences, _edge_partials, dtheta_dx1_array
 from .lattice import (
     DIRECTIONS,
+    NEIGHBOR_OFFSETS,
     Face,
     ScalarField,
     Vertex,
@@ -45,9 +46,10 @@ from .lattice import (
     edge_sums,
     faces,
     faces_containing_edge,
-    interior_rings,
+    neighbor_values,
     neighbors,
     ring_gather,
+    rings,
     translate,
 )
 
@@ -239,19 +241,19 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     such as one that underflows to zero or a NaN from overflowing log radii,
     raises a ValueError naming its edge.
     """
-    window, rows, cols = u.window, u.window.n_count, u.window.m_count
-    values = np.full((3, rows, cols), np.nan)
+    window = u.window
+    values = np.full((3, window.n_count, window.m_count), np.nan)
     stored = np.zeros(values.shape, dtype=bool)
-    if cols >= 2:
+    if window.m_count >= 2:
         partials = _integrated_partials(u.values, quad)
         values[:, :, :-1] = edge_sums(partials)
         # The edges with two faces on m_min .. m_max - 1, whatever their weights.
         stored[:, :, :-1] = ~np.isnan(edge_sums(np.zeros_like(partials)))
     if around is not None:
         # The edges from v to v + DIRECTIONS[k] with either end in the set.
-        at = np.pad(ScalarField.from_function(window, around.__contains__).values, 1) > 0
-        stored &= [at[1:-1, 1:-1] | at[1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
-                   for dm, dn in DIRECTIONS]
+        at = ScalarField.from_function(window, around.__contains__).values > 0
+        near = neighbor_values(at, False)
+        stored &= [at | near[..., NEIGHBOR_OFFSETS.index(d)] for d in DIRECTIONS]
     _check_range(window, values, stored)
     return EdgeWeights(window, np.where(stored, values, np.nan))
 
@@ -278,11 +280,11 @@ def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> np.ndarray:
     incident weights are stored."""
     if weights.window != u.window:
         raise ValueError(f"weights on {weights.window} do not match field window {u.window}")
-    d1u = np.pad(np.diff(u.values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan).ravel()
-    centre, ring = interior_rings(u.window)
-    etas = ring_gather(weights.values, centre, ring)
+    d1u = np.pad(np.diff(u.values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan)
+    etas, ring, centre = ring_gather(weights.values), rings(d1u), d1u[1:-1, 1:-1].ravel()
     out = np.full(u.values.shape, np.nan)
-    out.flat[centre] = sum(etas[:, k] * (d1u[ring[:, k]] - d1u[centre]) for k in range(6))
+    inner = out[1:-1, 1:-1]
+    inner[...] = sum(etas[:, k] * (ring[:, k] - centre) for k in range(6)).reshape(inner.shape)
     return out
 
 
@@ -342,8 +344,8 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     nbr_idx = np.full((window.num_vertices + 2, 6), censored, dtype=np.int64)
     cum = np.ones((window.num_vertices + 2, 6))
     # Only interior vertices can have all six weights, so only they step.
-    centre, ring = interior_rings(window)
-    etas = ring_gather(weights.values, centre, ring)
+    index = np.arange(window.num_vertices).reshape(window.n_count, window.m_count)
+    centre, ring, etas = index[1:-1, 1:-1].ravel(), rings(index), ring_gather(weights.values)
     full = ~np.isnan(etas).any(axis=1)
     cum[centre[full]] = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
     cum[:, -1] = 1.0

@@ -3,8 +3,9 @@
 Vertices are integer pairs (m, n) embedded in the plane at m + n e^{i pi/3},
 so every vertex has six neighbors at unit distance.  Faces are positively
 oriented triples of pairwise adjacent vertices.  Scalar fields (log radii,
-mostly) live on rectangular index windows and are stored densely, and
-``faces``, ``corner_sums`` and ``edge_sums`` map them to faces and back.
+mostly) live on rectangular index windows and are stored densely;
+``faces``, ``corner_sums`` and ``edge_sums`` map them to faces and back,
+and ``neighbor_values`` to the six neighbors of every vertex.
 """
 
 from __future__ import annotations
@@ -220,25 +221,33 @@ class ScalarField:
         return f"ScalarField({self.window}, shape={self.values.shape})"
 
 
-def interior_rings(window: Window) -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices into a field's ``values.ravel()``: the interior
-    vertices in ``interior_vertices()`` order, shape (N,), and their six
-    neighbors in ``NEIGHBOR_OFFSETS`` order, shape (N, 6)."""
-    mc = window.m_count
-    rows = np.arange(1, window.n_count - 1)
-    cols = np.arange(1, mc - 1)
-    centre = (rows[:, None] * mc + cols[None, :]).ravel()
-    offsets = np.array([dm + dn * mc for dm, dn in NEIGHBOR_OFFSETS])
-    return centre, centre[:, None] + offsets
+def neighbor_values(a: np.ndarray, fill: float = 0) -> np.ndarray:
+    """The values of a window-shaped array, or of a stack of them (..., rows,
+    cols), at the six neighbors of every vertex, in ``NEIGHBOR_OFFSETS``
+    order, ``fill`` off the window: (..., rows, cols, 6)."""
+    rows, cols = a.shape[-2:]
+    padded = np.full((*a.shape[:-2], rows + 2, cols + 2), fill, dtype=a.dtype)
+    padded[..., 1:-1, 1:-1] = a
+    return np.stack([padded[..., 1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
+                     for dm, dn in NEIGHBOR_OFFSETS], axis=-1)
 
 
-def ring_gather(edges: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> np.ndarray:
+def rings(a: np.ndarray) -> np.ndarray:
+    """The six neighbor values of the interior vertices of a window-shaped
+    array, in ``interior_vertices()`` order: (N, 6), neighbors last and
+    contiguous, so that a sum over them runs in ``NEIGHBOR_OFFSETS`` order."""
+    return neighbor_values(a)[1:-1, 1:-1].reshape(-1, 6)
+
+
+def ring_gather(edges: np.ndarray) -> np.ndarray:
     """Per-edge values, stored as ``edge_sums`` returns them, on the edges
-    from the ``interior_rings`` centres to their six neighbors: (N, 6)."""
+    from the interior vertices to their six neighbors, laid out as ``rings``."""
     # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
     # k = 2, 3, 4, where the edge is stored at the neighbor.
-    anchor = np.where([True, True, False, False, False, True], centre[:, None], ring)
-    return edges.reshape(3, -1)[(2, 0, 1, 2, 0, 1), anchor]
+    at_neighbor = neighbor_values(edges)
+    ring = [at_neighbor[d, ..., k] if 2 <= k <= 4 else edges[d]
+            for k, d in enumerate((2, 0, 1, 2, 0, 1))]
+    return np.stack(ring, axis=-1)[1:-1, 1:-1].reshape(-1, 6)
 
 
 def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

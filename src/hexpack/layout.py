@@ -44,6 +44,7 @@ from .lattice import (
     corner_sums,
     d1,
     faces,
+    neighbor_values,
     neighbors,
 )
 from .solver import _flower
@@ -178,13 +179,12 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         if bad.size:
             v = window.vertices()[bad[0]]
             raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive normal float")
-        outer = np.pad(radii, 1)  # no radius outside the window
-        over = np.isinf([radii + outer[1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
-                         for dm, dn in NEIGHBOR_OFFSETS]).reshape(6, -1)
-        bad = np.flatnonzero(over.any(axis=0))
+        # 0 off the window: no radius outside it
+        over = np.isinf(radii[..., None] + neighbor_values(radii)).reshape(-1, 6)
+        bad = np.flatnonzero(over.any(axis=1))
         if bad.size:
             v = window.vertices()[bad[0]]
-            dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[:, bad[0]]))]
+            dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[bad[0]]))]
             raise _distance_overflow(u, v, (v[0] + dm, v[1] + dn))
         centers = np.full((rows, cols), base.center, dtype=complex)
         ib, jb = base.vertex[1] - window.n_min, base.vertex[0] - window.m_min

@@ -31,11 +31,13 @@ edges, and each of them is bounded by a two-edge lattice path,
 interior Laplacian whose weights the paper's ratio bound keeps uniformly
 elliptic, so it is spectrally equivalent to M as well (Axelsson,
 Iterative Solution Methods, 1994).  Only when conjugate gradients miss
-is a system solved exactly, by SuperLU with diagonal pivots in a
+is a system solved exactly: the exact step builds the matrix in CSC form
+where it is used and factors it by SuperLU with diagonal pivots in a
 symmetric minimum-degree ordering.  That exact step is the only use of
 scipy, imported there: importing hexpack, ``harmonic_interpolation``
-and a solve whose conjugate gradients converge load no scipy.  There are
-two modes:
+and a solve whose conjugate gradients converge load no scipy.  The
+iterate is window-shaped; the linear solves' vectors run over the
+interior in ``interior_vertices()`` order.  There are two modes:
 
 - "newton" (default) is inexact Newton (Dembo, Eisenstat and Steihaug,
   SIAM J. Numer. Anal. 19, 1982; Orick, Stephenson and Collins, Comput.
@@ -70,13 +72,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import TWO_PI, face_angles, face_partials
-from .lattice import (DIRECTIONS, ScalarField, Vertex, Window, _ring_faces, corner_sums, edge_sums,
-                      faces, interior_rings, neighbors, ring_gather)
+from .lattice import (DIRECTIONS, NEIGHBOR_OFFSETS, ScalarField, Vertex, Window, _ring_faces,
+                      corner_sums, edge_sums, faces, neighbor_values, neighbors, ring_gather, rings)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    import scipy.sparse
     import scipy.sparse.linalg
 
 MODES = ("gauss-seidel", "newton")
@@ -176,10 +177,11 @@ def _defects(values: np.ndarray) -> np.ndarray:
 
 
 class _Grid:
-    """Flat-index view of a window: the interior vertices, their six
-    neighbors, the interior split into the three colour classes, and the
-    matrices over the interior of per-edge coefficients, stored as
-    ``edge_sums`` returns them and 0 off the edges with an interior end.
+    """A window's interior: its number of vertices ``size``, its three
+    colour classes as interior-shaped masks, the edges with an interior end,
+    and the matrices over the interior, in ``interior_vertices()`` order, of
+    per-edge coefficients, stored as ``edge_sums`` returns them and 0 off
+    the edges with an interior end.
 
     Such a matrix A has at each interior v the sum of v's six coefficients
     on the diagonal and minus the coefficient of the edge vw at each
@@ -187,26 +189,25 @@ class _Grid:
     ``precondition`` applies the inverse of the five-point Laplacian M of
     the interior rectangle.  The interior graph Laplacian L (every
     coefficient 1) satisfies M <= L <= 3M, and an A whose coefficients lie
-    in [c, C] satisfies c M <= A <= 3C M.  scipy is imported only in
-    ``matrix`` and ``factor``, for the exact solve that conjugate gradients
-    fall back to."""
+    in [c, C] satisfies c M <= A <= 3C M.  ``factor`` builds A in CSC form
+    and factors it, for the exact solve that conjugate gradients fall back
+    to; scipy is imported only there."""
 
     def __init__(self, window: Window) -> None:
         self.shape = (window.n_count, window.m_count)
-        self.centre, self.ring = interior_rings(window)
         # (m + 2n) % 3 with the window's offset reduced first, as a Python
         # int, so that corners past int64 do not overflow.
         offset = (window.m_min + 2 * window.n_min) % 3
-        colour = (offset + self.centre % window.m_count + 2 * (self.centre // window.m_count)) % 3
-        self.colours = [(self.centre[colour == c], self.ring[colour == c]) for c in range(3)]
+        i, j = np.indices(self.shape)[:, 1:-1, 1:-1]
+        colour = (offset + j + 2 * i) % 3
+        self.size = colour.size
+        self.colours = [colour == c for c in range(3)]
         interior = np.zeros(self.shape, dtype=bool)
         interior[1:-1, 1:-1] = True
-        self.inner = interior.ravel()[self.ring]
         # The edges with an interior end, in ``edge_sums``' layout.
-        padded = np.pad(interior, 1)
-        rows, cols = self.shape
-        self.edge_mask = np.array([interior | padded[1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
-                                   for dm, dn in DIRECTIONS])
+        near = neighbor_values(interior, False)
+        self.edge_mask = np.array([interior | near[..., NEIGHBOR_OFFSETS.index(d)]
+                                   for d in DIRECTIONS])
 
     def product(self, edges: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The matrix of the per-edge coefficients ``edges`` times ``p``: at
@@ -244,54 +245,36 @@ class _Grid:
         s_rows, s_cols, eig = self._sines
         return (s_rows @ (s_rows @ r.reshape(eig.shape) @ s_cols / eig) @ s_cols).ravel()
 
-    @cached_property
-    def _csc(self) -> tuple[scipy.sparse.csc_matrix, np.ndarray]:
-        """The pattern of a CSC matrix over the interior, the diagonal and
-        then each row's interior neighbors numbered in that order, and the
-        positions of those entries in CSC order."""
-        import scipy.sparse
-
-        size = self.centre.size
-        pos = np.full(self.shape[0] * self.shape[1], -1)
-        pos[self.centre] = np.arange(size)
-        index = np.arange(size)
-        rows = np.concatenate([index, np.repeat(index, 6)[self.inner.ravel()]])
-        cols = np.concatenate([index, pos[self.ring][self.inner]])
-        pattern = scipy.sparse.csc_matrix((np.arange(1.0, rows.size + 1), (rows, cols)),
-                                          shape=(size, size))
-        return pattern, pattern.data.astype(int) - 1
-
-    def matrix(self, edges: np.ndarray) -> scipy.sparse.csc_matrix:
-        """The matrix of the per-edge coefficients ``edges``, in CSC form."""
-        import scipy.sparse
-
-        coeff = ring_gather(edges, self.centre, self.ring)
-        pattern, order = self._csc
-        data = np.concatenate([coeff.sum(axis=1), -coeff[self.inner]])[order]
-        return scipy.sparse.csc_matrix((data, pattern.indices, pattern.indptr),
-                                       shape=pattern.shape)
-
-    @staticmethod
-    def factor(mat: scipy.sparse.csc_matrix) -> scipy.sparse.linalg.SuperLU:
-        """Factor a symmetric, diagonally dominant matrix over the interior:
-        diagonal pivots in a symmetric minimum-degree ordering.  Raises
-        RuntimeError when the factor is exactly singular."""
+    def factor(self, edges: np.ndarray) -> scipy.sparse.linalg.SuperLU:
+        """An exact factor of the matrix of the per-edge coefficients
+        ``edges``, built in CSC form: diagonal pivots in a symmetric
+        minimum-degree ordering.  Raises RuntimeError when the factor is
+        exactly singular."""
         import scipy.sparse.linalg
 
+        index, number = np.arange(self.size), np.full(self.shape, -1)
+        number[1:-1, 1:-1] = index.reshape(number[1:-1, 1:-1].shape)
+        coeff, ring = ring_gather(edges), rings(number)
+        inner = ring >= 0  # the neighbors in the interior
+        data = np.concatenate([coeff.sum(axis=1), -coeff[inner]])
+        rows = np.concatenate([index, np.nonzero(inner)[0]])
+        cols = np.concatenate([index, ring[inner]])
+        mat = scipy.sparse.csc_matrix((data, (rows, cols)), shape=(self.size, self.size))
         return scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                                         options={"SymmetricMode": True})
 
 
-def _harmonic(vals: np.ndarray, grid: _Grid) -> None:
-    """Set the interior of the flat values to the graph-harmonic
+def _harmonic(values: np.ndarray, grid: _Grid) -> None:
+    """Set the interior of window-shaped values to the graph-harmonic
     interpolation of their boundary, leaving the boundary untouched."""
-    b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1)
+    inner = values[1:-1, 1:-1]
+    inner[...] = 0.0
+    b = rings(values).sum(axis=1)  # over the boundary neighbors
     # Scaled to a largest entry of 1, so that no norm overflows.
     scale = float(np.abs(b).max())
     if scale:
-        vals[grid.centre] = scale * _solve(grid, grid.edge_mask.astype(float), b / scale, 1e-14)
-    else:
-        vals[grid.centre] = 0.0
+        x = _solve(grid, grid.edge_mask.astype(float), b / scale, 1e-14)
+        inner[...] = (scale * x).reshape(inner.shape)
 
 
 def harmonic_interpolation(u0: ScalarField) -> ScalarField:
@@ -302,27 +285,29 @@ def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     Boundary entries are returned bit for bit.
     """
     grid = _Grid(u0.window)
-    if grid.centre.size == 0:
+    if grid.size == 0:
         return u0.copy()
-    vals = u0.values.ravel().copy()
-    _harmonic(vals, grid)
-    return ScalarField(u0.window, vals.reshape(u0.values.shape))
+    values = u0.values.copy()
+    _harmonic(values, grid)
+    return ScalarField(u0.window, values)
 
 
-def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> None:
-    """Set every vertex of one colour class to the root of its monotone
-    1-D problem angle_sum(t) = 2*pi, its neighbors held fixed.
+def _solve_colour(values: np.ndarray, colour: np.ndarray) -> None:
+    """Set every vertex of one colour class, an interior-shaped mask of the
+    window-shaped values, to the root of its monotone 1-D problem
+    angle_sum(t) = 2*pi, its neighbors held fixed.
 
     Newton steps are kept inside a bracket that starts at the smallest and
     largest neighbor value, with bisection as the fallback, so convergence
     is unconditional.  A vertex whose residual is already within
     ``_VERTEX_TOL`` keeps its value bit for bit.
     """
-    petals = vals[ring]
-    t = vals[centre]
+    inner = values[1:-1, 1:-1]
+    petals = rings(values)[colour.ravel()]
+    t = inner[colour]
     lo = petals.min(axis=1)
     hi = petals.max(axis=1)
-    active = np.arange(centre.size)
+    active = np.arange(t.size)
     for _ in range(100):
         ta = t[active]
         f = face_angles(*_ring_faces(petals[active] - ta[:, None]))[0].sum(axis=1) - TWO_PI
@@ -343,7 +328,7 @@ def _solve_colour(vals: np.ndarray, centre: np.ndarray, ring: np.ndarray) -> Non
         lo[active], hi[active], t[active] = lo_a, hi_a, t_new
         narrow = hi_a - lo_a <= 4.0 * np.spacing(np.maximum(np.abs(lo_a), np.abs(hi_a)))
         active = active[~narrow]
-    vals[centre] = t
+    inner[colour] = t
 
 
 def _pcg(product: Callable[[np.ndarray], np.ndarray],
@@ -381,14 +366,14 @@ def _solve(grid: _Grid, edges: np.ndarray, b: np.ndarray, rtol: float) -> np.nda
     ||A x - b|| <= rtol ||b||, else by an exact factor of A.  Raises
     RuntimeError when that factor is exactly singular."""
     x = _pcg(partial(grid.product, edges), grid.precondition, b, rtol)
-    return grid.factor(grid.matrix(edges)).solve(b) if x is None else x
+    return grid.factor(edges).solve(b) if x is None else x
 
 
-def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarray | None:
-    """One Newton step from the point with these ``defects``, with the line
-    search of the module docstring.  Returns the defects at the accepted
-    point, or None, leaving ``vals`` as it was, when it finds no step."""
-    centre, values = grid.centre, vals.reshape(grid.shape)  # a view of vals
+def _newton_step(values: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarray | None:
+    """One Newton step from the window-shaped ``values``, whose defects are
+    ``defects``, with the line search of the module docstring.  Returns the
+    defects at the accepted point, or None, leaving ``values`` as they were,
+    when it finds no step."""
     # d(angle sum at v)/d(u at w): the partials of the two faces at the edge
     # vw.  Their matrix is the functional's Hessian, minus the Jacobian of
     # the angle sums.
@@ -402,10 +387,11 @@ def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarr
         g0 = defects @ delta
     if not (np.all(np.isfinite(delta)) and -np.inf < g0 < 0.0):
         return None
-    base = vals[centre]
+    inner = values[1:-1, 1:-1]
+    base, step = inner.copy(), delta.reshape(inner.shape)  # base: a copy, not a view
     target, lo, hi, s = -0.5 * g0, 0.0, 1.0, 1.0
     for _ in range(101):  # s down to 2**-100: a nearly singular Jacobian needs ~1e-17
-        vals[centre] = base + s * delta
+        inner[...] = base + s * step
         defects = _defects(values)
         g = defects @ delta
         # g(1) <= 0 takes the full step; otherwise |g(s)| <= |g(0)| / 2 is needed.
@@ -413,7 +399,7 @@ def _newton_step(vals: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarr
             return defects
         lo, hi = (s, hi) if g < 0.0 else (lo, s)
         s = 0.5 * (lo + hi)
-    vals[centre] = base
+    inner[...] = base
     return None
 
 
@@ -431,33 +417,33 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
     opts = options or SolveOptions()
     window = u0.window
     grid = _Grid(window)
-    if grid.centre.size == 0:
+    if grid.size == 0:
         raise InvalidPatch(f"window {window} has no interior vertices")
 
-    vals = u0.values.ravel().copy()
+    values = u0.values.copy()
     if opts.init == "harmonic":
-        _harmonic(vals, grid)
+        _harmonic(values, grid)
     elif opts.init == "zero":
-        vals[grid.centre] = 0.0
+        values[1:-1, 1:-1] = 0.0
 
     newton = opts.mode == "newton"
     fallback = None
     iterations = 0
-    defects = _defects(vals.reshape(grid.shape))
+    defects = _defects(values)
     while True:
         defect = float(np.abs(defects).max())
         converged = defect <= opts.tolerance
         if converged or iterations >= opts.max_iterations:
             break
-        defects = _newton_step(vals, grid, defects) if newton else None
+        defects = _newton_step(values, grid, defects) if newton else None
         if defects is None:
             fallback = "gauss-seidel" if newton else None
-            for centre, ring in grid.colours:
-                _solve_colour(vals, centre, ring)
-            defects = _defects(vals.reshape(grid.shape))
+            for colour in grid.colours:
+                _solve_colour(values, colour)
+            defects = _defects(values)
         iterations += 1
 
-    solved = ScalarField(window, vals.reshape(u0.values.shape))
+    solved = ScalarField(window, values)
     report = SolveReport(iterations=iterations, final_defect=defect, converged=converged,
                          mode=opts.mode, fallback=fallback)
     if not converged:

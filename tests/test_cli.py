@@ -709,12 +709,13 @@ def test_solve_writes_nothing_to_stderr(tmp_path, field):
 # its imports: reading the 401x401 field fits, each command's work does
 # not.  BLAS runs on one thread, and its buffers and numpy.random load
 # before the limit, since a failure there aborts the process instead of
-# raising MemoryError.
+# raising MemoryError.  OpenBLAS maps its matrix-product buffer at the
+# first product of 128x128 or more; a 64x64 one maps nothing.
 LIMITED_CHILD = textwrap.dedent("""\
     import resource, sys
     import numpy as np, numpy.random
     from hexpack.cli import main
-    np.ones((64, 64)) @ np.ones((64, 64))
+    np.ones((128, 128)) @ np.ones((128, 128))
     with open("/proc/self/statm") as fh:
         held = int(fh.read().split()[0]) * resource.getpagesize()
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]

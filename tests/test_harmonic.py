@@ -29,7 +29,7 @@ from hexpack.harmonic import (
 )
 from hexpack.geometry import face_partials
 from hexpack.lattice import (ScalarField, Window, ball, edge_sums, faces, faces_containing_edge,
-                             interior_rings, neighbors, ring_gather)
+                             neighbors, ring_gather)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -438,19 +438,24 @@ class TestVolume:
 
 def walk_reference(weights, start, steps, trials, seed):
     """The walk's earlier step loop: each step compares one draw per trial
-    with all six cumulative probabilities of its state and sums the row."""
+    with all six cumulative probabilities of its state and sums the row.
+    The chain is built vertex by vertex from ``neighbors`` and
+    ``EdgeWeights.get``."""
     window = weights.window
-    start_idx = (start[1] - window.n_min) * window.m_count + start[0] - window.m_min
+    index = {v: i for i, v in enumerate(window.vertices())}
     returned, censored = window.num_vertices, window.num_vertices + 1
     nbr_idx = np.full((window.num_vertices + 2, 6), censored, dtype=np.int64)
     cum = np.ones((window.num_vertices + 2, 6))
-    centre, ring = interior_rings(window)
-    etas = ring_gather(weights.values, centre, ring)
-    full = ~np.isnan(etas).any(axis=1)
-    cum[centre[full]] = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
+    for v in window.interior_vertices():
+        try:
+            etas = np.array([weights.get(v, w) for w in neighbors(v)])
+        except MissingEdgeError:
+            continue
+        cum[index[v]] = np.cumsum(etas / etas.sum())
+        nbr_idx[index[v]] = [returned if w == start else index[w] for w in neighbors(v)]
     cum[:, -1] = 1.0
-    nbr_idx[centre[full]] = np.where(ring[full] == start_idx, returned, ring[full])
     nbr_idx[returned] = returned
+    start_idx = index[start]
     rng = np.random.default_rng(seed)
     state = np.full(trials, start_idx, dtype=np.int64)
     for _ in range(steps):
@@ -460,6 +465,18 @@ def walk_reference(weights, start, steps, trials, seed):
     effective = trials - n_censored
     return WalkReport(trials, n_returned, n_censored,
                       n_returned / effective if effective else 0.0, seed)
+
+
+@pytest.mark.parametrize("window", [Window(0, 2, 0, 2), Window(-3, 5, -1, 1), Window(0, 2, 0, 6),
+                                    Window(-4, 5, -3, 4)])
+def test_ring_gather_reads_every_interior_edge(window):
+    # a distinct weight on every edge, NaN on the edges that leave the window
+    rng = np.random.default_rng([window.m_count, window.n_count])
+    weights = EdgeWeights(window, rng.uniform(0.1, 1.9, size=(3, window.n_count, window.m_count)))
+    got = ring_gather(weights.values)
+    assert got.shape == (len(window.interior_vertices()), 6)
+    for i, v in enumerate(window.interior_vertices()):
+        assert got[i].tolist() == [weights.get(v, w) for w in neighbors(v)]
 
 
 WALK_WINDOW = Window(-8, 8, -8, 8)

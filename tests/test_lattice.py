@@ -24,8 +24,10 @@ from hexpack.lattice import (
     faces_at,
     faces_containing_edge,
     graph_distance,
+    neighbor_values,
     neighbors,
     read_field_csv,
+    rings,
     translate,
     write_field_csv,
 )
@@ -59,6 +61,36 @@ class TestNeighbors:
         ws = neighbors((-4, 7))
         assert len(ws) == 6
         assert len(set(ws)) == 6
+
+
+WINDOWS = [Window(0, 0, 0, 0), Window(-2, 2, 0, 0), Window(0, 0, -2, 2), Window(0, 1, 0, 1),
+           Window(-1, 1, -1, 1), Window(-4, 4, 1, 6)]
+
+
+class TestNeighborValues:
+    """``neighbor_values`` and ``rings`` against ``neighbors`` at every vertex
+    of windows 1x1, 1x5, 5x1, 2x2, 3x3 and 6x9 (rows x columns)."""
+
+    @staticmethod
+    def field(window):
+        return ScalarField.from_function(window, lambda v: 100 * v[0] + v[1] + 0.5)
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_values_at_each_neighbor_or_fill(self, window):
+        u = self.field(window)
+        got = neighbor_values(u.values, fill=-7.0)
+        assert got.shape == (window.n_count, window.m_count, 6)
+        for v in window.vertices():
+            i, j = v[1] - window.n_min, v[0] - window.m_min
+            assert got[i, j].tolist() == [u[w] if window.contains(w) else -7.0
+                                          for w in neighbors(v)]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_rings_in_interior_vertex_order(self, window):
+        u = self.field(window)
+        got = rings(u.values)
+        assert got.shape == (len(window.interior_vertices()), 6) and got.flags.c_contiguous
+        assert got.tolist() == [[u[w] for w in neighbors(v)] for v in window.interior_vertices()]
 
 
 class TestFaces:

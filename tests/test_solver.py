@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from hexpack.geometry import angle_gradient, face_partials
 from hexpack import solver
-from hexpack.lattice import ScalarField, Window, edge_sums, faces
+from hexpack.lattice import DIRECTIONS, ScalarField, Window, edge_sums, faces, neighbors
 from hexpack.solver import (
     DEFAULT_TOLERANCE,
     InvalidPatch,
@@ -327,15 +327,19 @@ class TestNewtonWithoutAStep:
         assert not (np.all(np.isfinite(delta)) and defects @ delta < 0.0)
 
 
-def test_newton_step_without_an_accepted_step_restores_the_values(monkeypatch):
+@pytest.mark.parametrize("window", [pytest.param(Window(-3, 3, -3, 3), id="7x7"),
+                                    pytest.param(Window(-3, 3, -1, 1), id="3x7")])
+def test_newton_step_without_an_accepted_step_restores_the_values(monkeypatch, window):
     # g(s) = defects(s) @ delta alternates between -g(0), above the target
     # -g(0) / 2, and 2 g(0), below -(-g(0) / 2): every one of the line
-    # search's 101 trial points is rejected, and s closes in on 2/3, not 0
+    # search's 101 trial points is rejected, and s closes in on 2/3, not 0.
+    # A ravel of the 3x7 window's one-row interior is a view of the values,
+    # not a copy.
     rng = np.random.default_rng(12)
-    u0 = random_interior(spiral_field(SpiralParams(1.0, 1.2, 0.9), Window(-3, 3, -3, 3)), rng)
+    u0 = random_interior(spiral_field(SpiralParams(1.0, 1.2, 0.9), window), rng)
     grid = solver._Grid(u0.window)
-    vals = u0.values.ravel().copy()
-    defects = solver._defects(vals.reshape(grid.shape))
+    vals = u0.values.copy()
+    defects = solver._defects(vals)
     calls = []
 
     def alternating(values):
@@ -422,17 +426,38 @@ def five_point_laplacian(rows, cols):
     return out.reshape(rows * cols, rows * cols)
 
 
+def coefficient_matrix(window, edges):
+    # The matrix of per-edge coefficients in edge_sums' layout, dense, from
+    # its definition: at interior v, the sum of v's six coefficients on the
+    # diagonal and -c_vw at each interior neighbor w
+    def coefficient(v, w):
+        v, w = min(v, w), max(v, w)
+        k = DIRECTIONS.index((w[0] - v[0], w[1] - v[1]))
+        return edges[k, v[1] - window.n_min, v[0] - window.m_min]
+
+    interior = window.interior_vertices()
+    number = {v: i for i, v in enumerate(interior)}
+    out = np.zeros((len(interior), len(interior)))
+    for v in interior:
+        out[number[v], number[v]] = sum(coefficient(v, w) for w in neighbors(v))
+        for w in neighbors(v):
+            if w in number:
+                out[number[v], number[w]] = -coefficient(v, w)
+    return out
+
+
 @pytest.mark.parametrize("rows, cols", [(7, 7), (3, 9), (12, 3), (3, 3), (5, 11)])
 def test_stencil_product_matches_the_sparse_matrix(rows, cols):
     # Newton's coefficients on a random field: the NaN that edge_sums
     # leaves on edges with one face is masked to 0, which the matrix never reads
     rng = np.random.default_rng([rows, cols])
-    grid = solver._Grid(Window(0, cols - 1, 0, rows - 1))
+    window = Window(0, cols - 1, 0, rows - 1)
+    grid = solver._Grid(window)
     partials = edge_sums(face_partials(*faces(rng.uniform(-2.0, 2.0, size=(rows, cols)))))
     edges = np.where(grid.edge_mask, partials, 0.0)
-    mat = grid.matrix(partials)
+    mat = coefficient_matrix(window, partials)
     for _ in range(3):
-        p = rng.normal(size=grid.centre.size)
+        p = rng.normal(size=grid.size)
         expected = mat @ p
         assert np.abs(grid.product(edges, p) - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -441,7 +466,7 @@ def test_stencil_product_matches_the_sparse_matrix(rows, cols):
 def test_sine_preconditioner_inverts_the_five_point_laplacian(rows, cols):
     grid = solver._Grid(Window(0, cols - 1, 0, rows - 1))
     m = five_point_laplacian(rows - 2, cols - 2)
-    r = np.random.default_rng([rows, cols]).normal(size=grid.centre.size)
+    r = np.random.default_rng([rows, cols]).normal(size=grid.size)
     assert np.abs(m @ grid.precondition(r) - r).max() <= 1e-12 * np.abs(r).max()
     assert np.abs(grid.precondition(m @ r) - r).max() <= 1e-12 * np.abs(r).max()
 
@@ -456,10 +481,11 @@ def test_harmonic_start_matches_an_exact_solve_of_the_laplacian(half, scale):
                      scale * rng.choice([-1.0, 1.0], size=(2 * half + 1, 2 * half)))
     out = harmonic_interpolation(u0)
     grid = solver._Grid(u0.window)
-    vals = u0.values.ravel()
-    b = np.where(grid.inner, 0.0, vals[grid.ring]).sum(axis=1) / scale
-    exact = grid.factor(grid.matrix(grid.edge_mask.astype(float))).solve(b)
-    assert np.abs(out.values.ravel()[grid.centre] / scale - exact).max() <= 1e-12
+    # b_v: the sum of u0 over v's boundary neighbors
+    b = np.array([sum(u0[w] for w in neighbors(v) if not u0.window.is_interior(w))
+                  for v in u0.window.interior_vertices()]) / scale
+    exact = grid.factor(grid.edge_mask.astype(float)).solve(b)
+    assert np.abs(out.values[1:-1, 1:-1].ravel() / scale - exact).max() <= 1e-12
 
 
 @st.composite

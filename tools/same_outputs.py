@@ -10,14 +10,19 @@ commands run one by one as ``python -m hexpack.cli ...`` with
 ``render --base`` at the window's upper right corner, a ``render
 --color-map d1u --base`` at its upper left corner, and on the
 ``readme-gs`` window (larger ones take minutes) a ``solve --mode
-gauss-seidel``.  One more case runs ``--help`` and each command's
-``--help``.  The exit codes, stdout and stderr (with the directory's path
-replaced) and every file left in the directory must be equal byte for
-byte.  Prints one line per case and exits 1 on any difference.  An
-output whose two versions differ only in their numbers (the same text
-between them and as many numbers) gets one more line with the largest
-absolute and relative difference of those numbers.  ``perfbench/`` is
-only imported, never written to.
+gauss-seidel``.  The "exact step" case solves two inputs whose conjugate
+gradients miss, so that each solve factors a matrix by SuperLU: the 7x7
+boundary of log radii 0 and +-300 of
+``test_newton_resumes_after_a_gauss_seidel_fallback``, from its harmonic
+start, and the 4x4 field of ``TestNewtonWithoutAStep`` with ``--init
+keep``; both then fall back to Gauss-Seidel sweeps.  One more case runs
+``--help`` and each command's ``--help``.  The exit codes, stdout and
+stderr (with the directory's path replaced) and every file left in the
+directory must be equal byte for byte.  Prints one line per case and
+exits 1 on any difference.  An output whose two versions differ only in
+their numbers (the same text between them and as many numbers) gets one
+more line with the largest absolute and relative difference of those
+numbers.  ``perfbench/`` is only imported, never written to.
 """
 
 from __future__ import annotations
@@ -38,6 +43,11 @@ import workloads  # noqa: E402
 SEEDS = (1, 2, 3)
 COMMANDS = ("spiral", "solve", "verify", "harmonic", "render", "walk")
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
+# The boundary log radii, in units of 300, of a 7x7 window in vertex order
+# (n, then m), and a 4x4 field, row i at n = i: the exact-step inputs.
+BOUNDARY_300 = (0, 1, 1, -1, -1, -1, 0, 1, 1, 1, 1, 0, 1, -1, -1, 0, 0, 0, 0, 1, 0, 0, 0, -1)
+FIELD_4X4 = ((500, 0, -500, 1000), (1000, 500, -500, 0), (0, -1000, -1000, 0),
+             (0, -500, -500, -1000))
 
 
 def numeric_difference(old: bytes, new: bytes) -> tuple[float, float] | None:
@@ -92,6 +102,28 @@ def case_outputs(tree: Path, workload: str, seed: int) -> dict[str, bytes]:
         return outputs(tree, work, steps)
 
 
+def field_csv(corners: tuple[int, int, int, int], rows) -> str:
+    """A field CSV with these window corners (m_min, m_max, n_min, n_max)
+    and ``rows[i]`` at n = n_min + i."""
+    return ("# window %d %d %d %d\n" % corners
+            + "".join(",".join(map(str, row)) + "\n" for row in reversed(rows)))
+
+
+def exact_step_outputs(tree: Path) -> dict[str, bytes]:
+    """Solves that take the exact step."""
+    boundary = iter(BOUNDARY_300)
+    rows = [[300 * next(boundary) if i in (0, 6) or j in (0, 6) else 0 for j in range(7)]
+            for i in range(7)]
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "boundary.csv").write_text(field_csv((-3, 3, -3, 3), rows))
+        (work / "field.csv").write_text(field_csv((0, 3, 0, 3), FIELD_4X4))
+        steps = [("solve boundary", ["solve", "--in", "boundary.csv", "--out", "s1.csv"]),
+                 ("solve --init keep", ["solve", "--in", "field.csv", "--out", "s2.csv",
+                                        "--init", "keep"])]
+        return outputs(tree, work, steps)
+
+
 def help_outputs(tree: Path) -> dict[str, bytes]:
     """``--help`` and each command's ``--help``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -111,7 +143,7 @@ def main(argv: list[str] | None = None) -> int:
     cases = [(f"{workload} seed {seed}", partial(case_outputs, workload=workload, seed=seed))
              for workload in workloads.HALF_WIDTH for seed in SEEDS]
     differing = 0
-    for label, run in [*cases, ("--help", help_outputs)]:
+    for label, run in [*cases, ("exact step", exact_step_outputs), ("--help", help_outputs)]:
         old, new = (run(tree) for tree in trees)
         diff = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
         differing += bool(diff)
