@@ -252,8 +252,8 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     if around is not None:
         # The edges from v to v + DIRECTIONS[k] with either end in the set.
         at = ScalarField.from_function(window, around.__contains__).values > 0
-        near = neighbor_values(at, False)
-        stored &= [at | near[..., NEIGHBOR_OFFSETS.index(d)] for d in DIRECTIONS]
+        near = neighbor_values(at)
+        stored &= [at | near[NEIGHBOR_OFFSETS.index(d)] for d in DIRECTIONS]
     _check_range(window, values, stored)
     return EdgeWeights(window, np.where(stored, values, np.nan))
 

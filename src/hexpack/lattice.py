@@ -221,22 +221,21 @@ class ScalarField:
         return f"ScalarField({self.window}, shape={self.values.shape})"
 
 
-def neighbor_values(a: np.ndarray, fill: float = 0) -> np.ndarray:
+def neighbor_values(a: np.ndarray) -> list[np.ndarray]:
     """The values of a window-shaped array, or of a stack of them (..., rows,
-    cols), at the six neighbors of every vertex, in ``NEIGHBOR_OFFSETS``
-    order, ``fill`` off the window: (..., rows, cols, 6)."""
+    cols), at the six neighbors of every vertex, 0 (False) off the window:
+    six views shaped like ``a``, in ``NEIGHBOR_OFFSETS`` order."""
     rows, cols = a.shape[-2:]
-    padded = np.full((*a.shape[:-2], rows + 2, cols + 2), fill, dtype=a.dtype)
+    padded = np.zeros((*a.shape[:-2], rows + 2, cols + 2), dtype=a.dtype)
     padded[..., 1:-1, 1:-1] = a
-    return np.stack([padded[..., 1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm]
-                     for dm, dn in NEIGHBOR_OFFSETS], axis=-1)
+    return [padded[..., 1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm] for dm, dn in NEIGHBOR_OFFSETS]
 
 
 def rings(a: np.ndarray) -> np.ndarray:
     """The six neighbor values of the interior vertices of a window-shaped
     array, in ``interior_vertices()`` order: (N, 6), neighbors last and
     contiguous, so that a sum over them runs in ``NEIGHBOR_OFFSETS`` order."""
-    return neighbor_values(a)[1:-1, 1:-1].reshape(-1, 6)
+    return np.stack([w[1:-1, 1:-1] for w in neighbor_values(a)], axis=-1).reshape(-1, 6)
 
 
 def ring_gather(edges: np.ndarray) -> np.ndarray:
@@ -245,9 +244,9 @@ def ring_gather(edges: np.ndarray) -> np.ndarray:
     # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
     # k = 2, 3, 4, where the edge is stored at the neighbor.
     at_neighbor = neighbor_values(edges)
-    ring = [at_neighbor[d, ..., k] if 2 <= k <= 4 else edges[d]
+    ring = [at_neighbor[k][d] if 2 <= k <= 4 else edges[d]
             for k, d in enumerate((2, 0, 1, 2, 0, 1))]
-    return np.stack(ring, axis=-1)[1:-1, 1:-1].reshape(-1, 6)
+    return np.stack([r[1:-1, 1:-1] for r in ring], axis=-1).reshape(-1, 6)
 
 
 def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

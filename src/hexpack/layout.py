@@ -180,11 +180,11 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
             v = window.vertices()[bad[0]]
             raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive normal float")
         # 0 off the window: no radius outside it
-        over = np.isinf(radii[..., None] + neighbor_values(radii)).reshape(-1, 6)
-        bad = np.flatnonzero(over.any(axis=1))
+        over = np.isinf([radii + w for w in neighbor_values(radii)]).reshape(6, -1)
+        bad = np.flatnonzero(over.any(axis=0))
         if bad.size:
             v = window.vertices()[bad[0]]
-            dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[bad[0]]))]
+            dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[:, bad[0]]))]
             raise _distance_overflow(u, v, (v[0] + dm, v[1] + dn))
         centers = np.full((rows, cols), base.center, dtype=complex)
         ib, jb = base.vertex[1] - window.n_min, base.vertex[0] - window.m_min

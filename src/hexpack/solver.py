@@ -178,8 +178,9 @@ def _defects(values: np.ndarray) -> np.ndarray:
 
 class _Grid:
     """A window's interior: its number of vertices ``size``, its three
-    colour classes as interior-shaped masks, the edges with an interior end,
-    and the matrices over the interior, in ``interior_vertices()`` order, of
+    colour classes (an interior-shaped mask and the flat indices of the
+    class's rings in the window), the edges with an interior end, and the
+    matrices over the interior, in ``interior_vertices()`` order, of
     per-edge coefficients, stored as ``edge_sums`` returns them and 0 off
     the edges with an interior end.
 
@@ -201,12 +202,13 @@ class _Grid:
         i, j = np.indices(self.shape)[:, 1:-1, 1:-1]
         colour = (offset + j + 2 * i) % 3
         self.size = colour.size
-        self.colours = [colour == c for c in range(3)]
+        ring = rings(np.arange(math.prod(self.shape)).reshape(self.shape))
+        self.colours = [(colour == c, ring[(colour == c).ravel()]) for c in range(3)]
         interior = np.zeros(self.shape, dtype=bool)
         interior[1:-1, 1:-1] = True
         # The edges with an interior end, in ``edge_sums``' layout.
-        near = neighbor_values(interior, False)
-        self.edge_mask = np.array([interior | near[..., NEIGHBOR_OFFSETS.index(d)]
+        near = neighbor_values(interior)
+        self.edge_mask = np.array([interior | near[NEIGHBOR_OFFSETS.index(d)]
                                    for d in DIRECTIONS])
 
     def product(self, edges: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -292,10 +294,10 @@ def harmonic_interpolation(u0: ScalarField) -> ScalarField:
     return ScalarField(u0.window, values)
 
 
-def _solve_colour(values: np.ndarray, colour: np.ndarray) -> None:
-    """Set every vertex of one colour class, an interior-shaped mask of the
-    window-shaped values, to the root of its monotone 1-D problem
-    angle_sum(t) = 2*pi, its neighbors held fixed.
+def _solve_colour(values: np.ndarray, colour: np.ndarray, ring: np.ndarray) -> None:
+    """Set every vertex of one colour class of the window-shaped values (an
+    interior-shaped mask and the flat indices of its rings) to the root of
+    its monotone 1-D problem angle_sum(t) = 2*pi, its neighbors held fixed.
 
     Newton steps are kept inside a bracket that starts at the smallest and
     largest neighbor value, with bisection as the fallback, so convergence
@@ -303,7 +305,7 @@ def _solve_colour(values: np.ndarray, colour: np.ndarray) -> None:
     ``_VERTEX_TOL`` keeps its value bit for bit.
     """
     inner = values[1:-1, 1:-1]
-    petals = rings(values)[colour.ravel()]
+    petals = values.take(ring)
     t = inner[colour]
     lo = petals.min(axis=1)
     hi = petals.max(axis=1)
@@ -438,8 +440,8 @@ def solve_patch(u0: ScalarField, options: SolveOptions | None = None):
         defects = _newton_step(values, grid, defects) if newton else None
         if defects is None:
             fallback = "gauss-seidel" if newton else None
-            for colour in grid.colours:
-                _solve_colour(values, colour)
+            for colour, ring in grid.colours:
+                _solve_colour(values, colour, ring)
             defects = _defects(values)
         iterations += 1
 
