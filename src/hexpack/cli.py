@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterable
 from contextlib import contextmanager
 
 import click
@@ -30,7 +31,7 @@ from .harmonic import (
 )
 from .lattice import MAX_FIELD_VALUE, ScalarField, Window, read_field_csv, write_field_csv
 from .layout import Anchor, develop, ring_ratio_bound
-from .render import COLOR_MAPS, RenderStyle, render_svg
+from .render import COLOR_MAPS, RenderStyle, _svg, _svg_blocks
 from .solver import (
     INITS,
     MODES,
@@ -148,10 +149,11 @@ def _edge_weights(u: ScalarField, order: int) -> EdgeWeights:
     return _checked(compute_edge_weights, u=u, quad=Quadrature(order=order))
 
 
-def _write_text(path: str, text: str) -> None:
+def _write_text(path: str, blocks: Iterable[str]) -> None:
+    """Write the text ``blocks`` to ``path`` one by one."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(blocks)
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -181,7 +183,7 @@ def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     except ValueError as exc:  # a log radius that read_field_csv would reject
         raise click.UsageError(
             f"--window {w} gives a log radius past {MAX_FIELD_VALUE:.0e}") from exc
-    _write_text(out, text)
+    _write_text(out, [text])
 
 
 @main.command()
@@ -210,10 +212,10 @@ def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
         try:  # InvalidPatch is the ValueError of a window without interior
             solved, report = _checked(solve_patch, u0=u0, options=opts)
         except NonConvergence as exc:
-            _write_text(out, write_field_csv(exc.field))
+            _write_text(out, [write_field_csv(exc.field)])
             click.echo(exc.report.to_json())
             ctx.exit(3)
-        _write_text(out, write_field_csv(solved))
+        _write_text(out, [write_field_csv(solved)])
     click.echo(report.to_json())
 
 
@@ -271,7 +273,7 @@ def harmonic(in_path: str, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
     u = _read_field(in_path)
     with _field_memory(u, in_path):
-        _write_text(out, _edge_weights(u, order).to_csv())
+        _write_text(out, [_edge_weights(u, order).to_csv()])
 
 
 @main.command()
@@ -300,7 +302,9 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
         values = None
         if color_map == "residual":
             values = harmonic_residuals(u, _edge_weights(u, order))
-        _write_text(out, _checked(render_svg, layout=lay, style=style, values=values))
+        # Every check runs before the file is opened; the circles go out in blocks.
+        parts = _checked(_svg, layout=lay, style=style, values=values)
+        _write_text(out, _svg_blocks(*parts))
 
 
 @main.command()

@@ -33,7 +33,9 @@ all finite arguments.
 
 ``face_angles`` evaluates arrays of faces from one half exponent each: in
 a face with log radii (a, b, c) the corners' half exponents are T - a,
-T - b, T - c with 2T = a + b + c - L and L = log(e^a + e^b + e^c).
+T - b, T - c with 2T = a + b + c - L and L = log(e^a + e^b + e^c).  The
+angles are computed from the faces' edge differences in place, in one
+(3, ...) array, at window sizes cheaper than a fresh array per operation.
 ``face_partials`` gives the symmetric partials on the face's edges in the
 cosh form
 
@@ -104,11 +106,21 @@ def dtheta_dx1(x1: float, x2: float) -> float:
     return math.exp(0.5 * (a + b - math.log1p(math.exp(a - c) + math.exp(b - c))) - _softplus(x1))
 
 
-def _half_exponent(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
-    """(x1 + x2 - log(1 + e^x1 + e^x2)) / 2, evaluated in shifted log space."""
-    m = np.maximum(0.0, np.maximum(x1, x2))
-    ell = m + np.log(np.exp(-m) + np.exp(x1 - m) + np.exp(x2 - m))
-    return 0.5 * (x1 + x2 - ell)
+def _half_exponent(x1: np.ndarray, x2: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """(x1 + x2 - log(1 + e^x1 + e^x2)) / 2, evaluated in shifted log space,
+    written into ``out[0]`` with ``out[1]`` and ``out[2]`` as scratch; ``out``
+    is shaped (3, *broadcast shape of x1 and x2)."""
+    half, t, s = (out[k, ...] for k in range(3))  # views, also of a (3,) out
+    m = np.maximum(0.0, np.maximum(x1, x2, out=half), out=half)
+    np.exp(np.negative(m, out=s), out=s)
+    s += np.exp(np.subtract(x1, m, out=t), out=t)
+    s += np.exp(np.subtract(x2, m, out=t), out=t)
+    np.log(s, out=s)
+    s += m  # ell
+    np.add(x1, x2, out=half)
+    half -= s
+    half *= 0.5
+    return half
 
 
 def _softplus_array(x: np.ndarray) -> np.ndarray:
@@ -119,19 +131,36 @@ def dtheta_dx1_array(x1: np.ndarray, x2: np.ndarray) -> np.ndarray:
     """Vectorized ``dtheta_dx1`` for quadrature along log-radius segments."""
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    return np.exp(_half_exponent(x1, x2) - _softplus_array(x1))
+    half = _half_exponent(x1, x2, np.empty((3, *np.broadcast_shapes(x1.shape, x2.shape))))
+    return np.exp(half - _softplus_array(x1))
 
 
 def _angle(half: np.ndarray) -> np.ndarray:
-    """The angle 2 atan(e^half), as pi - 2 atan(e^-half) where half > 0."""
-    small = 2.0 * np.arctan(np.exp(-np.abs(half)))
-    return np.where(half > 0.0, math.pi - small, small)
+    """The angle 2 atan(e^half) of each entry, in place, as pi - 2 atan(e^-half)
+    where half > 0."""
+    above = half > 0.0
+    small = np.abs(half, out=half)
+    np.exp(np.negative(small, out=small), out=small)
+    np.arctan(small, out=small)
+    small *= 2.0
+    return np.subtract(math.pi, small, out=small, where=above)
+
+
+def _face_angles(x: np.ndarray) -> np.ndarray:
+    """``face_angles`` from the stacked edge differences x = (r - q, r - p,
+    q - p) of faces with log radii p, q, r: the angle at p from its half
+    exponent h of (q - p, r - p), and those at q and r from h - (q - p) and
+    h - (r - p), in one (3, ...) array."""
+    out = np.empty(np.shape(x))
+    half = _half_exponent(x[2], x[1], out)
+    np.subtract(half, x[2], out=out[1, ...])
+    np.subtract(half, x[1], out=out[2, ...])
+    return _angle(out)
 
 
 def face_angles(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
     """Inner angles at the corners of faces with log radii p, q, r, stacked (3, ...)."""
-    half = _half_exponent(q - p, r - p)
-    return _angle(np.stack([half, half - (q - p), half - (r - p)]))
+    return _face_angles(_edge_differences(p, q, r))
 
 
 def _edge_differences(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:

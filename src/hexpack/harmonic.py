@@ -35,7 +35,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .geometry import _edge_differences, _edge_partials, dtheta_dx1_array
+from .geometry import _edge_partials, dtheta_dx1_array
 from .lattice import (
     DIRECTIONS,
     NEIGHBOR_OFFSETS,
@@ -43,8 +43,8 @@ from .lattice import (
     ScalarField,
     Vertex,
     Window,
+    _face_differences,
     edge_sums,
-    faces,
     faces_containing_edge,
     neighbor_values,
     neighbors,
@@ -219,8 +219,8 @@ def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
     linear in the edge differences, so the differences at each node are
     one multiply-add of the start's and the step's, into one buffer."""
     nodes, wts = _nodes_weights_01(quad.order)
-    start = _edge_differences(*faces(values[:, :-1]))
-    step = _edge_differences(*faces(np.diff(values, axis=1)))
+    start = _face_differences(values[:, :-1])
+    step = _face_differences(np.diff(values, axis=1))
     x, f, total = np.empty_like(start), np.empty_like(start), np.zeros_like(start)
     for t, wt in zip(nodes, wts):
         np.multiply(step, t, out=x)

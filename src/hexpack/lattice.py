@@ -257,6 +257,19 @@ def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             np.stack([a[1:, :-1], a[1:, :-1]]))
 
 
+def _face_differences(a: np.ndarray) -> np.ndarray:
+    """The edge differences (r - q, r - p, q - p) of the ``faces`` of a
+    window-shaped array, real or complex, in one (3, 2, rows - 1, cols - 1)
+    array, without stacking the corners."""
+    out = np.empty((3, 2, a.shape[0] - 1, a.shape[1] - 1), dtype=a.dtype)
+    for f, (p, q, r) in enumerate(((a[:-1, :-1], a[:-1, 1:], a[1:, :-1]),
+                                   (a[:-1, 1:], a[1:, 1:], a[1:, :-1]))):
+        np.subtract(r, q, out=out[0, f])
+        np.subtract(r, p, out=out[1, f])
+        np.subtract(q, p, out=out[2, f])
+    return out
+
+
 def _ring_faces(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Counterclockwise corners (centre, petal k, petal k+1) of the six faces
     of flowers whose petal offsets u(w) - u(v) are ``x`` (..., 6), in

@@ -35,15 +35,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .geometry import TWO_PI, face_angles
+from .geometry import TWO_PI, _face_angles
 from .lattice import (
     NEIGHBOR_OFFSETS,
     ScalarField,
     Vertex,
     Window,
+    _face_differences,
     corner_sums,
     d1,
-    faces,
     neighbor_values,
     neighbors,
 )
@@ -123,9 +123,15 @@ class Layout:
     def placed(self, *arrays: np.ndarray) -> list[list]:
         """Lists over the placed circles, in vertex order (m, then n): their
         m, their n, then the entries of each window-shaped array."""
-        w, keep = self.window, ~np.isnan(self.radii)
+        w = self.window
         grids = (np.arange(w.m_min, w.m_max + 1), np.arange(w.n_min, w.n_max + 1)[:, None])
-        return [np.broadcast_to(a, keep.shape).T[keep.T].tolist() for a in (*grids, *arrays)]
+        return [a.tolist() for a in self._placed(*grids, *arrays)]
+
+    def _placed(self, *arrays: np.ndarray) -> list[np.ndarray]:
+        """The entries of each array, window-shaped or broadcast to the
+        window, at the placed circles, in vertex order, as arrays."""
+        keep = ~np.isnan(self.radii)
+        return [np.broadcast_to(a, keep.shape).T[keep.T] for a in arrays]
 
     @cached_property
     def circles(self) -> MappingProxyType[Vertex, Circle]:
@@ -163,7 +169,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     if min(rows, cols) < 2 and window.num_vertices > 1:
         raise ValueError(f"develop needs a single vertex or a window at least two rows "
                          f"tall and two columns wide, got {window}")
-    angles = face_angles(*faces(u.values))
+    angles = _face_angles(_face_differences(u.values))
     defects = (TWO_PI - corner_sums(angles)[1:-1, 1:-1]).ravel()  # as angle_defects(u)
     bad = np.flatnonzero(np.abs(defects) > DEVELOP_DEFECT_TOL)
     if bad.size:
@@ -236,9 +242,10 @@ def max_tangency_residual(layout: Layout) -> float:
 def min_face_orientation(layout: Layout) -> float:
     """Smallest signed area of the center triangles of the layout's faces,
     taken at each corner; positive for a correctly oriented development."""
-    p, q, r = faces(layout.centers)
-    areas = np.array([0.5 * ((b - a).conjugate() * (c - a)).imag
-                      for a, b, c in ((p, q, r), (q, r, p), (r, p, q))])
+    qr, rp, pq = _face_differences(layout.centers)
+    # at p: (q - p)* (r - p); at q: (r - q)* (p - q); at r: (p - r)* (q - r)
+    areas = np.array([0.5 * (a.conjugate() * b).imag
+                      for a, b in ((pq, rp), (qr, -pq), (-rp, -qr))])
     return float(np.min(areas, initial=math.inf, where=~np.isnan(areas)))
 
 

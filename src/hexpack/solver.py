@@ -71,9 +71,10 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import TWO_PI, face_angles, face_partials
-from .lattice import (DIRECTIONS, NEIGHBOR_OFFSETS, ScalarField, Vertex, Window, _ring_faces,
-                      corner_sums, edge_sums, faces, neighbor_values, neighbors, ring_gather, rings)
+from .geometry import TWO_PI, _edge_partials, _face_angles, face_angles, face_partials
+from .lattice import (DIRECTIONS, NEIGHBOR_OFFSETS, ScalarField, Vertex, Window, _face_differences,
+                      _ring_faces, corner_sums, edge_sums, neighbor_values, neighbors, ring_gather,
+                      rings)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -173,16 +174,16 @@ def angle_defects(u: ScalarField) -> np.ndarray:
 
 
 def _defects(values: np.ndarray) -> np.ndarray:
-    return TWO_PI - corner_sums(face_angles(*faces(values)))[1:-1, 1:-1].ravel()
+    return TWO_PI - corner_sums(_face_angles(_face_differences(values)))[1:-1, 1:-1].ravel()
 
 
 class _Grid:
     """A window's interior: its number of vertices ``size``, its three
     colour classes (an interior-shaped mask and the flat indices of the
-    class's rings in the window), the edges with an interior end, and the
-    matrices over the interior, in ``interior_vertices()`` order, of
-    per-edge coefficients, stored as ``edge_sums`` returns them and 0 off
-    the edges with an interior end.
+    class's rings in the window, made on first use), the edges with an
+    interior end, and the matrices over the interior, in
+    ``interior_vertices()`` order, of per-edge coefficients, stored as
+    ``edge_sums`` returns them and 0 off the edges with an interior end.
 
     Such a matrix A has at each interior v the sum of v's six coefficients
     on the diagonal and minus the coefficient of the edge vw at each
@@ -198,18 +199,23 @@ class _Grid:
         self.shape = (window.n_count, window.m_count)
         # (m + 2n) % 3 with the window's offset reduced first, as a Python
         # int, so that corners past int64 do not overflow.
-        offset = (window.m_min + 2 * window.n_min) % 3
-        i, j = np.indices(self.shape)[:, 1:-1, 1:-1]
-        colour = (offset + j + 2 * i) % 3
-        self.size = colour.size
-        ring = rings(np.arange(math.prod(self.shape)).reshape(self.shape))
-        self.colours = [(colour == c, ring[(colour == c).ravel()]) for c in range(3)]
+        self._offset = (window.m_min + 2 * window.n_min) % 3
         interior = np.zeros(self.shape, dtype=bool)
         interior[1:-1, 1:-1] = True
+        self.size = interior[1:-1, 1:-1].size
         # The edges with an interior end, in ``edge_sums``' layout.
         near = neighbor_values(interior)
         self.edge_mask = np.array([interior | near[NEIGHBOR_OFFSETS.index(d)]
                                    for d in DIRECTIONS])
+
+    @cached_property
+    def colours(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The colour classes, for the Gauss-Seidel sweeps: a Newton solve
+        that never falls back builds no rings."""
+        i, j = np.indices(self.shape)[:, 1:-1, 1:-1]
+        colour = (self._offset + j + 2 * i) % 3
+        ring = rings(np.arange(math.prod(self.shape)).reshape(self.shape))
+        return [(colour == c, ring[(colour == c).ravel()]) for c in range(3)]
 
     def product(self, edges: np.ndarray, p: np.ndarray) -> np.ndarray:
         """The matrix of the per-edge coefficients ``edges`` times ``p``: at
@@ -380,7 +386,8 @@ def _newton_step(values: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.nda
     # vw.  Their matrix is the functional's Hessian, minus the Jacobian of
     # the angle sums.
     with np.errstate(over="ignore"):  # an infinite partial in the Hessian leaves no step
-        edges = np.where(grid.edge_mask, edge_sums(face_partials(*faces(values))), 0.0)
+        edges = edge_sums(_edge_partials(_face_differences(values)))
+    np.copyto(edges, 0.0, where=~grid.edge_mask)
     try:
         delta = _solve(grid, edges, -defects, min(0.1, float(np.abs(defects).max())))
     except RuntimeError:
@@ -393,7 +400,8 @@ def _newton_step(values: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.nda
     base, step = inner.copy(), delta.reshape(inner.shape)  # base: a copy, not a view
     target, lo, hi, s = -0.5 * g0, 0.0, 1.0, 1.0
     for _ in range(101):  # s down to 2**-100: a nearly singular Jacobian needs ~1e-17
-        inner[...] = base + s * step
+        np.multiply(step, s, out=inner)
+        inner += base
         defects = _defects(values)
         g = defects @ delta
         # g(1) <= 0 takes the full step; otherwise |g(s)| <= |g(0)| / 2 is needed.

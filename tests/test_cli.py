@@ -15,7 +15,10 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from hexpack.cli import main
+from hexpack.harmonic import compute_edge_weights, harmonic_residuals
 from hexpack.lattice import read_field_csv
+from hexpack.layout import develop
+from hexpack.render import _BLOCK, RenderStyle, render_svg
 from hexpack.spiral import SpiralParams, spiral_field
 from hexpack.lattice import ScalarField, Window, write_field_csv
 
@@ -332,6 +335,25 @@ def test_bounding_box_past_float_range_exits_2(runner, tmp_path):
     assert result.exit_code == 2
     assert "bounding box" in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("color_map", ["uniform", "log-radius", "residual"])
+def test_render_writes_the_bytes_of_render_svg(runner, tmp_path, color_map):
+    # 65 x 65 circles, more than one block of the written SVG
+    half = 32
+    assert (2 * half + 1) ** 2 > _BLOCK
+    values = np.random.default_rng(28).uniform(-1.0, 1.0, size=(2 * half + 1, 2 * half + 1))
+    values[1:-1, 1:-1] = 0.0
+    src, solved, out = tmp_path / "u.csv", tmp_path / "s.csv", tmp_path / "fig.svg"
+    src.write_text(write_field_csv(ScalarField(Window(-half, half, -half, half), values)))
+    assert run(runner, "solve", "--in", src, "--out", solved).exit_code == 0
+    result = run(runner, "render", "--in", solved, "--out", out, "--color-map", color_map)
+    assert result.exit_code == 0, result.output
+    u = read_field_csv(solved.read_text())
+    residuals = (harmonic_residuals(u, compute_edge_weights(u)) if color_map == "residual"
+                 else None)
+    expected = render_svg(develop(u), RenderStyle(color_map=color_map), residuals)
+    assert out.read_bytes() == expected.encode()
 
 
 @pytest.mark.parametrize("window", ["0:4,0:0", "0:0,-2:2"])
@@ -705,9 +727,9 @@ def test_solve_writes_nothing_to_stderr(tmp_path, field):
     assert result.stderr == ""
 
 
-# The child limits its own address space to 32 MB past what it holds after
-# its imports: reading the 401x401 field fits, each command's work does
-# not.  BLAS runs on one thread, and its buffers and numpy.random load
+# The child limits its own address space to 16 MB past what it holds after
+# its imports: reading the 401x401 field fits (it needs 8-12 MB), each
+# command's work does not (a solve needs 24-28 MB, a render 28-32 MB).  BLAS runs on one thread, and its buffers and numpy.random load
 # before the limit, since a failure there aborts the process instead of
 # raising MemoryError.  OpenBLAS maps its matrix-product buffer at the
 # first product of 128x128 or more; a 64x64 one maps nothing.
@@ -719,7 +741,7 @@ LIMITED_CHILD = textwrap.dedent("""\
     with open("/proc/self/statm") as fh:
         held = int(fh.read().split()[0]) * resource.getpagesize()
     hard = resource.getrlimit(resource.RLIMIT_AS)[1]
-    resource.setrlimit(resource.RLIMIT_AS, (held + 32 * 2**20, hard))
+    resource.setrlimit(resource.RLIMIT_AS, (held + 16 * 2**20, hard))
     main(sys.argv[1:])
 """)
 

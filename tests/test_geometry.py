@@ -217,6 +217,17 @@ class TestFlowerAngles:
         assert np.all(np.isfinite(d_first)) and np.all(np.isfinite(d_second))
 
 
+def out_of_place_angles(p, q, r):
+    """Oracle: the angles of ``face_angles`` with a fresh array per operation,
+    in the kernel's order of operations, so that they agree bit for bit."""
+    x1, x2 = q - p, r - p
+    m = np.maximum(0.0, np.maximum(x1, x2))
+    half = 0.5 * (x1 + x2 - (m + np.log(np.exp(-m) + np.exp(x1 - m) + np.exp(x2 - m))))
+    corners = np.stack([half, half - x1, half - x2])
+    small = 2.0 * np.arctan(np.exp(-np.abs(corners)))
+    return np.where(corners > 0.0, math.pi - small, small)
+
+
 class TestFaceKernel:
     """``face_angles`` and ``face_partials`` against ``theta`` and
     ``dtheta_dx1``, within 8 ulp times (1 + the spread of the log radii)."""
@@ -258,6 +269,18 @@ class TestFaceKernel:
             for k, (opposite, x, y) in enumerate(((a, b, c), (b, c, a), (c, a, b))):
                 expected = dtheta_dx1(y - x, opposite - x)
                 assert abs(out[k, face] - expected) <= tol * max(expected, sys.float_info.min)
+
+    @pytest.mark.parametrize("spread", [1.0, 30.0, 1e3, 1e300])
+    def test_angles_in_place_match_the_out_of_place_form(self, spread):
+        u = np.random.default_rng(int(math.log10(spread))).uniform(-spread, spread, (3, 500))
+        u[:, :27] = np.array(list(itertools.product((-spread, 0.0, spread), repeat=3))).T
+        assert np.array_equal(face_angles(*u), out_of_place_angles(*u))
+        ring = u.T.reshape(-1, 6)
+        assert np.array_equal(face_angles(*_ring_faces(ring)),
+                              out_of_place_angles(*_ring_faces(ring)))
+        u[0, 0] = math.inf
+        with np.errstate(invalid="ignore"):
+            assert np.array_equal(face_angles(*u), out_of_place_angles(*u), equal_nan=True)
 
     def test_infinite_differences_give_nan(self):
         corners = [np.zeros((3, 1)) for _ in range(6)]

@@ -1,5 +1,6 @@
 """Lattice combinatorics: neighbors, faces, differences, balls, windows,
-and the field CSV format.  Ball sizes are checked against a breadth-first
+and the field CSV format; the faces' edge differences against the stacked
+corners.  Ball sizes are checked against a breadth-first
 enumeration oracle and orientation against the planar embedding."""
 
 import gc
@@ -9,10 +10,13 @@ import sys
 import numpy as np
 import pytest
 
+from hexpack.geometry import (TWO_PI, _edge_differences, _edge_partials, _face_angles, face_angles,
+                              face_partials)
 from hexpack.lattice import (
     DIRECTIONS,
     ScalarField,
     Window,
+    _face_differences,
     ball,
     canonical_face,
     corner_sums,
@@ -31,6 +35,9 @@ from hexpack.lattice import (
     translate,
     write_field_csv,
 )
+from hexpack.layout import develop
+from hexpack.solver import _defects
+from hexpack.spiral import SpiralParams, spiral_field
 
 
 def bfs_ball(v, radius):
@@ -200,6 +207,61 @@ class TestFaceArrays:
                 expected = sum(flat[next(e for e, x in enumerate(corners) if x not in (v, w)), s]
                                for s, corners in (slots[f] for f in two))
                 assert got[(k, *self.index(v))] == pytest.approx(expected, abs=1e-15)
+
+
+def window_of_magnitudes(rows, cols):
+    """Values of magnitude 1e-300 to 1e300 with both signs, reaching +-1e300."""
+    rng = np.random.default_rng([rows, cols])
+    a = rng.uniform(-1.0, 1.0, (rows, cols)) * 10.0 ** rng.integers(-300, 301, (rows, cols))
+    a[0, 0], a[-1, -1] = 1e300, -1e300
+    return a
+
+
+class TestFaceDifferences:
+    """``_face_differences`` against ``_edge_differences`` of the stacked
+    ``faces`` corners, and the angles and partials read from it against the
+    kernel on those corners, all bit for bit."""
+
+    @pytest.mark.parametrize("rows, cols", [(2, 2), (2, 7), (9, 5)])
+    def test_real_windows_up_to_1e300(self, rows, cols):
+        a = window_of_magnitudes(rows, cols)
+        x = _face_differences(a)
+        assert x.shape == (3, 2, rows - 1, cols - 1)
+        assert np.array_equal(x, _edge_differences(*faces(a)))
+        assert np.array_equal(_face_angles(x), face_angles(*faces(a)))
+        assert np.array_equal(_edge_partials(x), face_partials(*faces(a)))
+
+    def test_complex_centres(self):
+        rng = np.random.default_rng(7)
+        z = rng.normal(size=(6, 8)) + 1j * rng.normal(size=(6, 8))
+        x = _face_differences(z)
+        assert x.dtype == complex
+        assert np.array_equal(x, _edge_differences(*faces(z)))
+
+    def test_an_infinite_entry_keeps_the_nan_angles_and_partials(self):
+        a = np.random.default_rng(8).uniform(-2.0, 2.0, (5, 6))
+        a[2, 3] = math.inf
+        x = _face_differences(a)
+        assert np.array_equal(x, _edge_differences(*faces(a)))
+        with np.errstate(invalid="ignore"):
+            angles, expected = _face_angles(x), face_angles(*faces(a))
+        assert np.isnan(angles).any()
+        assert np.array_equal(angles, expected, equal_nan=True)
+        partials = _edge_partials(x)
+        assert np.array_equal(partials, face_partials(*faces(a)), equal_nan=True)
+        # the six faces at the infinite entry, and only they, get NaN partials
+        assert np.count_nonzero(np.isnan(partials).all(axis=0)) == 6
+
+    @pytest.mark.parametrize("rows, cols", [(3, 3), (9, 5)])
+    def test_defects_read_the_angles_of_the_faces(self, rows, cols):
+        a = window_of_magnitudes(rows, cols) * 1e-298  # within +-100
+        expected = TWO_PI - corner_sums(face_angles(*faces(a)))[1:-1, 1:-1].ravel()
+        assert np.array_equal(_defects(a), expected)
+
+    def test_develop_reads_the_angles_of_the_faces(self):
+        u = spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-6, 5, -4, 4))
+        defects = TWO_PI - corner_sums(face_angles(*faces(u.values)))[1:-1, 1:-1]
+        assert develop(u).monodromy_residual == np.max(2.0 * np.sin(0.5 * np.abs(defects)))
 
 
 class TestTranslate:

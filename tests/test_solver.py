@@ -381,6 +381,18 @@ def test_one_grid_and_at_most_one_laplacian_factor_per_solve(monkeypatch, mode, 
     assert len(factors) == 0
 
 
+@pytest.mark.parametrize("mode", solver.MODES)
+def test_only_a_sweep_builds_the_colour_classes(monkeypatch, mode):
+    grids, grid_init = [], solver._Grid.__init__
+    monkeypatch.setattr(solver._Grid, "__init__",
+                        lambda self, window: grids.append(self) or grid_init(self, window))
+    u0 = ScalarField(Window(0, 10, 0, 10),
+                     np.random.default_rng(6).uniform(-1.0, 1.0, size=(11, 11)))
+    _, report = solve_patch(u0, SolveOptions(mode=mode))
+    assert report.converged and report.fallback is None
+    assert ("colours" in vars(grids[0])) == (mode == "gauss-seidel")
+
+
 def random_window(half, amplitude, seed):
     size = 2 * half + 1
     values = np.random.default_rng(seed).uniform(-amplitude, amplitude, size=(size, size))

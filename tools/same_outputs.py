@@ -15,7 +15,11 @@ gradients miss, so that each solve factors a matrix by SuperLU: the 7x7
 boundary of log radii 0 and +-300 of
 ``test_newton_resumes_after_a_gauss_seidel_fallback``, from its harmonic
 start, and the 4x4 field of ``TestNewtonWithoutAStep`` with ``--init
-keep``; both then fall back to Gauss-Seidel sweeps.  One more case runs
+keep``; both then fall back to Gauss-Seidel sweeps.  The "large window"
+case runs ``solve``, ``render``, ``render --color-map residual`` and
+``harmonic`` on the 201x201 window of the spiral x = 1.001, y = 0.999
+with uniform +-1 noise on its bottom row and a zero interior, so that
+the SVGs span more than one block of circles.  One more case runs
 ``--help`` and each command's ``--help``.  The exit codes, stdout and
 stderr (with the directory's path replaced) and every file left in the
 directory must be equal byte for byte.  Prints one line per case and
@@ -36,6 +40,8 @@ import tempfile
 from functools import partial
 from pathlib import Path
 
+import numpy as np
+
 sys.dont_write_bytecode = True  # leaves no __pycache__ under perfbench/
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
@@ -48,6 +54,7 @@ NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 BOUNDARY_300 = (0, 1, 1, -1, -1, -1, 0, 1, 1, 1, 1, 0, 1, -1, -1, 0, 0, 0, 0, 1, 0, 0, 0, -1)
 FIELD_4X4 = ((500, 0, -500, 1000), (1000, 500, -500, 0), (0, -1000, -1000, 0),
              (0, -500, -500, -1000))
+LARGE_HALF_WIDTH = 100
 
 
 def numeric_difference(old: bytes, new: bytes) -> tuple[float, float] | None:
@@ -124,6 +131,24 @@ def exact_step_outputs(tree: Path) -> dict[str, bytes]:
         return outputs(tree, work, steps)
 
 
+def large_window_outputs(tree: Path) -> dict[str, bytes]:
+    """The commands whose arrays and SVG grow with the window, at 201x201."""
+    half = LARGE_HALF_WIDTH
+    values = workloads.spiral_values(1.001, 0.999, half)
+    values[0] += np.random.default_rng(0).uniform(-1.0, 1.0, 2 * half + 1)
+    values[1:-1, 1:-1] = 0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        workloads.write_field(work / "boundary.csv", values, half)
+        steps = [("solve", ["solve", "--in", "boundary.csv", "--out", "solved.csv"]),
+                 ("render", ["render", "--in", "solved.csv", "--out", "fig.svg"]),
+                 ("render --color-map residual",
+                  ["render", "--in", "solved.csv", "--out", "residual.svg",
+                   "--color-map", "residual"]),
+                 ("harmonic", ["harmonic", "--in", "solved.csv", "--out", "weights.csv"])]
+        return outputs(tree, work, steps)
+
+
 def help_outputs(tree: Path) -> dict[str, bytes]:
     """``--help`` and each command's ``--help``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -143,7 +168,8 @@ def main(argv: list[str] | None = None) -> int:
     cases = [(f"{workload} seed {seed}", partial(case_outputs, workload=workload, seed=seed))
              for workload in workloads.HALF_WIDTH for seed in SEEDS]
     differing = 0
-    for label, run in [*cases, ("exact step", exact_step_outputs), ("--help", help_outputs)]:
+    for label, run in [*cases, ("exact step", exact_step_outputs),
+                       ("large window", large_window_outputs), ("--help", help_outputs)]:
         old, new = (run(tree) for tree in trees)
         diff = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
         differing += bool(diff)
