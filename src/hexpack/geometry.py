@@ -31,12 +31,12 @@ The partial derivative with respect to x1 has the closed form
 evaluated the same way.  It is strictly positive and strictly below 1 for
 all finite arguments.
 
-``face_angles`` evaluates arrays of faces from one half exponent each: in
+``_face_angles`` evaluates arrays of faces from one half exponent each: in
 a face with log radii (a, b, c) the corners' half exponents are T - a,
 T - b, T - c with 2T = a + b + c - L and L = log(e^a + e^b + e^c).  The
 angles are computed from the faces' edge differences in place, in one
 (3, ...) array, at window sizes cheaper than a fresh array per operation.
-``face_partials`` gives the symmetric partials on the face's edges in the
+``_edge_partials`` gives the symmetric partials on the face's edges in the
 cosh form
 
     d(angle at b)/d(c) = d(angle at c)/d(b) = exp(T - log(e^b + e^c))
@@ -47,10 +47,10 @@ h = e^((corner - M)/2) in (0, 1], S = h_a^2 + h_b^2 + h_c^2 in [1, 3] and
 g = e^(-|b - c|/2), the partial is h_a / sqrt(S) * g / (1 + g^2): every
 exponent is at most 0 and every divisor at least 1, so nothing overflows,
 and a partial that is too small for a float underflows to 0.  The two are
-the one angle kernel: the faces of windows and the six faces around single
-flowers are both evaluated through them, and the edge weights integrate
-the partials' private form ``_edge_partials`` in place.  The scalar
-``theta`` and ``dtheta_dx1`` are their reference.
+the one angle kernel: windows and single flowers both enter them as stacked
+edge differences, and the edge weights integrate the partials in place.
+``face_angles`` and ``face_partials`` are their corner form, which the tests
+compare against; the scalar ``theta`` and ``dtheta_dx1`` are their reference.
 
 All functions are pure and thread-safe.
 """
@@ -159,12 +159,13 @@ def _face_angles(x: np.ndarray) -> np.ndarray:
 
 
 def face_angles(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Inner angles at the corners of faces with log radii p, q, r, stacked (3, ...)."""
+    """The corner form of ``_face_angles``, which the tests compare against: the
+    inner angles at the corners of faces with log radii p, q, r, stacked (3, ...)."""
     return _face_angles(_edge_differences(p, q, r))
 
 
 def _edge_differences(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """``_edge_partials``' input: the edge differences (r - q, r - p, q - p)."""
+    """The corner form of the kernel's input: the edge differences (r - q, r - p, q - p)."""
     return np.stack(np.broadcast_arrays(r - q, r - p, q - p))
 
 
@@ -210,9 +211,9 @@ def _edge_partials(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 
 def face_partials(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Symmetric partials of faces with log radii p, q, r, arrays of one or
-    more dimensions, on the edges qr, rp and pq, stacked (3, ...):
-    d(angle at q)/d(r) = d(angle at r)/d(q) first."""
+    """The corner form of ``_edge_partials``, which the tests compare against:
+    the symmetric partials of faces with log radii p, q, r on the edges qr, rp
+    and pq, stacked (3, ...), d(angle at q)/d(r) = d(angle at r)/d(q) first."""
     return _edge_partials(_edge_differences(p, q, r))
 
 

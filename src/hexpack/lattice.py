@@ -270,12 +270,14 @@ def _face_differences(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _ring_faces(x: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
-    """Counterclockwise corners (centre, petal k, petal k+1) of the six faces
-    of flowers whose petal offsets u(w) - u(v) are ``x`` (..., 6), in
-    ``NEIGHBOR_OFFSETS`` order: the centre's angles are ``face_angles[0]``,
-    their partials in petals k and k+1 ``face_partials[2]`` and ``[1]``."""
-    return 0.0, x, x[..., _NEXT_PETAL]
+def _ring_differences(x: np.ndarray) -> np.ndarray:
+    """The edge differences (r - q, r - p, q - p) = (x[k+1] - x[k], x[k+1], x[k])
+    of the faces (p, q, r) = (centre, petal k, petal k+1) of flowers with petal
+    offsets u(w) - u(v) ``x`` (..., 6), in ``NEIGHBOR_OFFSETS`` order, stacked
+    (3, ..., 6): the centre's angles are ``_face_angles[0]``, their partials in
+    petals k and k+1 ``_edge_partials[2]`` and ``[1]``."""
+    after = x[..., _NEXT_PETAL]
+    return np.stack([after - x, after, x])
 
 
 def corner_sums(f: np.ndarray) -> np.ndarray:

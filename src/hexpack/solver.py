@@ -10,12 +10,12 @@ value: theta increases in both arguments and theta(0, 0) = pi/3.
 
 The defects are the gradient of a convex functional of the interior log
 radii (Colin de Verdiere, Invent. Math. 104, 1991), whose Hessian is minus
-the symmetric Jacobian.  Everything comes from one angle kernel,
-``geometry.face_angles`` and ``face_partials``: the defects and the
-Jacobian from one evaluation per face of the window, the per-vertex solves
-and the flower of ``_flower`` (its petal offsets and six angles, which
-``angle_sum`` and the flower checks of ``layout`` read) from the six faces
-around each flower.  Each iterate's defects are evaluated once.
+the symmetric Jacobian.  Everything comes from one angle kernel on edge
+differences, ``geometry._face_angles`` and ``_edge_partials``: the defects
+and the Jacobian from those of every face of the window, the per-vertex
+solves and the flower of ``_flower`` (its petal offsets and six angles,
+which ``angle_sum`` and the flower checks of ``layout`` read) from those of
+the six faces around each flower.  Each iterate's defects are evaluated once.
 
 A solve builds one ``_Grid``.  Its linear systems, the harmonic start's
 in the interior graph Laplacian L (6 on the diagonal, -1 per interior
@@ -71,10 +71,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .geometry import TWO_PI, _edge_partials, _face_angles, face_angles, face_partials
-from .lattice import (DIRECTIONS, NEIGHBOR_OFFSETS, ScalarField, Vertex, Window, _face_differences,
-                      _ring_faces, corner_sums, edge_sums, neighbor_values, neighbors, ring_gather,
-                      rings)
+from .geometry import TWO_PI, _edge_partials, _face_angles
+from .lattice import (ScalarField, Vertex, Window, _face_differences, _ring_differences,
+                      corner_sums, edge_sums, neighbors, ring_gather, rings)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -153,7 +152,7 @@ def _flower(u: ScalarField, v: Vertex) -> tuple[np.ndarray, np.ndarray]:
     if not u.window.is_interior(v):
         raise ValueError(f"a flower needs an interior vertex, got {v}")
     x = np.array([u[w] for w in neighbors(v)]) - u[v]
-    return x, face_angles(*_ring_faces(x))[0]
+    return x, _face_angles(_ring_differences(x))[0]
 
 
 def angle_sum(u: ScalarField, v: Vertex) -> float:
@@ -180,10 +179,10 @@ def _defects(values: np.ndarray) -> np.ndarray:
 class _Grid:
     """A window's interior: its number of vertices ``size``, its three
     colour classes (an interior-shaped mask and the flat indices of the
-    class's rings in the window, made on first use), the edges with an
-    interior end, and the matrices over the interior, in
-    ``interior_vertices()`` order, of per-edge coefficients, stored as
-    ``edge_sums`` returns them and 0 off the edges with an interior end.
+    class's rings in the window, made on first use), and the matrices over
+    the interior, in ``interior_vertices()`` order, of per-edge coefficients
+    stored as ``edge_sums`` returns them.  An edge without an interior end,
+    NaN there on the window's border, is never read into an interior row.
 
     Such a matrix A has at each interior v the sum of v's six coefficients
     on the diagonal and minus the coefficient of the edge vw at each
@@ -200,13 +199,7 @@ class _Grid:
         # (m + 2n) % 3 with the window's offset reduced first, as a Python
         # int, so that corners past int64 do not overflow.
         self._offset = (window.m_min + 2 * window.n_min) % 3
-        interior = np.zeros(self.shape, dtype=bool)
-        interior[1:-1, 1:-1] = True
-        self.size = interior[1:-1, 1:-1].size
-        # The edges with an interior end, in ``edge_sums``' layout.
-        near = neighbor_values(interior)
-        self.edge_mask = np.array([interior | near[NEIGHBOR_OFFSETS.index(d)]
-                                   for d in DIRECTIONS])
+        self.size = math.prod(max(n - 2, 0) for n in self.shape)
 
     @cached_property
     def colours(self) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -281,7 +274,7 @@ def _harmonic(values: np.ndarray, grid: _Grid) -> None:
     # Scaled to a largest entry of 1, so that no norm overflows.
     scale = float(np.abs(b).max())
     if scale:
-        x = _solve(grid, grid.edge_mask.astype(float), b / scale, 1e-14)
+        x = _solve(grid, np.ones((3, *grid.shape)), b / scale, 1e-14)
         inner[...] = (scale * x).reshape(inner.shape)
 
 
@@ -318,12 +311,14 @@ def _solve_colour(values: np.ndarray, colour: np.ndarray, ring: np.ndarray) -> N
     active = np.arange(t.size)
     for _ in range(100):
         ta = t[active]
-        f = face_angles(*_ring_faces(petals[active] - ta[:, None]))[0].sum(axis=1) - TWO_PI
+        x = _ring_differences(petals[active] - ta[:, None])
+        f = _face_angles(x)[0].sum(axis=1) - TWO_PI
         unsolved = np.abs(f) > _VERTEX_TOL
         active, ta, f = active[unsolved], ta[unsolved], f[unsolved]
         if active.size == 0:
             break
-        _, d_next, d_petal = face_partials(*_ring_faces(petals[active] - ta[:, None]))
+        # compress, unlike x[:, unsolved], keeps the stack C-ordered for the kernel
+        _, d_next, d_petal = _edge_partials(x.compress(unsolved, axis=1))
         slope = -(d_petal + d_next).sum(axis=1)
         # The sum decreases in t, so f > 0 means the root lies above t.
         above = f > 0.0
@@ -387,7 +382,6 @@ def _newton_step(values: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.nda
     # the angle sums.
     with np.errstate(over="ignore"):  # an infinite partial in the Hessian leaves no step
         edges = edge_sums(_edge_partials(_face_differences(values)))
-    np.copyto(edges, 0.0, where=~grid.edge_mask)
     try:
         delta = _solve(grid, edges, -defects, min(0.1, float(np.abs(defects).max())))
     except RuntimeError:

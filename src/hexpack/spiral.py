@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import TWO_PI, face_angles
-from .lattice import MAX_FIELD_VALUE, ScalarField, Window, _ring_faces, d1, d2
+from .geometry import TWO_PI, _face_angles
+from .lattice import MAX_FIELD_VALUE, ScalarField, Window, _ring_differences, d1, d2
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ def _closure_angle_sum(a1: float, k1: float, a2: float) -> float:
     """Angle sum at (0,0) of the flower with rows u(m,0) = k1*m,
     u(m,1) = a1 + k1*m, u(m,-1) = a2 + k1*m."""
     ring = np.array([k1, a1, a1 - k1, -k1, a2, a2 + k1])
-    return float(face_angles(*_ring_faces(ring))[0].sum())
+    return float(_face_angles(_ring_differences(ring))[0].sum())
 
 
 def solve_flower_closure(a1: float, k1: float) -> float:

@@ -22,7 +22,6 @@ from hexpack.geometry import (
     inner_angles,
     theta,
 )
-from hexpack.lattice import _ring_faces
 
 SQRT3 = math.sqrt(3.0)
 
@@ -179,10 +178,16 @@ class TestDthetaDx1:
             assert v == pytest.approx(dtheta_dx1(a, b), abs=1e-15)
 
 
+def ring_corners(x):
+    """The corners (centre, petal k, petal k+1) of the six faces of flowers
+    with petal offsets x (..., 6)."""
+    return 0.0, x, x[..., [1, 2, 3, 4, 5, 0]]
+
+
 def flower_angles(x):
     """The six angles at flower centres with petal offsets x (..., 6), and
     their partials in petals k and k+1, from the face kernel on the ring faces."""
-    corners = _ring_faces(np.asarray(x, dtype=float))
+    corners = ring_corners(np.asarray(x, dtype=float))
     _, d_second, d_first = face_partials(*corners)
     return face_angles(*corners)[0], d_first, d_second
 
@@ -276,8 +281,8 @@ class TestFaceKernel:
         u[:, :27] = np.array(list(itertools.product((-spread, 0.0, spread), repeat=3))).T
         assert np.array_equal(face_angles(*u), out_of_place_angles(*u))
         ring = u.T.reshape(-1, 6)
-        assert np.array_equal(face_angles(*_ring_faces(ring)),
-                              out_of_place_angles(*_ring_faces(ring)))
+        assert np.array_equal(face_angles(*ring_corners(ring)),
+                              out_of_place_angles(*ring_corners(ring)))
         u[0, 0] = math.inf
         with np.errstate(invalid="ignore"):
             assert np.array_equal(face_angles(*u), out_of_place_angles(*u), equal_nan=True)

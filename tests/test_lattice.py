@@ -17,6 +17,7 @@ from hexpack.lattice import (
     ScalarField,
     Window,
     _face_differences,
+    _ring_differences,
     ball,
     canonical_face,
     corner_sums,
@@ -262,6 +263,36 @@ class TestFaceDifferences:
         u = spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-6, 5, -4, 4))
         defects = TWO_PI - corner_sums(face_angles(*faces(u.values)))[1:-1, 1:-1]
         assert develop(u).monodromy_residual == np.max(2.0 * np.sin(0.5 * np.abs(defects)))
+
+
+class TestRingDifferences:
+    """``_ring_differences`` against ``_edge_differences`` of the ring
+    corners (centre 0, petal k, petal k+1), sign bits included, and the
+    angles and partials read from it against the kernel on those corners."""
+
+    @staticmethod
+    def rings_and_corners():
+        x = np.random.default_rng(9).uniform(-5.0, 5.0, (41, 6))
+        x[-1] = [-0.0, 0.0, 1e300, -1e300, math.inf, math.nan]
+        return x, (0.0, x, x[..., [1, 2, 3, 4, 5, 0]])
+
+    def test_differences_bit_for_bit(self):
+        x, corners = self.rings_and_corners()
+        got, expected = _ring_differences(x), _edge_differences(*corners)
+        assert got.shape == expected.shape == (3, 41, 6)
+        assert got.tobytes() == expected.tobytes()
+        # one flower, as _flower and the spiral closure pass it
+        assert _ring_differences(x[-1]).tobytes() == expected[:, -1].tobytes()
+
+    def test_angles_and_partials(self):
+        x, corners = self.rings_and_corners()
+        d = _ring_differences(x)
+        with np.errstate(invalid="ignore"):  # the kernel's inf - inf at the infinite petal
+            angles, expected = _face_angles(d), face_angles(*corners)
+        assert np.array_equal(angles, expected, equal_nan=True)
+        assert np.array_equal(_edge_partials(d), face_partials(*corners), equal_nan=True)
+        # only the last ring, at its infinite and NaN petals, has NaN angles
+        assert np.isnan(angles[:, -1]).any() and not np.isnan(angles[:, :-1]).any()
 
 
 class TestTranslate:

@@ -12,7 +12,8 @@ from hypothesis import given, settings, strategies as st
 
 from hexpack.geometry import angle_gradient, face_partials
 from hexpack import solver
-from hexpack.lattice import DIRECTIONS, ScalarField, Window, edge_sums, faces, neighbors
+from hexpack.lattice import (DIRECTIONS, NEIGHBOR_OFFSETS, ScalarField, Window, edge_sums, faces,
+                             neighbor_values, neighbors)
 from hexpack.solver import (
     DEFAULT_TOLERANCE,
     InvalidPatch,
@@ -460,18 +461,61 @@ def coefficient_matrix(window, edges):
 
 @pytest.mark.parametrize("rows, cols", [(7, 7), (3, 9), (12, 3), (3, 3), (5, 11)])
 def test_stencil_product_matches_the_sparse_matrix(rows, cols):
-    # Newton's coefficients on a random field: the NaN that edge_sums
-    # leaves on edges with one face is masked to 0, which the matrix never reads
+    # Newton's coefficients on a random field, as edge_sums returns them: the
+    # NaN it leaves on edges with one face lies on the border, which the
+    # matrix never reads
     rng = np.random.default_rng([rows, cols])
     window = Window(0, cols - 1, 0, rows - 1)
     grid = solver._Grid(window)
-    partials = edge_sums(face_partials(*faces(rng.uniform(-2.0, 2.0, size=(rows, cols)))))
-    edges = np.where(grid.edge_mask, partials, 0.0)
-    mat = coefficient_matrix(window, partials)
+    edges = edge_sums(face_partials(*faces(rng.uniform(-2.0, 2.0, size=(rows, cols)))))
+    mat = coefficient_matrix(window, edges)
     for _ in range(3):
         p = rng.normal(size=grid.size)
         expected = mat @ p
         assert np.abs(grid.product(edges, p) - expected).max() <= 1e-13 * np.abs(expected).max()
+
+
+def edges_with_an_interior_end(rows, cols):
+    # (3, rows, cols) in edge_sums' layout: the edge from v to
+    # v + DIRECTIONS[k] has an interior end at v or at that neighbor
+    interior = np.zeros((rows, cols), dtype=bool)
+    interior[1:-1, 1:-1] = True
+    near = neighbor_values(interior)
+    return np.array([interior | near[NEIGHBOR_OFFSETS.index(d)] for d in DIRECTIONS])
+
+
+@pytest.mark.parametrize("rows, cols", [(3, 3), (7, 7), (3, 9), (12, 3), (5, 11)])
+def test_edges_without_an_interior_end_are_never_read(rows, cols):
+    # NaN, +inf and -inf in turn on every edge without an interior end: the
+    # product and the exact solve equal, bit for bit, those of the same
+    # coefficients with those edges zeroed
+    rng = np.random.default_rng([rows, cols])
+    grid = solver._Grid(Window(0, cols - 1, 0, rows - 1))
+    inner = edges_with_an_interior_end(rows, cols)
+    zeroed = np.where(inner, rng.uniform(0.5, 2.0, size=inner.shape), 0.0)
+    edges = zeroed.copy()
+    edges[~inner] = np.resize([math.nan, math.inf, -math.inf], np.count_nonzero(~inner))
+    p = rng.normal(size=grid.size)
+    with np.errstate(invalid="ignore"):  # as inside _pcg: inf * 0 on the border
+        product = grid.product(edges, p)
+    assert product.tobytes() == grid.product(zeroed, p).tobytes()
+    assert grid.factor(edges).solve(p).tobytes() == grid.factor(zeroed).solve(p).tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_coefficient_not_finite_inside_leaves_no_newton_step(monkeypatch, bad):
+    # on an edge with an interior end, unlike on the border, it ends the step
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 5))
+    before, grid = values.copy(), solver._Grid(Window(0, 4, 0, 4))
+
+    def spoiled(f):
+        edges = edge_sums(f)
+        edges[2, 2, 1] = bad  # the edge from (1, 2) to (2, 2), both interior
+        return edges
+
+    monkeypatch.setattr(solver, "edge_sums", spoiled)
+    assert solver._newton_step(values, grid, solver._defects(values)) is None
+    assert np.array_equal(values, before)
 
 
 @pytest.mark.parametrize("rows, cols", [(3, 3), (3, 12), (9, 3), (8, 13), (21, 17)])
@@ -496,7 +540,7 @@ def test_harmonic_start_matches_an_exact_solve_of_the_laplacian(half, scale):
     # b_v: the sum of u0 over v's boundary neighbors
     b = np.array([sum(u0[w] for w in neighbors(v) if not u0.window.is_interior(w))
                   for v in u0.window.interior_vertices()]) / scale
-    exact = grid.factor(grid.edge_mask.astype(float)).solve(b)
+    exact = grid.factor(np.ones((3, *grid.shape))).solve(b)
     assert np.abs(out.values[1:-1, 1:-1].ravel() / scale - exact).max() <= 1e-12
 
 

@@ -26,7 +26,9 @@ directory must be equal byte for byte.  Prints one line per case and
 exits 1 on any difference.  An output whose two versions differ only in
 their numbers (the same text between them and as many numbers) gets one
 more line with the largest absolute and relative difference of those
-numbers.  ``perfbench/`` is only imported, never written to.
+numbers.  A closing line gives each tree's ``src/`` line count (the
+lines of its ``.py`` files); it does not change the exit status.
+``perfbench/`` is only imported, never written to.
 """
 
 from __future__ import annotations
@@ -156,6 +158,11 @@ def help_outputs(tree: Path) -> dict[str, bytes]:
         return outputs(tree, Path(tmp), steps)
 
 
+def src_lines(tree: Path) -> int:
+    """The number of lines of the ``.py`` files under ``tree``'s ``src/``."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src").rglob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description="Compare the CLI outputs of two source trees.")
     parser.add_argument("parent", type=Path, help="source tree holding src/hexpack")
@@ -180,6 +187,7 @@ def main(argv: list[str] | None = None) -> int:
             if numeric is not None:
                 print(f"  {key}: numbers only, largest difference {numeric[0]:.3g} absolute, "
                       f"{numeric[1]:.3g} relative", flush=True)
+    print(f"src/ lines: parent {src_lines(trees[0])}, change {src_lines(trees[1])}")
     return 1 if differing else 0
 
 
