@@ -17,6 +17,7 @@ import json
 import math
 from collections.abc import Iterable
 from contextlib import contextmanager
+from functools import wraps
 
 import click
 import numpy as np
@@ -129,11 +130,6 @@ def _read_field(path: str) -> ScalarField:
         raise click.UsageError(f"cannot read field CSV {path}: {exc}") from exc
 
 
-def _field_memory(u: ScalarField, path: str):
-    """``_in_memory`` naming the window of the field read from ``path``."""
-    return _in_memory(f"window {_window_text(u.window)} of {path}")
-
-
 def _checked(fn, **kwargs):
     """Call ``fn``, mapping the ValueError with which it rejects its input
     to a usage error (exit code 2)."""
@@ -163,6 +159,20 @@ def main() -> None:
     """Doyle spirals and circle packings on the hexagonal lattice."""
 
 
+def _field_command(fn):
+    """A command of ``main`` whose first option ``--in`` names a field CSV: ``fn``
+    takes the field as ``u``, inside one ``_in_memory`` naming the file and the
+    window.  ``wraps`` carries its name, help and options, as ``pass_context`` does."""
+    @wraps(fn)
+    def command(in_path: str, **kwargs) -> None:
+        u = _read_field(in_path)
+        with _in_memory(f"window {_window_text(u.window)} of {in_path}"):
+            fn(u=u, **kwargs)
+
+    return main.command()(click.option("--in", "in_path", type=str, required=True,
+                                       help="Input field CSV.")(command))
+
+
 @main.command()
 @click.option("--r0", type=float, default=1.0, show_default=True, callback=_positive,
               help="Base radius.")
@@ -186,8 +196,7 @@ def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     _write_text(out, [text])
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@_field_command
 @click.option("--out", type=str, required=True, help="Output field CSV path.")
 @click.option("--tol", type=float, default=SolveOptions.tolerance, show_default=True,
               callback=_positive, help="Largest allowed angle defect, radians.")
@@ -199,56 +208,50 @@ def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
               show_default=True, help="Interior starting guess.")
 @_config_option
 @click.pass_context
-def solve(ctx: click.Context, in_path: str, out: str, tol: float, max_iter: int,
+def solve(ctx: click.Context, u: ScalarField, out: str, tol: float, max_iter: int,
           mode: str, init: str) -> None:
     """Solve the packing equation with the boundary held fixed.
 
     Writes the solved field and prints the solve report as JSON; exits 3
     when the budget runs out (the partial field is still written).
     """
-    u0 = _read_field(in_path)
     opts = _checked(SolveOptions, tolerance=tol, max_iterations=max_iter, mode=mode, init=init)
-    with _field_memory(u0, in_path):
-        try:  # InvalidPatch is the ValueError of a window without interior
-            solved, report = _checked(solve_patch, u0=u0, options=opts)
-        except NonConvergence as exc:
-            _write_text(out, [write_field_csv(exc.field)])
-            click.echo(exc.report.to_json())
-            ctx.exit(3)
-        _write_text(out, [write_field_csv(solved)])
+    try:  # InvalidPatch is the ValueError of a window without interior
+        solved, report = _checked(solve_patch, u0=u, options=opts)
+    except NonConvergence as exc:
+        _write_text(out, [write_field_csv(exc.field)])
+        click.echo(exc.report.to_json())
+        ctx.exit(3)
+    _write_text(out, [write_field_csv(solved)])
     click.echo(report.to_json())
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@_field_command
 @click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for edge weights.")
 @click.option("--tol", type=float, default=DEFAULT_CLASSIFY_TOL, show_default=True,
               callback=_positive, help="Classification tolerance.")
 @_config_option
-def verify(in_path: str, order: int, tol: float) -> None:
+def verify(u: ScalarField, order: int, tol: float) -> None:
     """Print JSON diagnostics: defects, weight bounds, residuals, ratio
     bound, and the field classification."""
-    u = _read_field(in_path)
-    window = u.window
-    with _field_memory(u, in_path):
-        defects = angle_defects(u)
-        max_defect = float(np.abs(defects).max()) if defects.size else None
+    defects = angle_defects(u)
+    max_defect = float(np.abs(defects).max()) if defects.size else None
 
-        weights = _edge_weights(u, order)
-        etas = weights.values[~np.isnan(weights.values)]
-        min_eta = float(etas.min()) if etas.size else None
-        max_eta = float(etas.max()) if etas.size else None
-        residuals = np.abs(harmonic_residuals(u, weights))
-        max_residual = None if np.isnan(residuals).all() else float(np.nanmax(residuals))
+    weights = _edge_weights(u, order)
+    etas = weights.values[~np.isnan(weights.values)]
+    min_eta = float(etas.min()) if etas.size else None
+    max_eta = float(etas.max()) if etas.size else None
+    residuals = np.abs(harmonic_residuals(u, weights))
+    max_residual = None if np.isnan(residuals).all() else float(np.nanmax(residuals))
 
-        min_d1_ratio = ring_ratio_bound(u) if window.m_count >= 2 else None
+    min_d1_ratio = ring_ratio_bound(u) if u.window.m_count >= 2 else None
 
-        if window.m_count >= 2 and window.n_count >= 2:
-            cls = classify(u, tol)
-            kind, k1, k2, spread = cls.kind, cls.k1, cls.k2, cls.spread
-        else:
-            kind = k1 = k2 = spread = None
+    if u.window.m_count >= 2 and u.window.n_count >= 2:
+        cls = classify(u, tol)
+        kind, k1, k2, spread = cls.kind, cls.k1, cls.k2, cls.spread
+    else:
+        kind = k1 = k2 = spread = None
 
     click.echo(json.dumps({
         "max_defect": max_defect,
@@ -263,21 +266,17 @@ def verify(in_path: str, order: int, tol: float) -> None:
     }))
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@_field_command
 @click.option("--out", type=str, required=True, help="Output weights CSV path.")
 @click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order.")
 @_config_option
-def harmonic(in_path: str, out: str, order: int) -> None:
+def harmonic(u: ScalarField, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
-    u = _read_field(in_path)
-    with _field_memory(u, in_path):
-        _write_text(out, [_edge_weights(u, order).to_csv()])
+    _write_text(out, [_edge_weights(u, order).to_csv()])
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@_field_command
 @click.option("--out", type=str, required=True, help="Output SVG path.")
 @click.option("--stroke-width", type=float, default=RenderStyle.stroke_width, show_default=True,
               help="Stroke width in user units.")
@@ -290,25 +289,22 @@ def harmonic(in_path: str, out: str, order: int) -> None:
 @click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for the residual color map.")
 @_config_option
-def render(in_path: str, out: str, stroke_width: float, color_map: str, padding: float,
+def render(u: ScalarField, out: str, stroke_width: float, color_map: str, padding: float,
            base: tuple[int, int] | None, order: int) -> None:
     """Develop a field into circles and write an SVG figure."""
-    u = _read_field(in_path)
     anchor = Anchor(base) if base is not None else None
-    with _field_memory(u, in_path):
-        lay = _checked(develop, u=u, base=anchor)
-        style = _checked(RenderStyle, stroke_width=stroke_width, color_map=color_map,
-                         padding=padding)
-        values = None
-        if color_map == "residual":
-            values = harmonic_residuals(u, _edge_weights(u, order))
-        # Every check runs before the file is opened; the circles go out in blocks.
-        parts = _checked(_svg, layout=lay, style=style, values=values)
-        _write_text(out, _svg_blocks(*parts))
+    lay = _checked(develop, u=u, base=anchor)
+    style = _checked(RenderStyle, stroke_width=stroke_width, color_map=color_map,
+                     padding=padding)
+    values = None
+    if color_map == "residual":
+        values = harmonic_residuals(u, _edge_weights(u, order))
+    # Every check runs before the file is opened; the circles go out in blocks.
+    parts = _checked(_svg, layout=lay, style=style, values=values)
+    _write_text(out, _svg_blocks(*parts))
 
 
-@main.command()
-@click.option("--in", "in_path", type=str, required=True, help="Input field CSV.")
+@_field_command
 @click.option("--start", type=click.UNPROCESSED, metavar="VERTEX", default="0,0",
               show_default=True, callback=_vertex, help="Start vertex m,n.")
 @click.option("--steps", type=click.IntRange(min=0), default=100, show_default=True,
@@ -320,14 +316,12 @@ def render(in_path: str, out: str, stroke_width: float, color_map: str, padding:
 @click.option("--order", type=ORDER, default=DEFAULT_QUADRATURE.order, show_default=True,
               help="Quadrature order for edge weights.")
 @_config_option
-def walk(in_path: str, start: tuple[int, int], steps: int, trials: int, seed: int,
+def walk(u: ScalarField, start: tuple[int, int], steps: int, trials: int, seed: int,
          order: int) -> None:
     """Run weighted random walks and print the return-frequency JSON."""
-    u = _read_field(in_path)
     if not u.window.contains(start):
         raise click.UsageError(f"--start {start[0]},{start[1]} is outside window {u.window}")
-    with _field_memory(u, in_path):
-        weights = _edge_weights(u, order)
+    weights = _edge_weights(u, order)
     # Every trial is held at once: chunking the trials would reorder the draws.
     with _in_memory(f"--trials {trials}"):
         report = random_walk_return(weights, start, steps, trials, seed)

@@ -38,7 +38,7 @@ import numpy as np
 from .geometry import _edge_partials, dtheta_dx1_array
 from .lattice import (
     DIRECTIONS,
-    NEIGHBOR_OFFSETS,
+    EDGE_ENDS,
     Face,
     ScalarField,
     Vertex,
@@ -46,7 +46,6 @@ from .lattice import (
     _face_differences,
     edge_sums,
     faces_containing_edge,
-    neighbor_values,
     neighbors,
     ring_gather,
     rings,
@@ -170,9 +169,9 @@ class EdgeWeights:
     def __init__(self, window: Window, values: np.ndarray) -> None:
         if np.shape(values) != (3, window.n_count, window.m_count):
             raise ValueError(f"weights of shape {np.shape(values)} do not fit window {window}")
-        self.window, self.values = window, np.array(values, dtype=float)
-        # Off-window edges: (0, 1) from the last row, (1, -1) the first, (1, *) the last column.
-        self.values[0, -1] = self.values[1, 0] = self.values[1:, :, -1] = np.nan
+        self.window, self.values = window, np.full((3, window.n_count, window.m_count), np.nan)
+        for stored, given, (v, _) in zip(self.values, np.asarray(values, dtype=float), EDGE_ENDS):
+            stored[v] = given[v]  # the slots of the window's edges; the others stay NaN
         _check_range(window, self.values, ~np.isnan(self.values))
 
     def _slot(self, v: Vertex, w: Vertex) -> tuple[int, int, int] | None:
@@ -250,10 +249,9 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
         # The edges with two faces on m_min .. m_max - 1, whatever their weights.
         stored[:, :, :-1] = ~np.isnan(edge_sums(np.zeros_like(partials)))
     if around is not None:
-        # The edges from v to v + DIRECTIONS[k] with either end in the set.
         at = ScalarField.from_function(window, around.__contains__).values > 0
-        near = neighbor_values(at)
-        stored &= [at | near[NEIGHBOR_OFFSETS.index(d)] for d in DIRECTIONS]
+        for slots, (v, w) in zip(stored, EDGE_ENDS):
+            slots[v] &= at[v] | at[w]
     _check_range(window, values, stored)
     return EdgeWeights(window, np.where(stored, values, np.nan))
 

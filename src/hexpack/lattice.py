@@ -5,7 +5,7 @@ so every vertex has six neighbors at unit distance.  Faces are positively
 oriented triples of pairwise adjacent vertices.  Scalar fields (log radii,
 mostly) live on rectangular index windows and are stored densely;
 ``faces``, ``corner_sums`` and ``edge_sums`` map them to faces and back,
-and ``neighbor_values`` to the six neighbors of every vertex.
+and ``neighbor_values`` and ``EDGE_ENDS`` to neighbors and to edge ends.
 """
 
 from __future__ import annotations
@@ -28,6 +28,11 @@ _NEXT_PETAL = np.array([1, 2, 3, 4, 5, 0])
 
 # Edge directions in the order that sorts the far endpoints of a fixed v.
 DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
+
+# Slices of a window-shaped array at the ends v, w = v + DIRECTIONS[k] of the
+# window's edges; v's also indexes [k] of a (3, rows, cols) per-edge array.
+EDGE_ENDS = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[1:, :-1], np.s_[:-1, 1:]),
+             (np.s_[:, :-1], np.s_[:, 1:]))
 
 # Largest magnitude of a value in a field CSV: the angle kernels subtract
 # log radii and add two such differences, and the harmonic start solves a

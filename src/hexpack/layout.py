@@ -37,6 +37,7 @@ import numpy as np
 
 from .geometry import TWO_PI, _face_angles
 from .lattice import (
+    EDGE_ENDS,
     NEIGHBOR_OFFSETS,
     ScalarField,
     Vertex,
@@ -147,6 +148,13 @@ def _distance_overflow(u: ScalarField, v: Vertex, w: Vertex) -> ValueError:
                       "overflows")
 
 
+def _vertex_at(window: Window, index: int, inset: int = 0) -> Vertex:
+    """The vertex at a flat index into a window-shaped array, or with ``inset``
+    1 into its interior, in Python ints, without listing the window."""
+    n, m = divmod(int(index), window.m_count - 2 * inset)
+    return window.m_min + inset + m, window.n_min + inset + n
+
+
 def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     """Place one circle per window vertex, consistent with all tangencies.
 
@@ -173,7 +181,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
     defects = (TWO_PI - corner_sums(angles)[1:-1, 1:-1]).ravel()  # as angle_defects(u)
     bad = np.flatnonzero(np.abs(defects) > DEVELOP_DEFECT_TOL)
     if bad.size:
-        raise DefectTooLarge(window.interior_vertices()[bad[0]], abs(float(defects[bad[0]])))
+        raise DefectTooLarge(_vertex_at(window, bad[0], 1), abs(float(defects[bad[0]])))
 
     base = Anchor(window.center_vertex()) if base is None else base
     if not window.contains(base.vertex):
@@ -183,13 +191,13 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
         radii = np.exp(u.values)
         bad = np.flatnonzero(~((radii >= sys.float_info.min) & (radii < math.inf)))
         if bad.size:
-            v = window.vertices()[bad[0]]
+            v = _vertex_at(window, bad[0])
             raise ValueError(f"radius exp({u[v]!r}) at {v} is not a positive normal float")
         # 0 off the window: no radius outside it
         over = np.isinf([radii + w for w in neighbor_values(radii)]).reshape(6, -1)
         bad = np.flatnonzero(over.any(axis=0))
         if bad.size:
-            v = window.vertices()[bad[0]]
+            v = _vertex_at(window, bad[0])
             dm, dn = NEIGHBOR_OFFSETS[int(np.argmax(over[:, bad[0]]))]
             raise _distance_overflow(u, v, (v[0] + dm, v[1] + dn))
         centers = np.full((rows, cols), base.center, dtype=complex)
@@ -222,7 +230,7 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
 
     bad = np.flatnonzero(~np.isfinite(centers))
     if bad.size:
-        raise ValueError(f"circle at {window.vertices()[bad[0]]} is placed outside the "
+        raise ValueError(f"circle at {_vertex_at(window, bad[0])} is placed outside the "
                          "float range")
     return Layout(window, centers, radii, base,
                   float(np.max(2.0 * np.sin(0.5 * np.abs(defects)), initial=0.0)))
@@ -231,11 +239,8 @@ def develop(u: ScalarField, base: Anchor | None = None) -> Layout:
 def max_tangency_residual(layout: Layout) -> float:
     """Largest relative tangency error over the layout's edges."""
     z, r = layout.centers, layout.radii
-    # the edges along (1, 0), (0, 1) and (-1, 1)
-    edges = ((np.s_[:, :-1], np.s_[:, 1:]), (np.s_[:-1], np.s_[1:]),
-             (np.s_[:-1, 1:], np.s_[1:, :-1]))
-    err = np.concatenate([(np.abs(np.abs(z[a] - z[b]) - (r[a] + r[b])) / (r[a] + r[b])).ravel()
-                          for a, b in edges])
+    err = np.concatenate([(np.abs(np.abs(z[v] - z[w]) - (r[v] + r[w])) / (r[v] + r[w])).ravel()
+                          for v, w in EDGE_ENDS])
     return float(np.max(err, initial=0.0, where=~np.isnan(err)))
 
 

@@ -72,8 +72,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import TWO_PI, _edge_partials, _face_angles
-from .lattice import (ScalarField, Vertex, Window, _face_differences, _ring_differences,
-                      corner_sums, edge_sums, neighbors, ring_gather, rings)
+from .lattice import (EDGE_ENDS, ScalarField, Vertex, Window, _face_differences,
+                      _ring_differences, corner_sums, edge_sums, neighbors, ring_gather, rings)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -217,11 +217,8 @@ class _Grid:
         full = np.zeros(self.shape)
         full[1:-1, 1:-1] = p.reshape(full[1:-1, 1:-1].shape)
         out = np.zeros(self.shape)
-        # The edges from v to v + (0, 1), v + (1, -1) and v + (1, 0).
-        for c, v, w in ((edges[0, :-1], np.s_[:-1], np.s_[1:]),
-                        (edges[1, 1:, :-1], np.s_[1:, :-1], np.s_[:-1, 1:]),
-                        (edges[2, :, :-1], np.s_[:, :-1], np.s_[:, 1:])):
-            flux = c * (full[v] - full[w])
+        for c, (v, w) in zip(edges, EDGE_ENDS):
+            flux = c[v] * (full[v] - full[w])
             out[v] += flux
             out[w] -= flux
         return out[1:-1, 1:-1].ravel()

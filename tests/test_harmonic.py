@@ -27,9 +27,9 @@ from hexpack.harmonic import (
     segment,
     volume,
 )
-from hexpack.geometry import face_partials
-from hexpack.lattice import (ScalarField, Window, ball, edge_sums, faces, faces_containing_edge,
-                             neighbors, ring_gather)
+from hexpack.geometry import dtheta_dx1, face_partials
+from hexpack.lattice import (DIRECTIONS, ScalarField, Window, ball, edge_sums, faces,
+                             faces_containing_edge, neighbors, ring_gather)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -216,6 +216,21 @@ class TestEdgeWeights:
         v, w = (0, 0), (1, 0)
         expected = 0.5 * (eta(u, v, w) + eta(u, w, v))
         assert ew.get(v, w) == pytest.approx(expected, abs=1e-15)
+
+    @pytest.mark.parametrize("x, y", [(1.2, 0.85), (3.0, 1.0), (0.5, 2.0)])
+    def test_spiral_weights_in_closed_form(self, x, y):
+        # on a spiral the segment is constant, so each weight is the two
+        # faces' partials d(angle at v)/d(u_w) at the field itself
+        u = spiral_field(SpiralParams(1.0, x, y), Window(-6, 6, -6, 6))
+        weights = compute_edge_weights(u)
+        for stored, (dm, dn) in zip(weights.values, DIRECTIONS):
+            v, w = (0, 0), (dm, dn)
+            expected = sum(dtheta_dx1(u[w] - u[v], u[next(t for t in face if t not in (v, w))]
+                                      - u[v])
+                           for face in faces_containing_edge(v, w))
+            values = stored[~np.isnan(stored)]
+            assert values.size > 0
+            assert np.abs(values - expected).max() <= 4e-15 * expected
 
     def test_values_of_the_wrong_shape_raise(self):
         w = Window(-1, 1, -1, 1)
@@ -479,6 +494,30 @@ def test_ring_gather_reads_every_interior_edge(window):
         assert got[i].tolist() == [weights.get(v, w) for w in neighbors(v)]
 
 
+def walk_law(weights, start, steps):
+    """The probabilities of ``returned`` and ``censored`` after ``steps``
+    steps of the walk's absorbing chain, propagated exactly.  The rows are
+    built vertex by vertex from ``neighbors`` and ``EdgeWeights.get``."""
+    vertices = weights.window.vertices()
+    index = {v: i for i, v in enumerate(vertices)}
+    returned, censored = len(vertices), len(vertices) + 1
+    chain = np.zeros((len(vertices) + 2, len(vertices) + 2))
+    chain[returned, returned] = chain[censored, censored] = 1.0
+    for v in vertices:
+        try:
+            etas = [weights.get(v, w) for w in neighbors(v)]
+        except MissingEdgeError:
+            chain[index[v], censored] = 1.0
+            continue
+        for w, value in zip(neighbors(v), etas):
+            chain[index[v], returned if w == start else index[w]] += value / sum(etas)
+    p = np.zeros(len(vertices) + 2)
+    p[index[start]] = 1.0
+    for _ in range(steps):
+        p = p @ chain
+    return p[returned], p[censored]
+
+
 WALK_WINDOW = Window(-8, 8, -8, 8)
 WALK_WEIGHTS = {
     "spiral": compute_edge_weights(spiral_field(SpiralParams(1.0, 1.2, 0.85), WALK_WINDOW)),
@@ -522,6 +561,22 @@ class TestRandomWalk:
         sigma = math.sqrt(exact_p * (1.0 - exact_p) / trials)
         assert report.censored == 0
         assert abs(report.frequency - exact_p) <= 3.0 * sigma
+
+    @pytest.mark.parametrize("field, steps, trials, seed", [
+        (spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-10, 10, -10, 10)), 2, 100_000, 1),
+        (spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-10, 10, -10, 10)), 30, 20_000, 3),
+        (ScalarField.constant(Window(-6, 6, -6, 6), 0.0), 50, 20_000, 5),
+    ], ids=["spiral-2-steps", "spiral-30-steps", "regular-50-steps"])
+    def test_counts_follow_the_exact_law(self, field, steps, trials, seed):
+        # returned and censored are binomial counts with the chain's exact law
+        weights = compute_edge_weights(field, Quadrature(order=8))
+        report = random_walk_return(weights, (0, 0), steps, trials, seed)
+        for count, p in zip((report.returned, report.censored),
+                            walk_law(weights, (0, 0), steps)):
+            if p == 0.0:
+                assert count == 0
+            else:
+                assert abs(count - trials * p) <= 5.0 * math.sqrt(trials * p * (1.0 - p))
 
     def test_monotone_in_steps(self, uniform_weights):
         freqs = [

@@ -12,8 +12,10 @@ import pytest
 
 from hexpack.geometry import (TWO_PI, _edge_differences, _edge_partials, _face_angles, face_angles,
                               face_partials)
+from hexpack.harmonic import EdgeWeights
 from hexpack.lattice import (
     DIRECTIONS,
+    EDGE_ENDS,
     ScalarField,
     Window,
     _face_differences,
@@ -208,6 +210,39 @@ class TestFaceArrays:
                 expected = sum(flat[next(e for e, x in enumerate(corners) if x not in (v, w)), s]
                                for s, corners in (slots[f] for f in two))
                 assert got[(k, *self.index(v))] == pytest.approx(expected, abs=1e-15)
+
+
+class TestEdgeEnds:
+    """``EDGE_ENDS`` holds each window edge once, at its slot of the
+    (3, rows, cols) per-edge arrays."""
+
+    @staticmethod
+    def v_slices(window):
+        """True at [k] and v's row and column for each slice of the table."""
+        mask = np.zeros((3, window.n_count, window.m_count), dtype=bool)
+        for slots, (v, _) in zip(mask, EDGE_ENDS):
+            slots[v] = True
+        return mask
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_pairs_lie_one_direction_apart(self, window):
+        m, n = np.meshgrid(np.arange(window.m_min, window.m_max + 1),
+                           np.arange(window.n_min, window.n_max + 1))
+        for (dm, dn), (v, w) in zip(DIRECTIONS, EDGE_ENDS, strict=True):
+            assert (m[w] - m[v] == dm).all() and (n[w] - n[v] == dn).all()
+            ends = list(zip(m[v].ravel().tolist(), n[v].ravel().tolist()))
+            assert ends == [x for x in window.vertices()
+                            if window.contains((x[0] + dm, x[1] + dn))]
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_uniform_weights_are_stored_on_the_v_slices(self, window):
+        weights = EdgeWeights.uniform(window, 0.5)
+        assert np.array_equal(np.isnan(weights.values), ~self.v_slices(window))
+
+    @pytest.mark.parametrize("window", [w for w in WINDOWS if min(w.n_count, w.m_count) >= 2])
+    def test_edge_sums_store_inside_the_v_slices(self, window):
+        got = edge_sums(np.zeros((3, 2, window.n_count - 1, window.m_count - 1)))
+        assert not (~np.isnan(got) & ~self.v_slices(window)).any()
 
 
 def window_of_magnitudes(rows, cols):

@@ -6,6 +6,7 @@ equal-radius petals across the flower first touch; tests pin behavior on
 both sides of it.
 """
 
+import cmath
 import json
 import math
 
@@ -156,11 +157,86 @@ class TestDevelop:
         with pytest.raises(ValueError, match=r"circle at \(-4, -4\) is placed outside the float range"):
             develop(ScalarField.constant(Window(-4, 4, -4, 4), 708.0))
 
+    @pytest.mark.parametrize("offset", [0, 2**70], ids=["origin", "past-int64"])
+    def test_names_a_bad_vertex_without_listing_the_window(self, monkeypatch, offset):
+        def shifted(u):
+            w = u.window
+            return ScalarField(Window(w.m_min + offset, w.m_max + offset,
+                                      w.n_min + offset, w.n_max + offset), u.values)
+
+        def at(m, n):
+            return f"({m + offset}, {n + offset})"
+
+        unsolved = spiral(1.1, 1.0)
+        unsolved[(1, 2)] = unsolved[(1, 2)] + 0.1
+        cases = [
+            (unsolved, None, f"angle defect 5.722e-02 at {at(1, 1)} exceeds 1e-08"),
+            # exp(800) at m = 8 and past it is not a float
+            (spiral_field(SpiralParams(1.0, math.exp(100.0), 1.0), Window(-4, 8, -2, 2)), None,
+             f"radius exp(800.0) at {at(8, -2)} is not a positive normal float"),
+            (spiral_field(SpiralParams(math.exp(709.0), math.exp(0.05), math.exp(0.01)),
+                          Window(-4, 4, -4, 4)), None,
+             f"tangency distance exp(709.11) + exp(709.1600000000001) from {at(3, -4)} "
+             f"to {at(4, -4)} overflows"),
+            (ScalarField.constant(Window(-4, 4, -4, 4), 708.0), (-4, -4),
+             f"circle at {at(-1, -4)} is placed outside the float range"),
+        ]
+
+        def listed(self):
+            raise AssertionError("the window's vertices were listed")
+
+        monkeypatch.setattr(Window, "vertices", listed)
+        monkeypatch.setattr(Window, "interior_vertices", listed)
+        for u, base, message in cases:
+            anchor = None if base is None else Anchor((base[0] + offset, base[1] + offset))
+            with pytest.raises(ValueError) as info:
+                develop(shifted(u), anchor)
+            assert str(info.value).startswith(message)
+
     def test_single_vertex(self):
         lay = develop(ScalarField.constant(Window(3, 3, 5, 5), 0.5), Anchor((3, 5), 1j))
         assert list(lay.circles) == [(3, 5)]
         assert lay.circles[(3, 5)].center == 1j
         assert lay.circles[(3, 5)].radius == pytest.approx(math.exp(0.5), rel=1e-15)
+
+
+def spiral_centres(x, y):
+    """The centres of the spiral r(m, n) = x^m y^n developed with z(0, 0) = 0
+    and z(1, 0) = 1 + x, in closed form (Beardon, Dubejko and Stephenson,
+    Geom. Dedicata 49, 1994): z(0, 1) and z(1, 1) by the law of cosines on
+    the faces A and B at (0, 0); then z(m, n + 1) - O = B (z(m, n) - O) and
+    z(m + 1, n) - O = A (z(m, n) - O) about the fixed point O.  Not for
+    x = y = 1, where B = 1."""
+    def corner(a, b, c):  # the angle between the sides a and b, c opposite
+        return math.acos((a * a + b * b - c * c) / (2.0 * a * b))
+
+    z10 = 1.0 + x
+    z01 = (1.0 + y) * cmath.exp(1j * corner(1.0 + x, 1.0 + y, x + y))
+    # face B = ((1, 0), (1, 1), (0, 1)): (1, 1) lies clockwise of (0, 1) seen from (1, 0)
+    turn = cmath.exp(-1j * corner(x + x * y, x + y, y + x * y))
+    z11 = z10 + (x + x * y) * (z01 - z10) / abs(z01 - z10) * turn
+    b = (z11 - z01) / z10
+    o = z01 / (1.0 - b)
+    a = 1.0 - z10 / o
+    return lambda m, n: o - o * a ** m * b ** n
+
+
+class TestClosedFormSpiral:
+    """``develop`` from (0, 0) against the closed form of the spiral's
+    centres, which uses neither ``develop`` nor the angle kernels.  The
+    bound is relative to each circle's own radius; (2.0, 0.7) and (3, 1)
+    are left out, since from this base their small circles reach the
+    float floor ulp(|z|)/r of absolute centres (1.5e-10 and 2.5e-10 at
+    21x21)."""
+
+    @pytest.mark.parametrize("x, y, half", [(1.2, 0.85, 20), (0.9, 1.3, 20), (1.05, 1.02, 20),
+                                            (0.8, 0.9, 20), (1.4, 1.4, 10), (1.5, 1.5, 10)])
+    def test_centres_match_the_closed_form(self, x, y, half):
+        lay = develop(spiral(x, y, half), Anchor((0, 0)))
+        centre = spiral_centres(x, y)
+        assert len(lay.circles) == (2 * half + 1) ** 2
+        for (m, n), circle in lay.circles.items():
+            assert abs(circle.center - centre(m, n)) <= 1e-10 * circle.radius, (m, n)
 
 
 class TestBasePositions:

@@ -19,7 +19,13 @@ keep``; both then fall back to Gauss-Seidel sweeps.  The "large window"
 case runs ``solve``, ``render``, ``render --color-map residual`` and
 ``harmonic`` on the 201x201 window of the spiral x = 1.001, y = 0.999
 with uniform +-1 noise on its bottom row and a zero interior, so that
-the SVGs span more than one block of circles.  One more case runs
+the SVGs span more than one block of circles.  The "input errors" case
+writes a 5x5 spiral, then runs 13 invocations that exit 2 on their input:
+a missing field CSV (``solve``, ``render``), a ``nan`` cell (``verify``,
+``walk``), a window without interior (``solve``), ``--max-iter 0``, a
+``--start`` (``walk``) and a ``--base`` (``render``) outside the window,
+a negative ``--stroke-width``, an unwritable ``--out`` (``harmonic``), a
+missing ``--in`` and a missing ``--config`` file.  One more case runs
 ``--help`` and each command's ``--help``.  The exit codes, stdout and
 stderr (with the directory's path replaced) and every file left in the
 directory must be equal byte for byte.  Prints one line per case and
@@ -151,6 +157,35 @@ def large_window_outputs(tree: Path) -> dict[str, bytes]:
         return outputs(tree, work, steps)
 
 
+def input_error_outputs(tree: Path) -> dict[str, bytes]:
+    """Invocations that exit 2 on their input, across the field commands."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        (work / "nan.csv").write_text(field_csv((0, 2, 0, 2), [[0, 0, 0], [0, "nan", 0],
+                                                               [0, 0, 0]]))
+        (work / "row.csv").write_text(field_csv((0, 2, 0, 0), [[0, 0, 0]]))
+        steps = [("spiral", ["spiral", "--x", "1.2", "--y", "0.85", "--window", "-2:2,-2:2",
+                             "--out", "u.csv"]),
+                 ("solve missing file", ["solve", "--in", "missing.csv", "--out", "s.csv"]),
+                 ("render missing file", ["render", "--in", "missing.csv", "--out", "f.svg"]),
+                 ("verify nan cell", ["verify", "--in", "nan.csv"]),
+                 ("walk nan cell", ["walk", "--in", "nan.csv"]),
+                 ("solve no interior", ["solve", "--in", "row.csv", "--out", "s.csv"]),
+                 ("solve --max-iter 0", ["solve", "--in", "u.csv", "--out", "s.csv",
+                                         "--max-iter", "0"]),
+                 ("walk --start outside", ["walk", "--in", "u.csv", "--start", "3,0"]),
+                 ("render --base outside", ["render", "--in", "u.csv", "--out", "f.svg",
+                                            "--base", "0,-3"]),
+                 ("render --stroke-width", ["render", "--in", "u.csv", "--out", "f.svg",
+                                            "--stroke-width", "-1"]),
+                 ("harmonic unwritable --out", ["harmonic", "--in", "u.csv",
+                                                "--out", "nowhere/w.csv"]),
+                 ("harmonic missing --in", ["harmonic", "--out", "w.csv"]),
+                 ("verify missing --config", ["verify", "--in", "u.csv",
+                                              "--config", "missing.json"])]
+        return outputs(tree, work, steps)
+
+
 def help_outputs(tree: Path) -> dict[str, bytes]:
     """``--help`` and each command's ``--help``."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -176,7 +211,8 @@ def main(argv: list[str] | None = None) -> int:
              for workload in workloads.HALF_WIDTH for seed in SEEDS]
     differing = 0
     for label, run in [*cases, ("exact step", exact_step_outputs),
-                       ("large window", large_window_outputs), ("--help", help_outputs)]:
+                       ("large window", large_window_outputs),
+                       ("input errors", input_error_outputs), ("--help", help_outputs)]:
         old, new = (run(tree) for tree in trees)
         diff = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
         differing += bool(diff)
