@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections.abc import Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from functools import wraps
 
 import click
@@ -26,11 +27,12 @@ from .harmonic import (
     DEFAULT_QUADRATURE,
     EdgeWeights,
     Quadrature,
+    _weights_csv_blocks,
     compute_edge_weights,
     harmonic_residuals,
     random_walk_return,
 )
-from .lattice import MAX_FIELD_VALUE, ScalarField, Window, read_field_csv, write_field_csv
+from .lattice import MAX_FIELD_VALUE, ScalarField, Window, _field_csv_blocks, read_field_csv
 from .layout import Anchor, develop, ring_ratio_bound
 from .render import COLOR_MAPS, RenderStyle, _svg, _svg_blocks
 from .solver import (
@@ -145,11 +147,26 @@ def _edge_weights(u: ScalarField, order: int) -> EdgeWeights:
     return _checked(compute_edge_weights, u=u, quad=Quadrature(order=order))
 
 
+def _echo(text: str) -> None:
+    """Print ``text`` to the current stdout.  A bare ``click.echo`` finds it
+    through a cache that keeps every ``sys.stdout`` it has seen alive, so each
+    in-process run (click's ``CliRunner``) would keep its captured output."""
+    click.echo(text, file=click.get_text_stream("stdout"))
+
+
 def _write_text(path: str, blocks: Iterable[str]) -> None:
-    """Write the text ``blocks`` to ``path`` one by one."""
+    """Write the text ``blocks`` to ``path`` one by one.  If writing fails
+    partway, the cut-off file is removed rather than left looking whole."""
     try:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(blocks)
+            try:
+                fh.writelines(blocks)
+            except BaseException:
+                fh.close()
+                if os.path.isfile(path):  # not a device such as /dev/null
+                    with suppress(OSError):
+                        os.remove(path)
+                raise
     except (OSError, ValueError) as exc:
         raise click.UsageError(f"cannot write {path}: {exc}") from exc
 
@@ -187,13 +204,14 @@ def _field_command(fn):
 def spiral(r0: float, x: float, y: float, window: Window, out: str) -> None:
     """Write the log-radius field of a Doyle spiral."""
     w = _window_text(window)
-    try:
-        with _in_memory(f"--window {w}"):
-            text = write_field_csv(spiral_field(SpiralParams(r0, x, y), window))
-    except ValueError as exc:  # a log radius that read_field_csv would reject
-        raise click.UsageError(
-            f"--window {w} gives a log radius past {MAX_FIELD_VALUE:.0e}") from exc
-    _write_text(out, [text])
+    # The field is formatted while it is written, so both run inside the guard.
+    with _in_memory(f"--window {w}"):
+        try:
+            field = spiral_field(SpiralParams(r0, x, y), window)
+        except ValueError as exc:  # a log radius that read_field_csv would reject
+            raise click.UsageError(
+                f"--window {w} gives a log radius past {MAX_FIELD_VALUE:.0e}") from exc
+        _write_text(out, _field_csv_blocks(field))
 
 
 @_field_command
@@ -219,11 +237,11 @@ def solve(ctx: click.Context, u: ScalarField, out: str, tol: float, max_iter: in
     try:  # InvalidPatch is the ValueError of a window without interior
         solved, report = _checked(solve_patch, u0=u, options=opts)
     except NonConvergence as exc:
-        _write_text(out, [write_field_csv(exc.field)])
-        click.echo(exc.report.to_json())
+        _write_text(out, _field_csv_blocks(exc.field))
+        _echo(exc.report.to_json())
         ctx.exit(3)
-    _write_text(out, [write_field_csv(solved)])
-    click.echo(report.to_json())
+    _write_text(out, _field_csv_blocks(solved))
+    _echo(report.to_json())
 
 
 @_field_command
@@ -253,7 +271,7 @@ def verify(u: ScalarField, order: int, tol: float) -> None:
     else:
         kind = k1 = k2 = spread = None
 
-    click.echo(json.dumps({
+    _echo(json.dumps({
         "max_defect": max_defect,
         "min_eta": min_eta,
         "max_eta": max_eta,
@@ -273,7 +291,7 @@ def verify(u: ScalarField, order: int, tol: float) -> None:
 @_config_option
 def harmonic(u: ScalarField, out: str, order: int) -> None:
     """Export the harmonic edge weights of a field as CSV."""
-    _write_text(out, [_edge_weights(u, order).to_csv()])
+    _write_text(out, _weights_csv_blocks(_edge_weights(u, order)))
 
 
 @_field_command
@@ -325,7 +343,7 @@ def walk(u: ScalarField, start: tuple[int, int], steps: int, trials: int, seed: 
     # Every trial is held at once: chunking the trials would reorder the draws.
     with _in_memory(f"--trials {trials}"):
         report = random_walk_return(weights, start, steps, trials, seed)
-    click.echo(report.to_json())
+    _echo(report.to_json())
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import lru_cache
 
@@ -43,6 +44,7 @@ from .lattice import (
     ScalarField,
     Vertex,
     Window,
+    _BLOCK,
     _face_differences,
     edge_sums,
     faces_containing_edge,
@@ -130,10 +132,16 @@ def eta(u: ScalarField, v: Vertex, w: Vertex,
     return total
 
 
-def _cells(window: Window, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """(m1, n1, m2, n2, value) for each true entry of a mask shaped like
-    ``values``, sorted by edge: an (E, 5) array of Python ints and floats."""
-    col, row, k = np.nonzero(mask.transpose(2, 1, 0))
+def _by_edge(mask: np.ndarray) -> np.ndarray:
+    """A mask shaped like ``values`` viewed as (col, row, k), so that its
+    entries run in edge order."""
+    return mask.transpose(2, 1, 0)
+
+
+def _cells(window: Window, index: tuple, values: np.ndarray) -> np.ndarray:
+    """(m1, n1, m2, n2, value) for each edge (col, row, k) of ``index``, an
+    index into ``_by_edge``: an (E, 5) array of Python ints and floats."""
+    col, row, k = index
     cells = np.empty((col.size, 5), dtype=object)
     # The corner is added to Python ints, so coordinates past int64 stay exact.
     cells[:, 0] = col.astype(object) + window.m_min
@@ -146,15 +154,30 @@ def _cells(window: Window, mask: np.ndarray, values: np.ndarray) -> np.ndarray:
 def _listed(window: Window, mask: np.ndarray, values: np.ndarray) -> list:
     """(v, w, value) for each true entry of a mask shaped like ``values``,
     sorted by edge."""
-    return [((a, b), (c, d), x) for a, b, c, d, x in _cells(window, mask, values).tolist()]
+    return [((a, b), (c, d), x)
+            for a, b, c, d, x in _cells(window, np.nonzero(_by_edge(mask)), values).tolist()]
 
 
 def _check_range(window: Window, values: np.ndarray, stored: np.ndarray) -> None:
     """Raise a ValueError naming the first stored edge whose weight is not in (0, 2)."""
     bad = stored & ~((values > 0.0) & (values < 2.0))
     if bad.any():
-        v, w, value = _listed(window, bad, values)[0]
-        raise ValueError(f"edge weight on {(v, w)} must lie in (0, 2), got {value!r}")
+        order = _by_edge(bad)
+        first = np.unravel_index([np.argmax(order)], order.shape)
+        a, b, c, d, value = _cells(window, first, values)[0].tolist()
+        raise ValueError(f"edge weight on {((a, b), (c, d))} must lie in (0, 2), got {value!r}")
+
+
+def _weights_csv_blocks(weights: EdgeWeights) -> Iterator[str]:
+    """``EdgeWeights.to_csv``'s text: the header, then one string per block
+    of ``_BLOCK`` edges.  A block's Python ints and floats exist only while
+    it is formatted."""
+    yield "m1,n1,m2,n2,eta\n"
+    window, values = weights.window, weights.values
+    index = np.nonzero(_by_edge(~np.isnan(values)))
+    for start in range(0, index[0].size, _BLOCK):
+        cells = _cells(window, tuple(i[start:start + _BLOCK] for i in index), values)
+        yield "%d,%d,%d,%d,%.16e\n" * len(cells) % tuple(cells.ravel())
 
 
 class EdgeWeights:
@@ -207,8 +230,7 @@ class EdgeWeights:
         return all(self.has(v, w) for w in neighbors(v))
 
     def to_csv(self) -> str:
-        cells = _cells(self.window, ~np.isnan(self.values), self.values)
-        return "m1,n1,m2,n2,eta\n" + "%d,%d,%d,%d,%.16e\n" * len(cells) % tuple(cells.ravel())
+        return "".join(_weights_csv_blocks(self))
 
 
 def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
@@ -327,7 +349,8 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     many of the row's cumulative probabilities lie below r.  The last one,
     ``cum[s, -1]``, is exactly 1.0 and every draw is below 1, so the count
     runs over the first five columns only, one column at a time for all
-    trials: it picks the same neighbour as a count over all six.
+    trials, into one int8 count: it picks the same neighbour as a count over
+    all six.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -356,10 +379,11 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     for _ in range(steps):
         if state.min() >= returned:  # every trial absorbed: no state moves again
             break
-        r, k = rng.random(trials), state * 6
-        for col in cols:
-            k += r > col[state]
-        state = nbr[k]
+        r = rng.random(trials)
+        count = (r > cols[0][state]).view(np.int8)
+        for col in cols[1:]:
+            count += (r > col[state]).view(np.int8)
+        state = nbr[state * 6 + count]
     n_returned = int(np.count_nonzero(state == returned))
     n_censored = int(np.count_nonzero(state == censored))
     effective = trials - n_censored

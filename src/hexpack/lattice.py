@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -38,6 +39,11 @@ EDGE_ENDS = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[1:, :-1], np.s_[:-1, 1:]),
 # log radii and add two such differences, and the harmonic start solves a
 # linear system in them, so values near the float range would overflow.
 MAX_FIELD_VALUE = 1e300
+
+# Field values, edges or circles per block of a written CSV or SVG: a
+# block's Python numbers and strings exist only while it is formatted, so
+# memory does not grow with the file.
+_BLOCK = 4096
 
 
 def embed(v: Vertex) -> complex:
@@ -328,14 +334,25 @@ def d2(f: ScalarField) -> ScalarField:
     return ScalarField(out, f.values[1:, :] - f.values[:-1, :])
 
 
+def _field_csv_blocks(f: ScalarField) -> Iterator[str]:
+    """``write_field_csv``'s text: the header, then one string per group of
+    whole rows holding at most ``_BLOCK`` values (one row if a row is longer),
+    each group under the same row template.  A group's Python floats exist
+    only while it is formatted."""
+    w = f.window
+    row = ",".join(["%.16e"] * w.m_count) + "\n"
+    yield f"# window {w.m_min} {w.m_max} {w.n_min} {w.n_max}\n"
+    rows, per_block = f.values[::-1], max(1, _BLOCK // w.m_count)
+    for start in range(0, w.n_count, per_block):
+        block = rows[start:start + per_block]
+        yield row * len(block) % tuple(block.ravel().tolist())
+
+
 def write_field_csv(f: ScalarField) -> str:
     """Serialize a field: a window header, then one CSV row per n from
     n_max down to n_min, values in m order with 17 significant digits
     (exact round trip for doubles)."""
-    w = f.window
-    row = ",".join(["%.16e"] * w.m_count) + "\n"
-    return (f"# window {w.m_min} {w.m_max} {w.n_min} {w.n_max}\n"
-            + row * w.n_count % tuple(f.values[::-1].ravel().tolist()))
+    return "".join(_field_csv_blocks(f))
 
 
 def read_field_csv(text: str) -> ScalarField:

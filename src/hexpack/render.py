@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lattice import _BLOCK
 from .layout import Layout
 
 COLOR_MAPS = ("uniform", "log-radius", "d1u", "residual")
@@ -21,10 +22,6 @@ COLOR_MAPS = ("uniform", "log-radius", "d1u", "residual")
 # Fixed three-stop piecewise-linear palette (low -> mid -> high).
 _PALETTE = np.array(((0x21, 0x66, 0xAC), (0xF7, 0xF7, 0xF7), (0xB2, 0x18, 0x2B)), dtype=float)
 _UNIFORM_COLOR = 0x000000
-# Circle elements per block of the written SVG: a block's Python floats and
-# strings exist only while it is formatted, so memory does not grow with the
-# document.
-_BLOCK = 4096
 
 
 @dataclass(frozen=True)

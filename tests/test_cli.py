@@ -1,6 +1,8 @@
 """End-to-end CLI behavior: flags, config files, exit codes, and output
 formats."""
 
+import gc
+import io
 import json
 import math
 import os
@@ -91,6 +93,20 @@ class TestSpiralCommand:
         assert result.exit_code == 2
         assert f"--window {window} needs more memory" in result.output
         assert "Traceback" not in result.output
+
+    def test_memory_error_while_writing_exits_2(self, runner, tmp_path, monkeypatch):
+        # the field is formatted block by block as the file is written
+        def blocks(field):
+            yield "# window -2 2 -2 2\n"
+            raise MemoryError("Unable to allocate 1.00 MiB")
+
+        monkeypatch.setattr("hexpack.cli._field_csv_blocks", blocks)
+        result = run(runner, "spiral", "--x", 1.2, "--y", 0.9,
+                     "--window", "-2:2,-2:2", "--out", tmp_path / "u.csv")
+        assert result.exit_code == 2
+        assert "--window -2:2,-2:2 needs more memory" in result.output
+        assert "Traceback" not in result.output
+        assert not (tmp_path / "u.csv").exists()  # no cut-off file left looking whole
 
     @pytest.mark.parametrize("x, m", [
         pytest.param(2, 10**400, id="m-past-float-range"),
@@ -499,6 +515,21 @@ class TestHarmonicCommand:
         assert len(lines) > 1
         for line in lines[1:]:
             assert float(line.split(",")[-1]) == pytest.approx(1 / math.sqrt(3), abs=1e-13)
+
+
+def test_printing_commands_keep_no_stdout_between_runs(runner, tmp_path):
+    # A bare click.echo caches a wrapper of every sys.stdout it has seen and
+    # frees none; CliRunner installs a new sys.stdout on every invoke.
+    src = write_spiral(runner, tmp_path / "u.csv", 1.2, 0.85)
+    commands = [["solve", "--in", src, "--out", tmp_path / "s.csv"], ["verify", "--in", src],
+                ["walk", "--in", src, "--steps", 2, "--trials", 100]]
+    live = []
+    for _ in range(20):
+        for args in commands:
+            assert run(runner, *args).exit_code == 0
+        gc.collect()
+        live.append(sum(isinstance(obj, io.TextIOWrapper) for obj in gc.get_objects()))
+    assert max(live) <= live[0], live
 
 
 class TestConfigFile:

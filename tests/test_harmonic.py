@@ -19,6 +19,9 @@ from hexpack.harmonic import (
     Quadrature,
     WalkReport,
     WindowTooSmallError,
+    _check_range,
+    _listed,
+    _weights_csv_blocks,
     compute_edge_weights,
     eta,
     harmonic_residual,
@@ -28,7 +31,7 @@ from hexpack.harmonic import (
     volume,
 )
 from hexpack.geometry import dtheta_dx1, face_partials
-from hexpack.lattice import (DIRECTIONS, ScalarField, Window, ball, edge_sums, faces,
+from hexpack.lattice import (DIRECTIONS, ScalarField, Window, _BLOCK, ball, edge_sums, faces,
                              faces_containing_edge, neighbors, ring_gather)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
@@ -268,6 +271,26 @@ class TestEdgeWeights:
         assert float(lines[1].split(",")[-1]) == pytest.approx(1.0 / SQRT3, abs=1e-16)
 
 
+@pytest.mark.parametrize("seed", range(12))
+def test_range_check_names_the_first_listed_edge(seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = rng.integers(1, 7, size=2)
+    m_min = int(rng.choice([-3, 0, 99999999999999999999]))
+    window = Window(m_min, m_min + int(cols) - 1, -2, int(rows) - 3)
+    values = rng.uniform(-1.0, 3.0, size=(3, rows, cols))
+    values[rng.random(values.shape) < 0.1] = np.nan
+    stored = rng.random(values.shape) < rng.uniform(0.1, 1.0)
+    bad = stored & ~((values > 0.0) & (values < 2.0))
+    if not bad.any():
+        _check_range(window, values, stored)
+        stored[0, 0, 0], values[0, 0, 0] = True, 2.0
+        bad = stored & ~((values > 0.0) & (values < 2.0))
+    v, w, value = _listed(window, bad, values)[0]
+    with pytest.raises(ValueError) as info:
+        _check_range(window, values, stored)
+    assert str(info.value) == f"edge weight on {(v, w)} must lie in (0, 2), got {value!r}"
+
+
 def test_weights_overflowing_to_nan_raise():
     # differences of log radii +-9e307 overflow to inf and the partials to NaN
     signs = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1.0, 1.0)
@@ -287,6 +310,19 @@ def reference_csv(weights):
     for v, w, value in weights.edges():
         lines.append(f"{v[0]},{v[1]},{w[0]},{w[1]},{value:.16e}")
     return "\n".join(lines) + "\n"
+
+
+def whole_csv(weights):
+    """The weights CSV written the earlier way, one ``%`` over an (E, 5)
+    object array of every edge."""
+    window, values = weights.window, weights.values
+    col, row, k = np.nonzero(~np.isnan(values).transpose(2, 1, 0))
+    cells = np.empty((col.size, 5), dtype=object)
+    cells[:, 0] = col.astype(object) + window.m_min
+    cells[:, 1] = row.astype(object) + window.n_min
+    cells[:, 2:4] = cells[:, :2] + np.array(DIRECTIONS, dtype=object)[k]
+    cells[:, 4] = values[k, row, col]
+    return "m1,n1,m2,n2,eta\n" + "%d,%d,%d,%d,%.16e\n" * len(cells) % tuple(cells.ravel())
 
 
 def window_edges(window):
@@ -337,6 +373,16 @@ class TestBatchedWeights:
         ew = compute_edge_weights(u)
         assert len(ew) > 0
         assert ew.to_csv() == reference_csv(ew)
+
+    @pytest.mark.parametrize("corner", [-30, 99999999999999999999])
+    def test_csv_blocks_join_to_the_whole_csv(self, corner):
+        u = spiral_field(SpiralParams(1.0, 1.2, 0.85), Window(-30, 30, -30, 30))
+        ew = compute_edge_weights(ScalarField(Window(corner, corner + 60, -30, 30), u.values))
+        blocks = list(_weights_csv_blocks(ew))
+        assert len(ew) > 2 * _BLOCK
+        assert len(blocks) == 1 + -(-len(ew) // _BLOCK)
+        assert all(b.count("\n") == _BLOCK for b in blocks[1:-1])
+        assert "".join(blocks) == ew.to_csv() == whole_csv(ew)
 
     def test_spreads_past_the_exp_range_match_per_edge_reference(self):
         # log radii near 1000, so e^u overflows, with jumps in the hundreds

@@ -18,7 +18,9 @@ from hexpack.lattice import (
     EDGE_ENDS,
     ScalarField,
     Window,
+    _BLOCK,
     _face_differences,
+    _field_csv_blocks,
     _ring_differences,
     ball,
     canonical_face,
@@ -469,7 +471,30 @@ class TestScalarField:
             ScalarField(Window(0, 2, 0, 1), np.zeros((3, 3)))
 
 
+def whole_field_csv(f):
+    """The field CSV written the earlier way, one ``%`` over every value."""
+    w = f.window
+    row = ",".join(["%.16e"] * w.m_count) + "\n"
+    return (f"# window {w.m_min} {w.m_max} {w.n_min} {w.n_max}\n"
+            + row * w.n_count % tuple(f.values[::-1].ravel().tolist()))
+
+
 class TestFieldCsv:
+    @pytest.mark.parametrize("window, blocks", [
+        (Window(-3, 4, -2, 2), 1),
+        (Window(-50, 49, -3, 96), 3),  # 40 rows of 100 values per block
+        (Window(0, _BLOCK, 10**20, 10**20 + 2), 3),  # a row longer than a block
+    ])
+    def test_blocks_of_whole_rows_join_to_the_whole_csv(self, window, blocks):
+        rng = np.random.default_rng(window.m_count)
+        f = ScalarField(window, rng.normal(scale=5.0, size=(window.n_count, window.m_count)))
+        parts = list(_field_csv_blocks(f))
+        assert len(parts) == 1 + blocks
+        per_block = max(_BLOCK, window.m_count)
+        assert all(p.endswith("\n") and p.count("\n") * window.m_count <= per_block
+                   for p in parts[1:])
+        assert "".join(parts) == write_field_csv(f) == whole_field_csv(f)
+
     def test_round_trip_bit_exact(self):
         w = Window(-3, 4, -2, 2)
         rng = np.random.default_rng(13)
