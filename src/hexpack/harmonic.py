@@ -258,20 +258,37 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     fit inside the window (others are skipped).  The faces on m_min ..
     m_max - 1 are integrated in one pass, node by node so that temporaries
     stay window-sized.  ``around`` keeps only the edges incident to that
-    vertex set, but every face is still integrated.  A weight outside (0, 2),
-    such as one that underflows to zero or a NaN from overflowing log radii,
-    raises a ValueError naming its edge.
+    vertex set, and only the faces that reach them are integrated.  A
+    weight outside (0, 2), such as one that underflows to zero or a NaN from
+    overflowing log radii, raises a ValueError naming its edge.
     """
     window = u.window
     values = np.full((3, window.n_count, window.m_count), np.nan)
     stored = np.zeros(values.shape, dtype=bool)
-    if window.m_count >= 2:
-        partials = _integrated_partials(u.values, quad)
-        values[:, :, :-1] = edge_sums(partials)
-        # The edges with two faces on m_min .. m_max - 1, whatever their weights.
-        stored[:, :, :-1] = ~np.isnan(edge_sums(np.zeros_like(partials)))
+    # The rows and columns whose faces are integrated, and those of the
+    # edges they give: the same but the last column.
+    (rows, cols), (edge_rows, edge_cols) = np.s_[:, :], np.s_[:, :-1]
     if around is not None:
-        at = ScalarField.from_function(window, around.__contains__).values > 0
+        at = np.zeros(values.shape[1:], dtype=bool)
+        for v in around:
+            if window.contains(v):
+                at[v[1] - window.n_min, v[0] - window.m_min] = True
+        # The faces of the edges at a vertex lie within one row and one
+        # column of it, and their m-translates reach two columns right of
+        # it.  A face across a gap between the chosen rows or columns joins
+        # vertices that are not neighbors, but none of its edges is kept.
+        i, j = np.nonzero(at)
+        near_rows = np.unique(np.clip(i[:, None] + np.arange(-1, 2), 0, window.n_count - 1))
+        near_cols = np.unique(np.clip(j[:, None] + np.arange(-1, 3), 0, window.m_count - 1))
+        rows, cols = np.ix_(near_rows, near_cols)
+        edge_rows, edge_cols = np.ix_(near_rows, near_cols[:-1])
+    block = u.values[rows, cols]
+    if block.shape[0] and block.shape[1] >= 2:
+        partials = _integrated_partials(block, quad)
+        values[:, edge_rows, edge_cols] = edge_sums(partials)
+        # The edges with two faces in the block, whatever their weights.
+        stored[:, edge_rows, edge_cols] = ~np.isnan(edge_sums(np.zeros_like(partials)))
+    if around is not None:
         for slots, (v, w) in zip(stored, EDGE_ENDS):
             slots[v] &= at[v] | at[w]
     _check_range(window, values, stored)

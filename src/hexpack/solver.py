@@ -31,11 +31,9 @@ edges, and each of them is bounded by a two-edge lattice path,
 interior Laplacian whose weights the paper's ratio bound keeps uniformly
 elliptic, so it is spectrally equivalent to M as well (Axelsson,
 Iterative Solution Methods, 1994).  Only when conjugate gradients miss
-is a system solved exactly: the exact step builds the matrix in CSC form
-where it is used and factors it by SuperLU with diagonal pivots in a
-symmetric minimum-degree ordering.  That exact step is the only use of
-scipy, imported there: importing hexpack, ``harmonic_interpolation``
-and a solve whose conjugate gradients converge load no scipy.  The
+is a system solved exactly, by block elimination over the interior rows,
+in which the matrix is block tridiagonal (Golub and Van Loan, Matrix
+Computations, 4th ed., 4.5), with one step of iterative refinement.  The
 iterate is window-shaped; the linear solves' vectors run over the
 interior in ``interior_vertices()`` order.  There are two modes:
 
@@ -46,11 +44,11 @@ interior in ``interior_vertices()`` order.  There are two modes:
   tolerance ||r|| <= eta ||defects||, eta = min(0.1, max |defect|), a
   forcing term in the style of Eisenstat and Walker (SIAM J. Sci. Comput.
   17, 1996).  When CG meets a non-positive curvature or runs out of steps,
-  the step comes from an exact SuperLU factor of the Hessian instead.  The
+  the step comes from an exact solve of the Hessian system instead.  The
   step is followed by a search along delta, where the functional's slope
   g(s) = sum(defect(u + s delta) * delta) increases:
   s = 1 when g(1) <= 0 or |g(1)| <= |g(0)| / 2, else bisection for
-  |g(s)| <= |g(0)| / 2.  When there is no step (a singular exact factor, a
+  |g(s)| <= |g(0)| / 2.  When there is no step (a singular exact solve, a
   step not finite or not a descent direction, a failed bisection), the
   iteration is one Gauss-Seidel sweep instead, which brings every vertex
   inside its neighbors' range, and the report records the fallback.
@@ -78,8 +76,6 @@ from .lattice import (EDGE_ENDS, ScalarField, Vertex, Window, _face_differences,
 if TYPE_CHECKING:
     from collections.abc import Callable
 
-    import scipy.sparse.linalg
-
 MODES = ("gauss-seidel", "newton")
 INITS = ("harmonic", "keep", "zero")
 
@@ -90,7 +86,7 @@ DEFAULT_MAX_ITERATIONS = 100_000
 # field tolerance and above angle-evaluation noise.
 _VERTEX_TOL = 1e-14
 
-# Conjugate-gradient steps per linear solve before the exact factor is used.
+# Conjugate-gradient steps per linear solve before the exact solve is used.
 _CG_STEPS = 200
 
 
@@ -190,9 +186,9 @@ class _Grid:
     ``precondition`` applies the inverse of the five-point Laplacian M of
     the interior rectangle.  The interior graph Laplacian L (every
     coefficient 1) satisfies M <= L <= 3M, and an A whose coefficients lie
-    in [c, C] satisfies c M <= A <= 3C M.  ``factor`` builds A in CSC form
-    and factors it, for the exact solve that conjugate gradients fall back
-    to; scipy is imported only there."""
+    in [c, C] satisfies c M <= A <= 3C M.  ``solve_exact`` solves with A
+    by block elimination, for the exact step that conjugate gradients fall
+    back to."""
 
     def __init__(self, window: Window) -> None:
         self.shape = (window.n_count, window.m_count)
@@ -243,23 +239,66 @@ class _Grid:
         s_rows, s_cols, eig = self._sines
         return (s_rows @ (s_rows @ r.reshape(eig.shape) @ s_cols / eig) @ s_cols).ravel()
 
-    def factor(self, edges: np.ndarray) -> scipy.sparse.linalg.SuperLU:
-        """An exact factor of the matrix of the per-edge coefficients
-        ``edges``, built in CSC form: diagonal pivots in a symmetric
-        minimum-degree ordering.  Raises RuntimeError when the factor is
-        exactly singular."""
-        import scipy.sparse.linalg
+    def solve_exact(self, edges: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """The solution of A x = b for the matrix A of the per-edge
+        coefficients ``edges``, by block elimination over the interior rows.
 
-        index, number = np.arange(self.size), np.full(self.shape, -1)
-        number[1:-1, 1:-1] = index.reshape(number[1:-1, 1:-1].shape)
-        coeff, ring = ring_gather(edges), rings(number)
-        inner = ring >= 0  # the neighbors in the interior
-        data = np.concatenate([coeff.sum(axis=1), -coeff[inner]])
-        rows = np.concatenate([index, np.nonzero(inner)[0]])
-        cols = np.concatenate([index, ring[inner]])
-        mat = scipy.sparse.csc_matrix((data, (rows, cols)), shape=(self.size, self.size))
-        return scipy.sparse.linalg.splu(mat, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                                        options={"SymmetricMode": True})
+        Row i's diagonal block of A is tridiagonal, from its (1, 0) edges,
+        and the block B_i that couples it to row i - 1 bidiagonal, from the
+        (0, -1) and (1, -1) edges.  The Schur complements S_i = A_ii - B_i
+        G_i, G_i = S_i-1^-1 B_i^T, and z_i = S_i^-1 (b_i - B_i z_i-1) are
+        made row by row, each block by an LU factor with partial pivoting,
+        and only the G_i and z_i are kept: back substitution is x_i = z_i -
+        G_i+1 x_i+1.  The G_i take (n - 1) n^2 floats on an interior of n
+        rows of n.  One step of iterative refinement follows, which remakes
+        each S_i from G_i (Skeel, Math. Comp. 35, 1980: it makes the solve
+        componentwise backward stable, which matters for coefficients that
+        span hundreds of orders of magnitude).  Raises RuntimeError on a
+        diagonal entry that is not positive and finite, on an exactly
+        singular block, and when the G_i do not fit in memory."""
+        rows, cols = (n - 2 for n in self.shape)
+        coeff = ring_gather(edges).reshape(rows, cols, 6)
+        diagonal = coeff.sum(axis=2)
+        if not np.all((diagonal > 0.0) & (diagonal < np.inf)):
+            raise RuntimeError("the matrix has a diagonal entry that is not positive and finite")
+        # The coefficients of the edges to the neighbors (1, 0), (0, -1) and
+        # (1, -1) in the interior: minus the entries above the diagonal
+        # blocks' diagonal, and minus those of the B_i.
+        right, down, down_right = coeff[:, :-1, 0], coeff[1:, :, 4], coeff[1:, :-1, 5]
+
+        def sweep(z: np.ndarray, first: bool) -> np.ndarray:
+            """The solution for the right side z (rows, cols), which it
+            overwrites; the first sweep also makes the G_i."""
+            for i in range(rows):
+                schur = np.diag(diagonal[i]) - np.diag(right[i], 1) - np.diag(right[i], -1)
+                if i:  # S_i, and b_i - B_i z_i-1
+                    c, d, g = down[i - 1], down_right[i - 1], gains[i - 1]
+                    schur += c[:, None] * g
+                    schur[:-1] += d[:, None] * g[1:]
+                    z[i] += c * z[i - 1]
+                    z[i, :-1] += d * z[i - 1, 1:]
+                if first and i < rows - 1:
+                    coupling = -np.diag(down[i]) - np.diag(down_right[i], -1)  # B_i+1^T
+                    solved = np.linalg.solve(schur, np.column_stack([coupling, z[i]]))
+                    gains[i], z[i] = solved[:, :-1], solved[:, -1]
+                else:
+                    z[i] = np.linalg.solve(schur, z[i])
+            for i in range(rows - 2, -1, -1):
+                z[i] -= gains[i] @ z[i + 1]
+            return z.ravel()
+
+        # A nearly singular matrix can overflow the solution and its
+        # residual; the caller rejects a step that is not finite.
+        with np.errstate(over="ignore", invalid="ignore"):
+            try:
+                gains = np.empty((rows - 1, cols, cols))
+                x = sweep(b.reshape(rows, cols).copy(), True)
+                x += sweep((b - self.product(edges, x)).reshape(rows, cols), False)
+            except np.linalg.LinAlgError as exc:
+                raise RuntimeError(f"the matrix is singular: {exc}") from None
+            except MemoryError:
+                raise RuntimeError("the exact step does not fit in memory") from None
+        return x
 
 
 def _harmonic(values: np.ndarray, grid: _Grid) -> None:
@@ -363,10 +402,10 @@ def _pcg(product: Callable[[np.ndarray], np.ndarray],
 def _solve(grid: _Grid, edges: np.ndarray, b: np.ndarray, rtol: float) -> np.ndarray:
     """A solution of A x = b for the matrix A of the per-edge coefficients
     ``edges``: by conjugate gradients preconditioned with M^-1, to
-    ||A x - b|| <= rtol ||b||, else by an exact factor of A.  Raises
-    RuntimeError when that factor is exactly singular."""
+    ||A x - b|| <= rtol ||b||, else by ``_Grid.solve_exact``.  Raises
+    RuntimeError when that exact solve fails."""
     x = _pcg(partial(grid.product, edges), grid.precondition, b, rtol)
-    return grid.factor(edges).solve(b) if x is None else x
+    return grid.solve_exact(edges, b) if x is None else x
 
 
 def _newton_step(values: np.ndarray, grid: _Grid, defects: np.ndarray) -> np.ndarray | None:

@@ -707,9 +707,9 @@ class TestWindowAndVertexValues:
         assert "--start VERTEX" in run(runner, "walk", "--help").output
 
 
-# scipy serves only the solver's exact step, taken when conjugate gradients
-# miss, so it loads there and nowhere else.  Each check runs in a fresh
-# interpreter, because this one has long since loaded scipy.
+# hexpack runs on numpy and click alone: no command loads scipy, not even
+# the solver's exact step, taken when conjugate gradients miss.  Each check
+# runs in a fresh interpreter, because this one may have loaded scipy.
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
@@ -849,7 +849,7 @@ class TestScipyLoadsOnlyToSolve:
                     "solve --in u.csv --out s.csv"):
                 result = runner.invoke(main, args.split())
                 steps.append([args.split()[0], result.exit_code, "scipy" in sys.modules])
-            # one conjugate-gradient step is too few: the exact step loads scipy
+            # one conjugate-gradient step is too few: the exact step loads no scipy either
             hexpack.solver._CG_STEPS = 1
             result = runner.invoke(main, "solve --in u.csv --out s.csv".split())
             steps.append(["exact step", result.exit_code, "scipy" in sys.modules])
@@ -859,7 +859,7 @@ class TestScipyLoadsOnlyToSolve:
         assert [name for name, _, _ in steps] == [
             "spiral", "verify", "harmonic", "render", "walk", "solve", "solve", "exact step"]
         assert all(status == 0 for _, status, _ in steps), steps
-        assert [loaded for _, _, loaded in steps] == [False] * 7 + [True]
+        assert [loaded for _, _, loaded in steps] == [False] * 7 + [False]
 
 
 # Fuzzed CLI contract: every command exits 0, 2 or 3 and raises nothing but

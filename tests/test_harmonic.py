@@ -365,6 +365,28 @@ class TestBatchedWeights:
         kept = {(v, w): value for v, w, value in compute_edge_weights(u, around=around).edges()}
         assert kept == {e: value for e, value in full.items() if e[0] in around or e[1] in around}
 
+    @pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
+    @pytest.mark.parametrize("around", [
+        pytest.param({(-5, -5)}, id="corner"),
+        pytest.param({(5, 6)}, id="opposite-corner"),
+        pytest.param({(5, 0), (5, 1), (0, 6)}, id="border"),
+        pytest.param(set(), id="empty"),
+        pytest.param({(-4, -4), (0, 0), (4, 5)}, id="apart"),
+        pytest.param(ball((-5, 2), 2) | {(9, 9), (-6, 0)}, id="partly-outside"),
+    ])
+    def test_around_equals_the_full_weights_masked(self, name, around):
+        # only the faces near the set are integrated, to the same bits;
+        # "apart" leaves gaps between the rows and columns integrated
+        u = REFERENCE_FIELDS[name]
+        full = compute_edge_weights(u).values
+        expected = np.full_like(full, np.nan)
+        for k, (dm, dn) in enumerate(DIRECTIONS):
+            for v in u.window.vertices():
+                if v in around or (v[0] + dm, v[1] + dn) in around:
+                    slot = k, v[1] - u.window.n_min, v[0] - u.window.m_min
+                    expected[slot] = full[slot]
+        assert compute_edge_weights(u, around=around).values.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name", ["spiral", "wavy", "past-int64"])
     def test_csv_matches_the_per_edge_reference(self, name):
         big = Window(99999999999999999999, 100000000000000000002, -2, 2)

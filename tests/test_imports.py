@@ -1,5 +1,6 @@
 """Every module of the package reads what it imports: a name that a module
-imports and never uses is left over from a deleted use."""
+imports and never uses is left over from a deleted use.  And the package
+runs on numpy and click alone: no module imports scipy."""
 
 import ast
 from pathlib import Path
@@ -35,3 +36,24 @@ def test_the_check_names_each_unused_import():
 def test_every_import_is_used(path):
     unused = unused_imports(path.read_text())
     assert not unused, f"{path.name} imports names it never uses: {', '.join(unused)}"
+
+
+def scipy_imports(source):
+    """The line numbers of the imports of scipy or of one of its modules."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Import)
+            and any(alias.name.partition(".")[0] == "scipy" for alias in node.names)
+            or isinstance(node, ast.ImportFrom) and node.level == 0
+            and (node.module or "").partition(".")[0] == "scipy"]
+
+
+def test_the_scan_finds_each_scipy_import():
+    source = ("import numpy, scipy\nimport scipy.sparse.linalg as sla\n"
+              "from scipy import sparse\nfrom .scipy import x\nimport scipyx\n"
+              "def f():\n    from scipy.linalg import lu\n")
+    assert sorted(scipy_imports(source)) == [1, 2, 3, 7]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_imports_scipy(path):
+    assert scipy_imports(path.read_text()) == []

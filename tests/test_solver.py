@@ -317,8 +317,8 @@ class TestNewtonWithoutAStep:
 
     @pytest.mark.parametrize("values", [
         # the first step is finite but climbs the functional: g(0) > 0
-        [[500, 0, -500, 1000], [1000, 500, -500, 0], [0, -1000, -1000, 0],
-         [0, -500, -500, -1000]],
+        [[1000, 0, -500, 500], [500, -1000, -1000, -500], [500, -1000, -1000, 1000],
+         [-500, 1000, 500, 0]],
         # the first step is not finite
         [[500, 500, 1000, -500], [0, -1000, 0, 1000], [500, -1000, 500, -1000],
          [1000, 500, 500, -1000]],
@@ -355,13 +355,11 @@ def test_newton_step_without_an_accepted_step_restores_the_values(monkeypatch, w
 
 
 def count_factors(monkeypatch):
-    # every sparse factor a solve makes: only the exact steps taken when
+    # every exact solve a solve makes: only the exact steps taken when
     # conjugate gradients miss, for the harmonic start or a Newton step
-    import scipy.sparse.linalg
-
-    factors, splu = [], scipy.sparse.linalg.splu
-    monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                        lambda *args, **kwargs: factors.append(1) or splu(*args, **kwargs))
+    factors, solve_exact = [], solver._Grid.solve_exact
+    monkeypatch.setattr(solver._Grid, "solve_exact",
+                        lambda *args: factors.append(1) or solve_exact(*args))
     return factors
 
 
@@ -499,7 +497,7 @@ def test_edges_without_an_interior_end_are_never_read(rows, cols):
     with np.errstate(invalid="ignore"):  # as inside _pcg: inf * 0 on the border
         product = grid.product(edges, p)
     assert product.tobytes() == grid.product(zeroed, p).tobytes()
-    assert grid.factor(edges).solve(p).tobytes() == grid.factor(zeroed).solve(p).tobytes()
+    assert grid.solve_exact(edges, p).tobytes() == grid.solve_exact(zeroed, p).tobytes()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -518,6 +516,52 @@ def test_a_coefficient_not_finite_inside_leaves_no_newton_step(monkeypatch, bad)
     assert np.array_equal(values, before)
 
 
+def test_an_exact_step_out_of_memory_leaves_no_newton_step(monkeypatch):
+    # the exact step keeps (n - 1) n^2 floats, 4.1 GB at 801 x 801: a
+    # MemoryError there ends the step, as a singular matrix does
+    values = np.random.default_rng(5).uniform(-1.0, 1.0, size=(5, 5))
+    before, grid = values.copy(), solver._Grid(Window(0, 4, 0, 4))
+
+    def out_of_memory(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(solver, "_pcg", lambda *args: None)
+    monkeypatch.setattr(np.linalg, "solve", out_of_memory)
+    assert solver._newton_step(values, grid, solver._defects(values)) is None
+    assert np.array_equal(values, before)
+
+
+@pytest.mark.parametrize("newton", [False, True], ids=["uniform", "newton"])
+@pytest.mark.parametrize("rows, cols", [(3, 3), (3, 12), (9, 3), (8, 13), (21, 17)])
+def test_exact_solve_matches_a_dense_solve(rows, cols, newton):
+    # random coefficients in [0.5, 2], or Newton's on a random field, against
+    # a dense LU solve of the matrix built from its definition
+    rng = np.random.default_rng([rows, cols])
+    window = Window(0, cols - 1, 0, rows - 1)
+    grid = solver._Grid(window)
+    if newton:
+        edges = edge_sums(face_partials(*faces(rng.uniform(-3.0, 3.0, size=(rows, cols)))))
+    else:
+        edges = rng.uniform(0.5, 2.0, size=(3, rows, cols))
+    b = rng.normal(size=grid.size)
+    expected = np.linalg.solve(coefficient_matrix(window, edges), b)
+    x = grid.solve_exact(edges, b)
+    assert np.abs(x - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@pytest.mark.parametrize("v", [(1, 1), (2, 3), (4, 2)])
+def test_exact_solve_of_a_vertex_without_coefficients_raises(v):
+    # all six coefficients at v are 0: its row and column of the matrix are 0
+    window = Window(0, 5, 0, 4)
+    edges = np.ones((3, window.n_count, window.m_count))
+    for w in neighbors(v):
+        a, b = min(v, w), max(v, w)
+        edges[DIRECTIONS.index((b[0] - a[0], b[1] - a[1])), a[1], a[0]] = 0.0
+    grid = solver._Grid(window)
+    with pytest.raises(RuntimeError):
+        grid.solve_exact(edges, np.ones(grid.size))
+
+
 @pytest.mark.parametrize("rows, cols", [(3, 3), (3, 12), (9, 3), (8, 13), (21, 17)])
 def test_sine_preconditioner_inverts_the_five_point_laplacian(rows, cols):
     grid = solver._Grid(Window(0, cols - 1, 0, rows - 1))
@@ -531,7 +575,7 @@ def test_sine_preconditioner_inverts_the_five_point_laplacian(rows, cols):
 @pytest.mark.parametrize("half", [3, 12])
 def test_harmonic_start_matches_an_exact_solve_of_the_laplacian(half, scale):
     # boundary values of +-scale: conjugate gradients on the scaled system
-    # against SuperLU's solve of L itself
+    # against the exact solve of L itself
     rng = np.random.default_rng([half, int(math.log10(scale))])
     u0 = ScalarField(Window(-half, half - 1, -half, half),
                      scale * rng.choice([-1.0, 1.0], size=(2 * half + 1, 2 * half)))
@@ -540,7 +584,7 @@ def test_harmonic_start_matches_an_exact_solve_of_the_laplacian(half, scale):
     # b_v: the sum of u0 over v's boundary neighbors
     b = np.array([sum(u0[w] for w in neighbors(v) if not u0.window.is_interior(w))
                   for v in u0.window.interior_vertices()]) / scale
-    exact = grid.factor(np.ones((3, *grid.shape))).solve(b)
+    exact = grid.solve_exact(np.ones((3, *grid.shape)), b)
     assert np.abs(out.values[1:-1, 1:-1].ravel() / scale - exact).max() <= 1e-12
 
 

@@ -10,12 +10,14 @@ commands run one by one as ``python -m hexpack.cli ...`` with
 ``render --base`` at the window's upper right corner, a ``render
 --color-map d1u --base`` at its upper left corner, and on the
 ``readme-gs`` window (larger ones take minutes) a ``solve --mode
-gauss-seidel``.  The "exact step" case solves two inputs whose conjugate
-gradients miss, so that each solve factors a matrix by SuperLU: the 7x7
-boundary of log radii 0 and +-300 of
+gauss-seidel``.  The "exact step" case solves three inputs whose
+conjugate gradients miss, so that each solve takes the exact step: the
+7x7 boundary of log radii 0 and +-300 of
 ``test_newton_resumes_after_a_gauss_seidel_fallback``, from its harmonic
-start, and the 4x4 field of ``TestNewtonWithoutAStep`` with ``--init
-keep``; both then fall back to Gauss-Seidel sweeps.  The "large window"
+start, and with ``--init keep`` two 4x4 fields, one whose exact step
+finds the Hessian singular and the finite climbing step of
+``TestNewtonWithoutAStep``; all three then fall back to Gauss-Seidel
+sweeps.  The "large window"
 case runs ``solve``, ``render``, ``render --color-map residual`` and
 ``harmonic`` on the 201x201 window of the spiral x = 1.001, y = 0.999
 with uniform +-1 noise on its bottom row and a zero interior, so that
@@ -58,10 +60,12 @@ SEEDS = (1, 2, 3)
 COMMANDS = ("spiral", "solve", "verify", "harmonic", "render", "walk")
 NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 # The boundary log radii, in units of 300, of a 7x7 window in vertex order
-# (n, then m), and a 4x4 field, row i at n = i: the exact-step inputs.
+# (n, then m), and two 4x4 fields, row i at n = i: the exact-step inputs.
 BOUNDARY_300 = (0, 1, 1, -1, -1, -1, 0, 1, 1, 1, 1, 0, 1, -1, -1, 0, 0, 0, 0, 1, 0, 0, 0, -1)
-FIELD_4X4 = ((500, 0, -500, 1000), (1000, 500, -500, 0), (0, -1000, -1000, 0),
-             (0, -500, -500, -1000))
+FIELDS_4X4 = (((500, 0, -500, 1000), (1000, 500, -500, 0), (0, -1000, -1000, 0),
+               (0, -500, -500, -1000)),
+              ((1000, 0, -500, 500), (500, -1000, -1000, -500), (500, -1000, -1000, 1000),
+               (-500, 1000, 500, 0)))
 LARGE_HALF_WIDTH = 100
 
 
@@ -132,10 +136,12 @@ def exact_step_outputs(tree: Path) -> dict[str, bytes]:
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp)
         (work / "boundary.csv").write_text(field_csv((-3, 3, -3, 3), rows))
-        (work / "field.csv").write_text(field_csv((0, 3, 0, 3), FIELD_4X4))
-        steps = [("solve boundary", ["solve", "--in", "boundary.csv", "--out", "s1.csv"]),
-                 ("solve --init keep", ["solve", "--in", "field.csv", "--out", "s2.csv",
-                                        "--init", "keep"])]
+        steps = [("solve boundary", ["solve", "--in", "boundary.csv", "--out", "s1.csv"])]
+        for k, field in enumerate(FIELDS_4X4, 2):
+            (work / f"field{k}.csv").write_text(field_csv((0, 3, 0, 3), field))
+            steps.append((f"solve --init keep field{k}",
+                          ["solve", "--in", f"field{k}.csv", "--out", f"s{k}.csv",
+                           "--init", "keep"]))
         return outputs(tree, work, steps)
 
 
