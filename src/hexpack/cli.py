@@ -340,7 +340,8 @@ def walk(u: ScalarField, start: tuple[int, int], steps: int, trials: int, seed: 
     if not u.window.contains(start):
         raise click.UsageError(f"--start {start[0]},{start[1]} is outside window {u.window}")
     weights = _edge_weights(u, order)
-    # Every trial is held at once: chunking the trials would reorder the draws.
+    # Every trial's state is held for the whole walk: walking some trials to
+    # the end before starting the others would reorder the draws.
     with _in_memory(f"--trials {trials}"):
         report = random_walk_return(weights, start, steps, trials, seed)
     _echo(report.to_json())

@@ -15,15 +15,18 @@ converges spectrally; for spiral fields it is constant and any order is
 exact.  The weights are symmetric and lie strictly between 0 and 2.
 
 ``compute_edge_weights`` integrates the face partials of ``geometry``'s
-one kernel over every face of the window in one pass, summed at each edge
-by ``lattice.edge_sums`` (at the field itself that sum is the Newton
+one kernel over every face of the window, summed at each edge by
+``lattice.edge_sums`` (at the field itself that sum is the Newton
 solver's Jacobian), and stores the weights as three window-shaped arrays,
 one per edge direction; the residuals and the random walk read those
 arrays.  The segment is linear in the faces' edge differences, so each
 quadrature node costs one multiply-add of the start's and the step's
-differences and one kernel call, all in preallocated buffers.  The
-per-edge ``eta`` and per-vertex ``harmonic_residual`` are the scalar
-reference implementations.
+differences and one kernel call.  The faces go in bands of whole rows,
+each with its own buffers, so the quadrature's working memory is bounded
+by the band, not the window.  The random walk builds its absorbing chain
+one neighbour column at a time and steps its trials in blocks, so it
+holds one state per trial.  The per-edge ``eta`` and per-vertex
+``harmonic_residual`` are the scalar reference implementations.
 """
 
 from __future__ import annotations
@@ -40,19 +43,30 @@ from .geometry import _edge_partials, dtheta_dx1_array
 from .lattice import (
     DIRECTIONS,
     EDGE_ENDS,
+    NEIGHBOR_OFFSETS,
+    TWO_FACE_EDGES,
     Face,
     ScalarField,
     Vertex,
     Window,
     _BLOCK,
     _face_differences,
+    _ring_edges,
     edge_sums,
     faces_containing_edge,
+    neighbor_values,
     neighbors,
-    ring_gather,
-    rings,
     translate,
 )
+
+# Faces per band of the edge-weight quadrature: a band's four buffers of
+# edge differences and partials (24 bytes per face each) stay a few MB, and
+# windows up to 61x61 are one band.
+_BAND_FACES = 1 << 14
+
+# Trials per block of a walk step: a block's draws, thresholds and counts
+# live in buffers reused across blocks, so a trial holds only its state.
+_TRIAL_BLOCK = 1 << 14
 
 
 class MissingEdgeError(LookupError):
@@ -233,22 +247,35 @@ class EdgeWeights:
         return "".join(_weights_csv_blocks(self))
 
 
+def _band_rows(faces_per_row: int) -> int:
+    """Face rows per band of ``_integrated_partials``: about ``_BAND_FACES``
+    faces, and at least one row."""
+    return max(1, _BAND_FACES // max(1, faces_per_row))
+
+
 def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
     """The face partials integrated along the segments from the faces on
     the first cols - 1 columns of ``values`` to their m-translates, in the
     layout of ``face_partials(*faces(values[:, :-1]))``.  The segments are
     linear in the edge differences, so the differences at each node are
-    one multiply-add of the start's and the step's, into one buffer."""
+    one multiply-add of the start's and the step's, into one buffer.  The
+    face rows are integrated in bands of ``_band_rows`` rows, each with its
+    own buffers: every operation is elementwise, so the bands give the
+    bits of one window-wide pass."""
     nodes, wts = _nodes_weights_01(quad.order)
-    start = _face_differences(values[:, :-1])
-    step = _face_differences(np.diff(values, axis=1))
-    x, f, total = np.empty_like(start), np.empty_like(start), np.zeros_like(start)
-    for t, wt in zip(nodes, wts):
-        np.multiply(step, t, out=x)
-        x += start
-        _edge_partials(x, out=f)
-        f *= wt
-        total += f
+    total = np.zeros((3, 2, values.shape[0] - 1, values.shape[1] - 2))
+    band = _band_rows(2 * total.shape[3])
+    for top in range(0, total.shape[2], band):
+        rows = values[top:top + band + 1]
+        start = _face_differences(rows[:, :-1])
+        step = _face_differences(np.diff(rows, axis=1))
+        x, f, out = np.empty_like(start), np.empty_like(start), total[:, :, top:top + band]
+        for t, wt in zip(nodes, wts):
+            np.multiply(step, t, out=x)
+            x += start
+            _edge_partials(x, out=f)
+            f *= wt
+            out += f
     return total
 
 
@@ -256,11 +283,11 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
                          around: set | None = None) -> EdgeWeights:
     """Weights for every window edge whose two faces and their m-translates
     fit inside the window (others are skipped).  The faces on m_min ..
-    m_max - 1 are integrated in one pass, node by node so that temporaries
-    stay window-sized.  ``around`` keeps only the edges incident to that
-    vertex set, and only the faces that reach them are integrated.  A
-    weight outside (0, 2), such as one that underflows to zero or a NaN from
-    overflowing log radii, raises a ValueError naming its edge.
+    m_max - 1 are integrated in bands of face rows, node by node, so that
+    temporaries stay band-sized.  ``around`` keeps only the edges incident
+    to that vertex set, and only the faces that reach them are integrated.
+    A weight outside (0, 2), such as one that underflows to zero or a NaN
+    from overflowing log radii, raises a ValueError naming its edge.
     """
     window = u.window
     values = np.full((3, window.n_count, window.m_count), np.nan)
@@ -284,10 +311,12 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
         edge_rows, edge_cols = np.ix_(near_rows, near_cols[:-1])
     block = u.values[rows, cols]
     if block.shape[0] and block.shape[1] >= 2:
-        partials = _integrated_partials(block, quad)
-        values[:, edge_rows, edge_cols] = edge_sums(partials)
+        values[:, edge_rows, edge_cols] = edge_sums(_integrated_partials(block, quad))
         # The edges with two faces in the block, whatever their weights.
-        stored[:, edge_rows, edge_cols] = ~np.isnan(edge_sums(np.zeros_like(partials)))
+        two_faces = np.zeros((3, block.shape[0], block.shape[1] - 1), dtype=bool)
+        for slots, inside in zip(two_faces, TWO_FACE_EDGES):
+            slots[inside] = True
+        stored[:, edge_rows, edge_cols] = two_faces
     if around is not None:
         for slots, (v, w) in zip(stored, EDGE_ENDS):
             slots[v] &= at[v] | at[w]
@@ -318,10 +347,11 @@ def harmonic_residuals(u: ScalarField, weights: EdgeWeights) -> np.ndarray:
     if weights.window != u.window:
         raise ValueError(f"weights on {weights.window} do not match field window {u.window}")
     d1u = np.pad(np.diff(u.values, axis=1), ((0, 0), (0, 1)), constant_values=np.nan)
-    etas, ring, centre = ring_gather(weights.values), rings(d1u), d1u[1:-1, 1:-1].ravel()
+    centre = d1u[1:-1, 1:-1]
     out = np.full(u.values.shape, np.nan)
-    inner = out[1:-1, 1:-1]
-    inner[...] = sum(etas[:, k] * (ring[:, k] - centre) for k in range(6)).reshape(inner.shape)
+    # One neighbour at a time, summed in ``NEIGHBOR_OFFSETS`` order.
+    out[1:-1, 1:-1] = sum(eta * (near[1:-1, 1:-1] - centre)
+                          for eta, near in zip(_ring_edges(weights.values), neighbor_values(d1u)))
     return out
 
 
@@ -359,15 +389,18 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
     indices plus the states ``returned`` and ``censored``: a step into
     ``start`` enters ``returned``, every row of a vertex without six weights
     leads to ``censored``, and both loop to themselves.  One generator seeded
-    with ``seed`` draws once per step for all trials, so the result is
-    reproducible bit for bit.
+    with ``seed`` draws once per step for each trial in trial order, so the
+    result is reproducible bit for bit.  Each step visits the trials in
+    blocks of ``_TRIAL_BLOCK``, in buffers reused across blocks: the
+    draws come in the same order as one draw for all trials, and the
+    working memory is one state per trial.
 
     A trial at state s with draw r steps to the neighbour numbered by how
-    many of the row's cumulative probabilities lie below r.  The last one,
-    ``cum[s, -1]``, is exactly 1.0 and every draw is below 1, so the count
-    runs over the first five columns only, one column at a time for all
-    trials, into one int8 count: it picks the same neighbour as a count over
-    all six.
+    many of the row's cumulative probabilities lie below r.  The last one
+    is exactly 1.0 and every draw is below 1, so the count runs over the
+    first five columns only, one column at a time for a block of trials,
+    into one int8 count: it picks the same neighbour as a count over all
+    six.
     """
     if steps < 0:
         raise ValueError(f"steps must be nonnegative, got {steps}")
@@ -379,28 +412,53 @@ def random_walk_return(weights: EdgeWeights, start: Vertex, steps: int,
 
     start_idx = (start[1] - window.n_min) * window.m_count + start[0] - window.m_min
     returned, censored = window.num_vertices, window.num_vertices + 1
-    nbr_idx = np.full((window.num_vertices + 2, 6), censored, dtype=np.int64)
-    cum = np.ones((window.num_vertices + 2, 6))
-    # Only interior vertices can have all six weights, so only they step.
+    # The chain, one neighbour column k at a time: cols[k, s] is the
+    # cumulative probability of neighbours 0..k of state s, nbr[s * 6 + k]
+    # the state that neighbour k leads to.  Only interior vertices can have
+    # all six weights, so only they step; every other row stays censored.
+    cols = np.ones((5, window.num_vertices + 2))
+    nbr = np.full((window.num_vertices + 2, 6), censored, dtype=np.intp)
+    nbr[returned] = returned
+    etas = _ring_edges(weights.values)
+    # Summed in the order of a row sum.  Stored weights lie in (0, 2), so the
+    # total is NaN exactly where a weight is missing.
+    total = sum(etas[1:], etas[0])
+    full = ~np.isnan(total)
+    total = total[full]
     index = np.arange(window.num_vertices).reshape(window.n_count, window.m_count)
-    centre, ring, etas = index[1:-1, 1:-1].ravel(), rings(index), ring_gather(weights.values)
-    full = ~np.isnan(etas).any(axis=1)
-    cum[centre[full]] = np.cumsum(etas[full] / etas[full].sum(axis=1, keepdims=True), axis=1)
-    cum[:, -1] = 1.0
-    nbr_idx[centre[full]] = np.where(ring[full] == start_idx, returned, ring[full])
-    nbr_idx[returned] = returned
+    centre = index[1:-1, 1:-1][full]
+    cum = np.zeros(centre.size)
+    for k, eta in enumerate(etas[:5]):  # the sixth threshold is 1.0
+        cum += eta[full] / total  # cumsum's additions, so the same bits
+        cols[k, centre] = cum
+    for k, (dm, dn) in enumerate(NEIGHBOR_OFFSETS):
+        near = centre + (dn * window.m_count + dm)
+        nbr[centre, k] = np.where(near == start_idx, returned, near)
+    nbr = nbr.ravel()
 
-    cols, nbr = cum[:, :-1].T.copy(), nbr_idx.ravel()
     rng = np.random.default_rng(seed)
-    state = np.full(trials, start_idx, dtype=np.int64)
+    state = np.full(trials, start_idx, dtype=np.intp)
+    block = min(trials, _TRIAL_BLOCK)
+    buffers = (np.empty(block), np.empty(block, dtype=bool), np.empty(block, dtype=np.int8),
+               np.empty(block, dtype=np.intp))
     for _ in range(steps):
         if state.min() >= returned:  # every trial absorbed: no state moves again
             break
-        r = rng.random(trials)
-        count = (r > cols[0][state]).view(np.int8)
-        for col in cols[1:]:
-            count += (r > col[state]).view(np.int8)
-        state = nbr[state * 6 + count]
+        # Every block draws, absorbed or not, so the stream is the one a
+        # single draw for all trials would give.
+        for lo in range(0, trials, block):
+            s = state[lo:lo + block]
+            below, above, count, flat = (buf[:s.size] for buf in buffers)
+            r = rng.random(s.size)
+            np.take(cols[0], s, out=below, mode="clip")
+            np.greater(r, below, out=count.view(bool))
+            for col in cols[1:]:
+                np.take(col, s, out=below, mode="clip")
+                np.greater(r, below, out=above)
+                count += above.view(np.int8)
+            np.multiply(s, 6, out=flat)
+            flat += count
+            np.take(nbr, flat, out=s, mode="clip")
     n_returned = int(np.count_nonzero(state == returned))
     n_censored = int(np.count_nonzero(state == censored))
     effective = trials - n_censored

@@ -35,6 +35,11 @@ DIRECTIONS: tuple[Vertex, ...] = ((0, 1), (1, -1), (1, 0))
 EDGE_ENDS = ((np.s_[:-1, :], np.s_[1:, :]), (np.s_[1:, :-1], np.s_[:-1, 1:]),
              (np.s_[:, :-1], np.s_[:, 1:]))
 
+# Slices of a (3, rows, cols) per-edge array at the edges v -> v + DIRECTIONS[k]
+# of a window-shaped array's ``faces`` that have a face on either side: the
+# slots ``edge_sums`` fills.
+TWO_FACE_EDGES = (np.s_[:-1, 1:-1], np.s_[1:, :-1], np.s_[1:-1, :-1])
+
 # Largest magnitude of a value in a field CSV: the angle kernels subtract
 # log radii and add two such differences, and the harmonic start solves a
 # linear system in them, so values near the float range would overflow.
@@ -249,15 +254,22 @@ def rings(a: np.ndarray) -> np.ndarray:
     return np.stack([w[1:-1, 1:-1] for w in neighbor_values(a)], axis=-1).reshape(-1, 6)
 
 
+def _ring_edges(edges: np.ndarray) -> list[np.ndarray]:
+    """Per-edge values, stored as ``edge_sums`` returns them, on the edges
+    from the interior vertices to their six neighbors: six (rows - 2,
+    cols - 2) views of ``edges``, in ``NEIGHBOR_OFFSETS`` order."""
+    rows, cols = edges.shape[1:]
+    # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
+    # k = 2, 3, 4, where the edge is stored at the neighbor.
+    return [edges[d, 1 + dn:rows - 1 + dn, 1 + dm:cols - 1 + dm] if 2 <= k <= 4
+            else edges[d, 1:-1, 1:-1]
+            for k, (d, (dm, dn)) in enumerate(zip((2, 0, 1, 2, 0, 1), NEIGHBOR_OFFSETS))]
+
+
 def ring_gather(edges: np.ndarray) -> np.ndarray:
     """Per-edge values, stored as ``edge_sums`` returns them, on the edges
     from the interior vertices to their six neighbors, laid out as ``rings``."""
-    # Neighbor k lies at DIRECTIONS[(2, 0, 1, 2, 0, 1)[k]], negated for
-    # k = 2, 3, 4, where the edge is stored at the neighbor.
-    at_neighbor = neighbor_values(edges)
-    ring = [at_neighbor[k][d] if 2 <= k <= 4 else edges[d]
-            for k, d in enumerate((2, 0, 1, 2, 0, 1))]
-    return np.stack([r[1:-1, 1:-1] for r in ring], axis=-1).reshape(-1, 6)
+    return np.stack(_ring_edges(edges), axis=-1).reshape(-1, 6)
 
 
 def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -310,9 +322,9 @@ def edge_sums(f: np.ndarray) -> np.ndarray:
     where the edge has fewer than two faces."""
     (qra, qrb), (rpa, rpb), (pqa, pqb) = f
     out = np.full((3, f.shape[2] + 1, f.shape[3] + 1), np.nan)
-    out[0, :-1, 1:-1] = rpa[:, 1:] + pqb[:, :-1]
-    out[1, 1:, :-1] = qra + rpb
-    out[2, 1:-1, :-1] = pqa[1:] + qrb[:-1]
+    out[0][TWO_FACE_EDGES[0]] = rpa[:, 1:] + pqb[:, :-1]
+    out[1][TWO_FACE_EDGES[1]] = qra + rpb
+    out[2][TWO_FACE_EDGES[2]] = pqa[1:] + qrb[:-1]
     return out
 
 

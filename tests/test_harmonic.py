@@ -13,6 +13,7 @@ import math
 import numpy as np
 import pytest
 
+from hexpack import harmonic
 from hexpack.harmonic import (
     EdgeWeights,
     MissingEdgeError,
@@ -387,6 +388,26 @@ class TestBatchedWeights:
                     expected[slot] = full[slot]
         assert compute_edge_weights(u, around=around).values.tobytes() == expected.tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 2])
+    @pytest.mark.parametrize("window", [Window(-4, 4, -4, 4), Window(-3, 3, -5, 6)],
+                             ids=["9x9", "7x12"])
+    @pytest.mark.parametrize("around", [
+        pytest.param(None, id="all"),
+        pytest.param(ball((0, 0), 1), id="ball"),
+        pytest.param({(-2, -3), (0, 0), (1, 1), (2, 4)}, id="apart"),
+    ])
+    def test_bands_give_the_bits_of_one_band(self, monkeypatch, rows, window, around):
+        # bands of one and two face rows; each around set spans several
+        # rows of faces, so a band edge runs through it
+        u = ScalarField(window, np.random.default_rng(window.n_count).uniform(
+            -3.0, 3.0, size=(window.n_count, window.m_count)))
+        assert harmonic._band_rows(2 * (window.m_count - 2)) >= window.n_count - 1
+        one_band = compute_edge_weights(u, around=around).values
+        monkeypatch.setattr(harmonic, "_band_rows", lambda faces_per_row: rows)
+        banded = compute_edge_weights(u, around=around).values
+        assert np.count_nonzero(~np.isnan(one_band)) > 0
+        assert np.array_equal(banded, one_band, equal_nan=True)
+
     @pytest.mark.parametrize("name", ["spiral", "wavy", "past-int64"])
     def test_csv_matches_the_per_edge_reference(self, name):
         big = Window(99999999999999999999, 100000000000000000002, -2, 2)
@@ -725,6 +746,25 @@ class TestRandomWalk:
         monkeypatch.undo()
         assert report == walk_reference(weights, (0, 0), 10**4, 20, seed=3)
         assert report == random_walk_return(weights, (0, 0), len(draws), 20, seed=3)
+
+    @pytest.mark.parametrize("trials", [7, 2 * 7 + 3])
+    @pytest.mark.parametrize("case", ["wavy", "censored", "early-stop"])
+    def test_blocks_of_trials_match_the_reference(self, monkeypatch, trials, case):
+        # seven trials per block: one whole block, or two and a part
+        monkeypatch.setattr(harmonic, "_TRIAL_BLOCK", 7)
+        weights, start, steps = {
+            "wavy": (WALK_WEIGHTS["wavy"], (0, 0), 60),
+            "censored": (WALK_WEIGHTS["spiral-ball"], (1, -1), 25),
+            "early-stop": (compute_edge_weights(spiral_field(SpiralParams(1.0, 1.2, 0.85),
+                                                             Window(-3, 3, -3, 3))), (0, 0), 10**4),
+        }[case]
+        for seed in (0, 3, 11):
+            report = random_walk_return(weights, start, steps, trials, seed)
+            assert report == walk_reference(weights, start, steps, trials, seed)
+            if case != "wavy":
+                assert report.censored > 0
+            if case == "early-stop":
+                assert report.returned + report.censored == trials
 
     def test_report_json_shape(self, uniform_weights):
         report = random_walk_return(uniform_weights, (0, 0), 2, 100, seed=0)

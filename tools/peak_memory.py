@@ -13,11 +13,14 @@ command at a time as ``python -m hexpack.cli ...`` with
     harmonic --in s.csv --out w.csv
     render --in s.csv --out f.svg
     walk --in s.csv
+    walk --in s.csv --steps 2 --trials 1000000
 
 Each child's peak resident set is ``ru_maxrss`` from ``os.wait4``, in MB
-of 2**20 bytes, as the benchmark's ``peak_rss_mb``.  Prints one line per
-window and command, with each tree's peak, wall time and exit code (a
-nonzero exit code makes the tool exit 1).  The 801x801 ``harmonic`` of
+of 2**20 bytes, as the benchmark's ``peak_rss_mb``.  The second walk,
+of a million trials, shows the memory that grows with the trials.
+Prints one line per window and command (``walk-1e6`` for the second
+walk), with each tree's peak, wall time and exit code (a nonzero exit
+code makes the tool exit 1).  The 801x801 ``harmonic`` of
 older trees holds about 0.5 GB, so the machine needs that much free.
 """
 
@@ -43,7 +46,8 @@ def pipeline(half: int) -> list[tuple[str, list[str]]]:
             ("verify", ["verify", "--in", "s.csv"]),
             ("harmonic", ["harmonic", "--in", "s.csv", "--out", "w.csv"]),
             ("render", ["render", "--in", "s.csv", "--out", "f.svg"]),
-            ("walk", ["walk", "--in", "s.csv"])]
+            ("walk", ["walk", "--in", "s.csv"]),
+            ("walk-1e6", ["walk", "--in", "s.csv", "--steps", "2", "--trials", "1000000"])]
 
 
 def measure(tree: Path, half: int) -> list[dict]:
