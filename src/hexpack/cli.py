@@ -17,7 +17,7 @@ import json
 import math
 import os
 from collections.abc import Iterable
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from functools import wraps
 
 import click
@@ -341,8 +341,11 @@ def walk(u: ScalarField, start: tuple[int, int], steps: int, trials: int, seed: 
         raise click.UsageError(f"--start {start[0]},{start[1]} is outside window {u.window}")
     weights = _edge_weights(u, order)
     # Every trial's state is held for the whole walk: walking some trials to
-    # the end before starting the others would reorder the draws.
-    with _in_memory(f"--trials {trials}"):
+    # the end before starting the others would reorder the draws.  The chain
+    # holds 11 words per window vertex (five thresholds, six neighbours), so
+    # --trials is named only when the trials outweigh it; otherwise
+    # ``_field_command``'s guard names the window.
+    with _in_memory(f"--trials {trials}") if trials > 11 * u.window.num_vertices else nullcontext():
         report = random_walk_return(weights, start, steps, trials, seed)
     _echo(report.to_json())
 

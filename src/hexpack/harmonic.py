@@ -290,13 +290,11 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     from overflowing log radii, raises a ValueError naming its edge.
     """
     window = u.window
-    values = np.full((3, window.n_count, window.m_count), np.nan)
-    stored = np.zeros(values.shape, dtype=bool)
     # The rows and columns whose faces are integrated, and those of the
     # edges they give: the same but the last column.
     (rows, cols), (edge_rows, edge_cols) = np.s_[:, :], np.s_[:, :-1]
     if around is not None:
-        at = np.zeros(values.shape[1:], dtype=bool)
+        at = np.zeros((window.n_count, window.m_count), dtype=bool)
         for v in around:
             if window.contains(v):
                 at[v[1] - window.n_min, v[0] - window.m_min] = True
@@ -310,8 +308,14 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
         rows, cols = np.ix_(near_rows, near_cols)
         edge_rows, edge_cols = np.ix_(near_rows, near_cols[:-1])
     block = u.values[rows, cols]
-    if block.shape[0] and block.shape[1] >= 2:
-        values[:, edge_rows, edge_cols] = edge_sums(_integrated_partials(block, quad))
+    fits = block.shape[0] > 0 and block.shape[1] > 1
+    # Summed, and the integrated partials freed, before the window's arrays exist.
+    sums = edge_sums(_integrated_partials(block, quad)) if fits else None
+    values = np.full((3, window.n_count, window.m_count), np.nan)
+    stored = np.zeros(values.shape, dtype=bool)
+    if fits:
+        values[:, edge_rows, edge_cols] = sums
+        del sums  # before the constructor's copy
         # The edges with two faces in the block, whatever their weights.
         two_faces = np.zeros((3, block.shape[0], block.shape[1] - 1), dtype=bool)
         for slots, inside in zip(two_faces, TWO_FACE_EDGES):
@@ -321,7 +325,8 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
         for slots, (v, w) in zip(stored, EDGE_ENDS):
             slots[v] &= at[v] | at[w]
     _check_range(window, values, stored)
-    return EdgeWeights(window, np.where(stored, values, np.nan))
+    values[~stored] = np.nan
+    return EdgeWeights(window, values)
 
 
 def harmonic_residual(u: ScalarField, v: Vertex,

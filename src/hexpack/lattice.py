@@ -247,13 +247,6 @@ def neighbor_values(a: np.ndarray) -> list[np.ndarray]:
     return [padded[..., 1 + dn:rows + 1 + dn, 1 + dm:cols + 1 + dm] for dm, dn in NEIGHBOR_OFFSETS]
 
 
-def rings(a: np.ndarray) -> np.ndarray:
-    """The six neighbor values of the interior vertices of a window-shaped
-    array, in ``interior_vertices()`` order: (N, 6), neighbors last and
-    contiguous, so that a sum over them runs in ``NEIGHBOR_OFFSETS`` order."""
-    return np.stack([w[1:-1, 1:-1] for w in neighbor_values(a)], axis=-1).reshape(-1, 6)
-
-
 def _ring_edges(edges: np.ndarray) -> list[np.ndarray]:
     """Per-edge values, stored as ``edge_sums`` returns them, on the edges
     from the interior vertices to their six neighbors: six (rows - 2,
@@ -264,12 +257,6 @@ def _ring_edges(edges: np.ndarray) -> list[np.ndarray]:
     return [edges[d, 1 + dn:rows - 1 + dn, 1 + dm:cols - 1 + dm] if 2 <= k <= 4
             else edges[d, 1:-1, 1:-1]
             for k, (d, (dm, dn)) in enumerate(zip((2, 0, 1, 2, 0, 1), NEIGHBOR_OFFSETS))]
-
-
-def ring_gather(edges: np.ndarray) -> np.ndarray:
-    """Per-edge values, stored as ``edge_sums`` returns them, on the edges
-    from the interior vertices to their six neighbors, laid out as ``rings``."""
-    return np.stack(_ring_edges(edges), axis=-1).reshape(-1, 6)
 
 
 def faces(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -70,8 +70,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .geometry import TWO_PI, _edge_partials, _face_angles
-from .lattice import (EDGE_ENDS, ScalarField, Vertex, Window, _face_differences,
-                      _ring_differences, corner_sums, edge_sums, neighbors, ring_gather, rings)
+from .lattice import (EDGE_ENDS, ScalarField, Vertex, Window, _face_differences, _ring_differences,
+                      _ring_edges, corner_sums, edge_sums, neighbor_values, neighbors)
 
 if TYPE_CHECKING:
     from collections.abc import Callable
@@ -203,7 +203,9 @@ class _Grid:
         that never falls back builds no rings."""
         i, j = np.indices(self.shape)[:, 1:-1, 1:-1]
         colour = (self._offset + j + 2 * i) % 3
-        ring = rings(np.arange(math.prod(self.shape)).reshape(self.shape))
+        index = np.arange(math.prod(self.shape)).reshape(self.shape)
+        # One stack of the rings, then split by class: a stack per class is slower.
+        ring = np.stack([w[1:-1, 1:-1] for w in neighbor_values(index)], axis=-1).reshape(-1, 6)
         return [(colour == c, ring[(colour == c).ravel()]) for c in range(3)]
 
     def product(self, edges: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -257,14 +259,14 @@ class _Grid:
         diagonal entry that is not positive and finite, on an exactly
         singular block, and when the G_i do not fit in memory."""
         rows, cols = (n - 2 for n in self.shape)
-        coeff = ring_gather(edges).reshape(rows, cols, 6)
-        diagonal = coeff.sum(axis=2)
+        coeff = _ring_edges(edges)
+        diagonal = sum(coeff[1:], coeff[0])  # in NEIGHBOR_OFFSETS order
         if not np.all((diagonal > 0.0) & (diagonal < np.inf)):
             raise RuntimeError("the matrix has a diagonal entry that is not positive and finite")
         # The coefficients of the edges to the neighbors (1, 0), (0, -1) and
         # (1, -1) in the interior: minus the entries above the diagonal
         # blocks' diagonal, and minus those of the B_i.
-        right, down, down_right = coeff[:, :-1, 0], coeff[1:, :, 4], coeff[1:, :-1, 5]
+        right, down, down_right = coeff[0][:, :-1], coeff[4][1:], coeff[5][1:, :-1]
 
         def sweep(z: np.ndarray, first: bool) -> np.ndarray:
             """The solution for the right side z (rows, cols), which it
@@ -306,7 +308,8 @@ def _harmonic(values: np.ndarray, grid: _Grid) -> None:
     interpolation of their boundary, leaving the boundary untouched."""
     inner = values[1:-1, 1:-1]
     inner[...] = 0.0
-    b = rings(values).sum(axis=1)  # over the boundary neighbors
+    near = [w[1:-1, 1:-1] for w in neighbor_values(values)]
+    b = sum(near[1:], near[0]).ravel()  # over the boundary neighbors
     # Scaled to a largest entry of 1, so that no norm overflows.
     scale = float(np.abs(b).max())
     if scale:

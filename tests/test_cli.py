@@ -478,6 +478,19 @@ class TestWalkCommand:
         assert "--trials 1000000000000" in result.output
         assert "Traceback" not in result.output
 
+    def test_chain_past_memory_names_the_window(self, runner, tmp_path, monkeypatch):
+        # 10 trials take far less memory than the chain of a 5x5 window
+        def out_of_memory(*args):
+            raise MemoryError("Unable to allocate 2.20 KiB")
+
+        monkeypatch.setattr("hexpack.cli.random_walk_return", out_of_memory)
+        src = write_spiral(runner, tmp_path / "c.csv", 1, 1, window="-2:2,-2:2")
+        result = run(runner, "walk", "--in", src, "--trials", 10)
+        assert result.exit_code == 2
+        assert f"window -2:2,-2:2 of {src} needs more memory" in result.output
+        assert "--trials" not in result.output
+        assert "Traceback" not in result.output
+
 
 def test_window_past_int64_solves_and_lists_exact_edges(runner, tmp_path):
     src = write_spiral(runner, tmp_path / "u.csv", 1, 1,

@@ -32,8 +32,8 @@ from hexpack.harmonic import (
     volume,
 )
 from hexpack.geometry import dtheta_dx1, face_partials
-from hexpack.lattice import (DIRECTIONS, ScalarField, Window, _BLOCK, ball, edge_sums, faces,
-                             faces_containing_edge, neighbors, ring_gather)
+from hexpack.lattice import (DIRECTIONS, ScalarField, Window, _BLOCK, _ring_edges, ball, edge_sums,
+                             faces, faces_containing_edge, neighbors)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -577,7 +577,7 @@ def test_ring_gather_reads_every_interior_edge(window):
     # a distinct weight on every edge, NaN on the edges that leave the window
     rng = np.random.default_rng([window.m_count, window.n_count])
     weights = EdgeWeights(window, rng.uniform(0.1, 1.9, size=(3, window.n_count, window.m_count)))
-    got = ring_gather(weights.values)
+    got = np.stack(_ring_edges(weights.values), axis=-1).reshape(-1, 6)
     assert got.shape == (len(window.interior_vertices()), 6)
     for i, v in enumerate(window.interior_vertices()):
         assert got[i].tolist() == [weights.get(v, w) for w in neighbors(v)]

@@ -27,7 +27,7 @@ def unused_imports(source):
 def test_the_check_names_each_unused_import():
     source = ("from __future__ import annotations\n"
               "import numpy as np\nimport scipy.sparse\n"
-              "from .lattice import DIRECTIONS, rings as ring_values, neighbors\n"
+              "from .lattice import DIRECTIONS, neighbor_values as ring_values, neighbors\n"
               "def f(a: scipy.sparse.spmatrix):\n    return ring_values(np.zeros(3))\n")
     assert unused_imports(source) == ["DIRECTIONS", "neighbors"]
 

@@ -36,12 +36,11 @@ from hexpack.lattice import (
     neighbor_values,
     neighbors,
     read_field_csv,
-    rings,
     translate,
     write_field_csv,
 )
 from hexpack.layout import develop
-from hexpack.solver import _defects
+from hexpack.solver import _defects, _Grid
 from hexpack.spiral import SpiralParams, spiral_field
 
 
@@ -80,8 +79,10 @@ WINDOWS = [Window(0, 0, 0, 0), Window(-2, 2, 0, 0), Window(0, 0, -2, 2), Window(
 
 
 class TestNeighborValues:
-    """``neighbor_values`` and ``rings`` against ``neighbors`` at every vertex
-    of windows 1x1, 1x5, 5x1, 2x2, 3x3 and 6x9 (rows x columns)."""
+    """``neighbor_values``, and the solver's colour classes made from it,
+    against ``neighbors`` at every vertex of windows 1x1, 1x5, 5x1, 2x2, 3x3
+    and 6x9 (rows x columns); the classes also on windows whose corners make
+    (m + 2n) mod 3 = 2 and pass int64."""
 
     @staticmethod
     def field(window):
@@ -97,12 +98,20 @@ class TestNeighborValues:
             assert [a[i, j] for a in got] == [u[w] if window.contains(w) else 0.0
                                               for w in neighbors(v)]
 
-    @pytest.mark.parametrize("window", WINDOWS)
+    @pytest.mark.parametrize("window", [*WINDOWS, Window(0, 6, 1, 7),
+                                        Window(2**63 + 1, 2**63 + 7, -2, 3)])
     def test_rings_in_interior_vertex_order(self, window):
-        u = self.field(window)
-        got = rings(u.values)
-        assert got.shape == (len(window.interior_vertices()), 6) and got.flags.c_contiguous
-        assert got.tolist() == [[u[w] for w in neighbors(v)] for v in window.interior_vertices()]
+        # each class's rings: the flat indices of its vertices' neighbors
+        index = {v: k for k, v in enumerate(window.vertices())}
+        interior = window.interior_vertices()
+        classes = []
+        for mask, ring in _Grid(window).colours:
+            members = [v for v, inside in zip(interior, mask.ravel().tolist()) if inside]
+            assert ring.shape == (len(members), 6)
+            assert ring.tolist() == [[index[w] for w in neighbors(v)] for v in members]
+            classes.append(set(members))
+        assert sum(map(len, classes)) == len(interior) and set().union(*classes) == set(interior)
+        assert not any(w in members for members in classes for v in members for w in neighbors(v))
 
 
 class TestFaces:
