@@ -11,8 +11,12 @@ where eta_{vw} collects, over the two faces sharing the edge {v, w}, the
 integral of d(angle at v)/d(u_w) along the segment.  On a solved field the
 right side vanishes, so D1u is harmonic for these weights.  The integrand
 is analytic in the segment parameter, so Gauss-Legendre quadrature
-converges spectrally; for spiral fields it is constant and any order is
-exact.  The weights are symmetric and lie strictly between 0 and 2.
+converges spectrally.  On a spiral field the segment's step is zero up to
+rounding, the integrand is constant, and a face whose step differences
+are all at most ``_SHORT_STEP`` = 2^-30 in magnitude takes the partials at
+its segment's midpoint instead (see ``_integrated_partials``): equal to
+the order-N rule within rounding, not bit for bit.  The weights are
+symmetric and lie strictly between 0 and 2.
 
 ``compute_edge_weights`` integrates the face partials of ``geometry``'s
 one kernel over every face of the window, summed at each edge by
@@ -63,6 +67,11 @@ from .lattice import (
 # edge differences and partials (24 bytes per face each) stay a few MB, and
 # windows up to 61x61 are one band.
 _BAND_FACES = 1 << 14
+
+# Largest magnitude of a face's step differences for which the face takes
+# the partials at its segment's midpoint rather than the Gauss-Legendre sum;
+# its relative error is at most 2^-60 / 24 (``_integrated_partials``).
+_SHORT_STEP = 2.0 ** -30
 
 # Trials per block of a walk step: a block's draws, thresholds and counts
 # live in buffers reused across blocks, so a trial holds only its state.
@@ -261,21 +270,52 @@ def _integrated_partials(values: np.ndarray, quad: Quadrature) -> np.ndarray:
     one multiply-add of the start's and the step's, into one buffer.  The
     face rows are integrated in bands of ``_band_rows`` rows, each with its
     own buffers: every operation is elementwise, so the bands give the
-    bits of one window-wide pass."""
-    nodes, wts = _nodes_weights_01(quad.order)
+    bits of one window-wide pass.
+
+    A short face, one whose three step differences are all at most
+    ``_SHORT_STEP`` = 2^-30 in magnitude, takes the partials at its
+    segment's midpoint, start + 0.5 * step, with weight 1; every other face,
+    a NaN or infinite step included, takes the Gauss-Legendre sum.  A band
+    of short faces makes one kernel call and fetches no nodes; a mixed band
+    makes one call more than the nodes and copies the midpoint values into
+    its short faces.  The choice is per face, so the bands do not change it.
+
+    The midpoint rule's error on [0, 1] is phi''(xi) / 24 (Davis and
+    Rabinowitz, *Methods of Numerical Integration*, 1984, 2.5).  A partial
+    is phi = e^((a - L)/2) / (2 cosh((b - c)/2)) in the face's log radii
+    a, b, c (see ``geometry``).  Along the segment, with s the largest step
+    difference, (log phi)' = (a' - L')/2 - tanh((b - c)/2) (b' - c')/2 is
+    at most s in magnitude, since L' is a mean of the corners' steps, and
+    (log phi)'' = -L''/2 - sech^2((b - c)/2) (b' - c')^2/4 lies in
+    [-3 s^2/8, 0], since L'' is their variance, at most s^2/4.  So
+    phi''/phi = (log phi)'' + (log phi)'^2 is at most K s^2 in magnitude,
+    K = 1, and a short face's relative error is at most K 2^-60 / 24 (times
+    e^(s/2), about 1): far below the half ulp, 2^-54 or more, to which the
+    order-N sum is rounded.
+    """
     total = np.zeros((3, 2, values.shape[0] - 1, values.shape[1] - 2))
     band = _band_rows(2 * total.shape[3])
     for top in range(0, total.shape[2], band):
         rows = values[top:top + band + 1]
         start = _face_differences(rows[:, :-1])
         step = _face_differences(np.diff(rows, axis=1))
-        x, f, out = np.empty_like(start), np.empty_like(start), total[:, :, top:top + band]
-        for t, wt in zip(nodes, wts):
-            np.multiply(step, t, out=x)
+        x, f, out = np.abs(step), np.empty_like(start), total[:, :, top:top + band]
+        short = (x <= _SHORT_STEP).all(axis=0)
+        if not short.all():
+            nodes, wts = _nodes_weights_01(quad.order)
+            for t, wt in zip(nodes, wts):
+                np.multiply(step, t, out=x)
+                x += start
+                _edge_partials(x, out=f)
+                f *= wt
+                out += f
+        if short.any():
+            np.multiply(step, 0.5, out=x)
             x += start
-            _edge_partials(x, out=f)
-            f *= wt
-            out += f
+            if short.all():  # straight into the band's partials
+                _edge_partials(x, out=out)
+            else:
+                np.copyto(out, _edge_partials(x, out=f), where=short)
     return total
 
 
@@ -284,8 +324,13 @@ def compute_edge_weights(u: ScalarField, quad: Quadrature = DEFAULT_QUADRATURE,
     """Weights for every window edge whose two faces and their m-translates
     fit inside the window (others are skipped).  The faces on m_min ..
     m_max - 1 are integrated in bands of face rows, node by node, so that
-    temporaries stay band-sized.  ``around`` keeps only the edges incident
-    to that vertex set, and only the faces that reach them are integrated.
+    temporaries stay band-sized.  A face whose step differences are all at
+    most ``_SHORT_STEP`` = 2^-30 in magnitude, as on a spiral, takes the
+    partials at its segment's midpoint, within 2^-60 / 24 relative of the
+    integral, whatever ``quad.order`` is: its weights equal the order-N
+    rule's within rounding, not bit for bit.  ``around`` keeps only the
+    edges incident to that vertex set, and only the faces that reach them
+    are integrated.
     A weight outside (0, 2), such as one that underflows to zero or a NaN
     from overflowing log radii, raises a ValueError naming its edge.
     """

@@ -875,6 +875,33 @@ class TestScipyLoadsOnlyToSolve:
         assert [loaded for _, _, loaded in steps] == [False] * 7 + [False]
 
 
+# The Gauss-Legendre nodes come from numpy.polynomial, which a fresh process
+# loads on first use.  Every face of a solved spiral is short and takes its
+# segment's midpoint, so verifying one loads no nodes; a random field's
+# faces are long.
+@pytest.mark.parametrize("commands, loaded", [
+    pytest.param(["spiral --r0 1 --x 1.2 --y 0.85 --window -6:6,-6:6 --out u.csv",
+                  "solve --in u.csv --out s.csv --init zero", "verify --in s.csv"], False,
+                 id="solved-spiral"),
+    pytest.param(["verify --in r.csv"], True, id="random"),
+])
+def test_verify_loads_the_nodes_only_for_long_faces(tmp_path, commands, loaded):
+    rng = np.random.default_rng(7)
+    (tmp_path / "r.csv").write_text(write_field_csv(ScalarField(
+        Window(-6, 6, -6, 6), rng.uniform(-2.0, 2.0, size=(13, 13)))))
+    code = textwrap.dedent(f"""\
+        import json, sys
+        from click.testing import CliRunner
+        from hexpack.cli import main
+        runner = CliRunner()
+        codes = [runner.invoke(main, args.split()).exit_code for args in {commands!r}]
+        print(json.dumps([codes, "numpy.polynomial" in sys.modules]))
+    """)
+    codes, polynomial = run_fresh(code, tmp_path)
+    assert codes == [0] * len(commands)
+    assert polynomial is loaded
+
+
 # Fuzzed CLI contract: every command exits 0, 2 or 3 and raises nothing but
 # SystemExit.  Sizes stay small so that the examples run in seconds:
 # --order <= 64 or the bound 1024 and 1025 past it, --steps <= 5, --trials

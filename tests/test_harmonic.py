@@ -31,9 +31,10 @@ from hexpack.harmonic import (
     segment,
     volume,
 )
-from hexpack.geometry import dtheta_dx1, face_partials
-from hexpack.lattice import (DIRECTIONS, ScalarField, Window, _BLOCK, _ring_edges, ball, edge_sums,
-                             faces, faces_containing_edge, neighbors)
+from hexpack.geometry import _edge_partials, dtheta_dx1, face_partials
+from hexpack.lattice import (DIRECTIONS, ScalarField, Window, _BLOCK, _face_differences,
+                             _ring_edges, ball, edge_sums, faces, faces_containing_edge,
+                             neighbors)
 from hexpack.solver import SolveOptions, angle_sum, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
@@ -339,6 +340,25 @@ REFERENCE_FIELDS = {
 }
 
 
+def mixed_field(window):
+    """A spiral with +-1 noise on two rows next to the middle one: the faces
+    that touch those rows have long steps, the others short ones."""
+    u = spiral_field(SpiralParams(1.0, 1.3, 0.8), window)
+    middle = window.n_count // 2
+    u.values[middle - 1:middle + 1] += np.random.default_rng(3).uniform(
+        -1.0, 1.0, size=(2, window.m_count))
+    return u
+
+
+# The reference fields and one whose faces take both rules.
+WEIGHT_FIELDS = {**REFERENCE_FIELDS, "mixed": mixed_field(Window(-5, 5, -5, 6))}
+
+
+def random_field(window):
+    return ScalarField(window, np.random.default_rng(window.n_count).uniform(
+        -3.0, 3.0, size=(window.n_count, window.m_count)))
+
+
 class TestBatchedWeights:
     """The window-wide weights against the per-edge ``eta`` reference."""
 
@@ -366,7 +386,7 @@ class TestBatchedWeights:
         kept = {(v, w): value for v, w, value in compute_edge_weights(u, around=around).edges()}
         assert kept == {e: value for e, value in full.items() if e[0] in around or e[1] in around}
 
-    @pytest.mark.parametrize("name", sorted(REFERENCE_FIELDS))
+    @pytest.mark.parametrize("name", sorted(WEIGHT_FIELDS))
     @pytest.mark.parametrize("around", [
         pytest.param({(-5, -5)}, id="corner"),
         pytest.param({(5, 6)}, id="opposite-corner"),
@@ -378,7 +398,7 @@ class TestBatchedWeights:
     def test_around_equals_the_full_weights_masked(self, name, around):
         # only the faces near the set are integrated, to the same bits;
         # "apart" leaves gaps between the rows and columns integrated
-        u = REFERENCE_FIELDS[name]
+        u = WEIGHT_FIELDS[name]
         full = compute_edge_weights(u).values
         expected = np.full_like(full, np.nan)
         for k, (dm, dn) in enumerate(DIRECTIONS):
@@ -389,18 +409,21 @@ class TestBatchedWeights:
         assert compute_edge_weights(u, around=around).values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("rows", [1, 2])
-    @pytest.mark.parametrize("window", [Window(-4, 4, -4, 4), Window(-3, 3, -5, 6)],
-                             ids=["9x9", "7x12"])
+    @pytest.mark.parametrize("u", [
+        pytest.param(random_field(Window(-4, 4, -4, 4)), id="9x9"),
+        pytest.param(random_field(Window(-3, 3, -5, 6)), id="7x12"),
+        # bands of long faces, of short ones and of both
+        pytest.param(mixed_field(Window(-4, 4, -4, 4)), id="mixed"),
+    ])
     @pytest.mark.parametrize("around", [
         pytest.param(None, id="all"),
         pytest.param(ball((0, 0), 1), id="ball"),
         pytest.param({(-2, -3), (0, 0), (1, 1), (2, 4)}, id="apart"),
     ])
-    def test_bands_give_the_bits_of_one_band(self, monkeypatch, rows, window, around):
+    def test_bands_give_the_bits_of_one_band(self, monkeypatch, rows, u, around):
         # bands of one and two face rows; each around set spans several
         # rows of faces, so a band edge runs through it
-        u = ScalarField(window, np.random.default_rng(window.n_count).uniform(
-            -3.0, 3.0, size=(window.n_count, window.m_count)))
+        window = u.window
         assert harmonic._band_rows(2 * (window.m_count - 2)) >= window.n_count - 1
         one_band = compute_edge_weights(u, around=around).values
         monkeypatch.setattr(harmonic, "_band_rows", lambda faces_per_row: rows)
@@ -489,6 +512,92 @@ class TestBatchedWeights:
         u[(0, 0)] = 4000.0
         with pytest.raises(ValueError, match=r"edge weight on \(\(-?\d+, -?\d+\), "):
             compute_edge_weights(u)
+
+
+def coloured_steps(window, scale, seed):
+    """A field with random starts whose every face has one step difference
+    of 2 * scale (1 +- 2^-12) in magnitude and two smaller ones: D1u is
+    0.3 + scale (w + noise), with w = 0, 1, -1 by the three-colouring
+    (m + 2n) mod 3, so the three corners of a face carry the three values."""
+    rng = np.random.default_rng(seed)
+    n, m = np.indices((window.n_count, window.m_count - 1))
+    w = np.array([0.0, 1.0, -1.0])[(m + 2 * n) % 3]
+    d1u = 0.3 + scale * (w + 2.0 ** -12 * rng.uniform(-1.0, 1.0, size=w.shape))
+    values = np.empty((window.n_count, window.m_count))
+    values[:, 0] = rng.uniform(-1.0, 1.0, size=window.n_count)
+    values[:, 1:] = values[:, :1] + np.cumsum(d1u, axis=1)
+    return ScalarField(window, values)
+
+
+def order_32_weights(values):
+    """The weights of every face by the order-32 Gauss-Legendre rule, node
+    by node: the kernel of ``face_partials`` at start + t * step, times the
+    node's weight, added up."""
+    x, w = np.polynomial.legendre.leggauss(32)
+    start = _face_differences(values[:, :-1])
+    step = _face_differences(np.diff(values, axis=1))
+    total = np.zeros_like(start)
+    for t, wt in zip(0.5 * (x + 1.0), 0.5 * w):
+        total += _edge_partials(step * t + start) * wt
+    return edge_sums(total)
+
+
+class TestShortFaces:
+    """A face whose step differences are all at most ``_SHORT_STEP`` takes
+    the partials at its segment's midpoint; every other face the
+    Gauss-Legendre sum."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("factor, short", [(1 - 2.0 ** -10, True), (1 + 2.0 ** -10, False)],
+                             ids=["below", "above"])
+    def test_at_the_threshold(self, seed, factor, short):
+        # below the threshold within 4 ulp of relative error of the order-32
+        # sum, above it its bits
+        u = coloured_steps(Window(-8, 8, -8, 8), 0.5 * harmonic._SHORT_STEP * factor, seed)
+        steps = np.abs(_face_differences(np.diff(u.values, axis=1))).max(axis=0)
+        assert np.all(steps <= harmonic._SHORT_STEP) if short else np.all(
+            steps > harmonic._SHORT_STEP)
+        got = compute_edge_weights(u).values[:, :, :-1]
+        want = order_32_weights(u.values)
+        stored = ~np.isnan(got)
+        assert np.array_equal(stored, ~np.isnan(want))
+        if short:
+            error = np.abs(got[stored] - want[stored])
+            assert np.all(error <= 4.0 * np.finfo(float).eps * want[stored])
+            assert np.count_nonzero(error) > 0  # the midpoint value, not the sum
+        else:
+            assert got.tobytes() == want.tobytes()
+
+    def test_partials_bend_at_most_k_times_the_step_squared(self):
+        # _SHORT_STEP's bound: |phi''| <= K phi s^2 along a segment, K = 1, s
+        # the largest step difference.  The second difference with spacing h
+        # is phi'' at a point within h, where phi is at most e^h times phi
+        # at the centre (|(log phi)'| <= s = 1), so it is at most K e^h phi.
+        # The rounding of the three values, below 1e-7 of phi over h^2
+        # here, lies well inside the factor e^h.
+        rng = np.random.default_rng(0)
+        corners = rng.uniform(-40.0, 40.0, size=(3, 200_000)) * rng.uniform(size=200_000)
+        direction = rng.normal(size=corners.shape)
+
+        def differences(c):
+            p, q, r = c
+            return np.stack([r - q, r - p, q - p])
+
+        x, d = differences(corners), differences(direction)
+        d /= np.abs(d).max(axis=0)
+        h = 2.0 ** -8
+        below, at, above = (_edge_partials(x + k * h * d) for k in (-1, 0, 1))
+        ratio = np.abs(above - 2.0 * at + below) / h ** 2 / at
+        k = 1.0
+        assert ratio.max() <= k * math.exp(h)
+        assert ratio.max() > 0.9 * k  # the bound is nearly reached
+        assert k * harmonic._SHORT_STEP ** 2 / 24 <= 2.0 ** -60
+
+    def test_mixed_field_takes_both_rules(self):
+        for u in (WEIGHT_FIELDS["mixed"], mixed_field(Window(-4, 4, -4, 4))):
+            short = np.abs(_face_differences(np.diff(u.values, axis=1))) <= harmonic._SHORT_STEP
+            rows = short.all(axis=(0, 1, 3))
+            assert rows.any() and not rows.all()
 
 
 class TestVolume:

@@ -21,8 +21,13 @@ sweeps.  The "large window"
 case runs ``solve``, ``render``, ``render --color-map residual`` and
 ``harmonic`` on the 201x201 window of the spiral x = 1.001, y = 0.999
 with uniform +-1 noise on its bottom row and a zero interior, so that
-the SVGs span more than one block of circles.  The "input errors" case
-writes a 5x5 spiral, then runs 13 invocations that exit 2 on their input:
+the SVGs span more than one block of circles.  The "noisy weights" case
+solves ``random-81`` seed 1's boundary, then runs ``harmonic``,
+``verify``, ``walk`` and ``render --color-map residual`` on the solved
+field: none of its faces has a short step, so every weight takes the
+Gauss-Legendre sum, which the spiral workloads never reach.  The "input
+errors" case writes a 5x5 spiral, then runs 13 invocations that exit 2
+on their input:
 a missing field CSV (``solve``, ``render``), a ``nan`` cell (``verify``,
 ``walk``), a window without interior (``solve``), ``--max-iter 0``, a
 ``--start`` (``walk``) and a ``--base`` (``render``) outside the window,
@@ -163,6 +168,25 @@ def large_window_outputs(tree: Path) -> dict[str, bytes]:
         return outputs(tree, work, steps)
 
 
+def noisy_weights_outputs(tree: Path) -> dict[str, bytes]:
+    """The weight commands on a solved random boundary, whose faces are all
+    long."""
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        case = workloads.make_case("random-81", 1, work)
+        solve = next(step.args for step in case.steps if step.name == "solve")
+        solved = solve[solve.index("--out") + 1]
+        steps = [("solve", solve),
+                 ("harmonic", ["harmonic", "--in", solved, "--out", "weights.csv"]),
+                 ("verify", ["verify", "--in", solved]),
+                 ("walk", ["walk", "--in", solved, "--start", "0,0", "--steps", "100",
+                           "--trials", "10000", "--seed", "1"]),
+                 ("render --color-map residual",
+                  ["render", "--in", solved, "--out", "residual.svg",
+                   "--color-map", "residual"])]
+        return outputs(tree, work, steps)
+
+
 def input_error_outputs(tree: Path) -> dict[str, bytes]:
     """Invocations that exit 2 on their input, across the field commands."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -218,6 +242,7 @@ def main(argv: list[str] | None = None) -> int:
     differing = 0
     for label, run in [*cases, ("exact step", exact_step_outputs),
                        ("large window", large_window_outputs),
+                       ("noisy weights", noisy_weights_outputs),
                        ("input errors", input_error_outputs), ("--help", help_outputs)]:
         old, new = (run(tree) for tree in trees)
         diff = sorted(key for key in old.keys() | new.keys() if old.get(key) != new.get(key))
