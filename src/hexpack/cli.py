@@ -34,7 +34,7 @@ from .harmonic import (
 )
 from .lattice import MAX_FIELD_VALUE, ScalarField, Window, _field_csv_blocks, read_field_csv
 from .layout import Anchor, develop, ring_ratio_bound
-from .render import COLOR_MAPS, RenderStyle, _svg, _svg_blocks
+from .render import COLOR_MAPS, RenderStyle, _svg
 from .solver import (
     INITS,
     MODES,
@@ -318,8 +318,7 @@ def render(u: ScalarField, out: str, stroke_width: float, color_map: str, paddin
     if color_map == "residual":
         values = harmonic_residuals(u, _edge_weights(u, order))
     # Every check runs before the file is opened; the circles go out in blocks.
-    parts = _checked(_svg, layout=lay, style=style, values=values)
-    _write_text(out, _svg_blocks(*parts))
+    _write_text(out, _checked(_svg, layout=lay, style=style, values=values))
 
 
 @_field_command

@@ -355,9 +355,10 @@ def write_field_csv(f: ScalarField) -> str:
 
 
 def read_field_csv(text: str) -> ScalarField:
-    """Parse the output of :func:`write_field_csv`.  A value that is not a
-    number of magnitude at most ``MAX_FIELD_VALUE`` raises a ValueError
-    naming its vertex."""
+    """Parse the output of :func:`write_field_csv`.  The header and each
+    row's cell count are checked before numpy's reader converts the cells:
+    a cell that is not a number raises its ValueError naming the token, and
+    a NaN or a magnitude above ``MAX_FIELD_VALUE`` one naming the vertex."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     parts = lines[0].split() if lines else []
     if parts[:2] != ["#", "window"]:
@@ -376,9 +377,7 @@ def read_field_csv(text: str) -> ScalarField:
         cells = line.count(",") + 1
         if cells != window.m_count:
             raise ValueError(f"row {r} has {cells} cells, expected {window.m_count}")
-    data = np.empty((window.n_count, window.m_count), dtype=float)
-    for r, line in enumerate(rows):
-        data[window.n_count - 1 - r] = [float(c) for c in line.split(",")]
+    data = np.loadtxt(rows, delimiter=",", comments=None, ndmin=2)[::-1]
     bad = np.argwhere(~(np.abs(data) <= MAX_FIELD_VALUE))
     if bad.size:
         i, j = bad[0].tolist()

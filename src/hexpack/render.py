@@ -11,6 +11,7 @@ import math
 import sys
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -22,6 +23,7 @@ COLOR_MAPS = ("uniform", "log-radius", "d1u", "residual")
 # Fixed three-stop piecewise-linear palette (low -> mid -> high).
 _PALETTE = np.array(((0x21, 0x66, 0xAC), (0xF7, 0xF7, 0xF7), (0xB2, 0x18, 0x2B)), dtype=float)
 _UNIFORM_COLOR = 0x000000
+_CIRCLE = '<circle cx="%r" cy="%r" r="%r" stroke="#%06x"/>\n'
 
 
 @dataclass(frozen=True)
@@ -61,18 +63,21 @@ def _colors(layout: Layout, style: RenderStyle, values: np.ndarray | None) -> np
     t = layout._placed(data)[0].astype(float)
     known = t[~np.isnan(t)]
     lo, hi = (known.min(), known.max()) if known.size else (0.0, 0.0)
-    # a range at rounding level is noise, not signal
-    t = (t - lo) / (hi - lo) if hi - lo > 1e-12 * max(abs(lo), abs(hi)) else np.full_like(t, 0.5)
+    # a solved field's residuals straddle 0 at about 1e-14: noise, not signal
+    noise = hi - lo <= 1e-12 * max(1.0, abs(lo), abs(hi))
+    t = np.full_like(t, 0.5) if noise else (t - lo) / (hi - lo)
     # piecewise-linear palette over [0, 1], midpoint where a circle has no value
     t = np.where(np.isnan(t), 0.5, t)
     rgb = np.rint([np.interp(t, (0.0, 0.5, 1.0), channel) for channel in _PALETTE.T]).astype(int)
     return (1 << 16, 1 << 8, 1) @ rgb
 
 
-def _svg(layout: Layout, style: RenderStyle, values) -> tuple[str, list[np.ndarray]]:
-    """``render_svg``'s checks, then its document's header and the columns of
-    its circle elements: x, the flipped y, the radius and the stroke color
-    of each placed circle, in vertex order."""
+def _svg(layout: Layout, style: RenderStyle, values) -> Iterator[str]:
+    """``render_svg``'s document after its checks, which run when this is
+    called: the header, one string per block of ``_BLOCK`` circle elements
+    (x, the flipped y, the radius and the stroke color of each placed
+    circle, in vertex order), each block under the same template, then the
+    closing tags.  A block's Python numbers exist only while it is formatted."""
     # the y axis flips, so the bounding box flips with it
     columns = x, y, r = layout._placed(layout.centers.real, -layout.centers.imag, layout.radii)
     box = (0.0, 0.0, 1.0, 1.0)
@@ -87,19 +92,12 @@ def _svg(layout: Layout, style: RenderStyle, values) -> tuple[str, list[np.ndarr
               f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
               f'viewBox="{box[0]!r} {box[1]!r} {box[2]!r} {box[3]!r}">\n'
               f'<g fill="none" stroke-width="{style.stroke_width!r}">\n')
-    return header, [*columns, _colors(layout, style, values)]
-
-
-def _svg_blocks(header: str, columns: list[np.ndarray]) -> Iterator[str]:
-    """The SVG document from ``_svg``'s parts: the header, one string per
-    block of ``_BLOCK`` circle elements, then the closing tags.  A block's
-    Python floats and color strings are made when it is formatted."""
-    yield header
-    for start in range(0, len(columns[0]), _BLOCK):
-        yield "".join(f'<circle cx="{cx!r}" cy="{cy!r}" r="{r!r}" stroke="#{c:06x}"/>\n'
-                      for cx, cy, r, c in zip(*(a[start:start + _BLOCK].tolist()
-                                                for a in columns)))
-    yield "</g>\n</svg>\n"
+    columns.append(_colors(layout, style, values))
+    # a tuple per block, so that its stacked array is freed before formatting
+    cells = (tuple(np.stack([a[start:start + _BLOCK].astype(object) for a in columns], 1).flat)
+             for start in range(0, r.size, _BLOCK))
+    return chain([header], (_CIRCLE * (len(block) // 4) % block for block in cells),
+                 ["</g>\n</svg>\n"])
 
 
 def render_svg(layout: Layout, style: RenderStyle = RenderStyle(), values=None) -> str:
@@ -107,9 +105,11 @@ def render_svg(layout: Layout, style: RenderStyle = RenderStyle(), values=None) 
 
     The viewBox is the bounding box of all circles grown by the padding
     fraction (a ValueError if it passes the float range).  Colors follow
-    the style's map over the data range; vertices without a value get the
-    palette midpoint.  ``values`` holds the data of the "residual" map: an
-    array shaped like the layout's radii, NaN where a vertex has no value,
-    such as the one ``harmonic_residuals`` returns.
+    the style's map over the data range, or take the palette midpoint where
+    the range is at most 1e-12 max(1, |min|, |max|), rounding noise;
+    vertices without a value get the midpoint too.  ``values`` holds the
+    data of the "residual" map: an array shaped like the layout's radii,
+    NaN where a vertex has no value, such as the one ``harmonic_residuals``
+    returns.
     """
-    return "".join(_svg_blocks(*_svg(layout, style, values)))
+    return "".join(_svg(layout, style, values))

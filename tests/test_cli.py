@@ -403,6 +403,19 @@ def test_header_that_is_not_a_window_header_exits_2(runner, tmp_path):
 
 
 @pytest.mark.parametrize("command", ["solve", "verify", "harmonic", "render", "walk"])
+def test_cell_that_is_not_a_number_exits_2(runner, tmp_path, command):
+    src = tmp_path / "u.csv"
+    src.write_text("# window 0 2 0 2\n0,0,0\n0,x1,0\n0,0,0\n")
+    out = tmp_path / "out.txt"
+    extra = ["--out", out] if command in ("solve", "harmonic", "render") else []
+    result = run(runner, command, "--in", src, *extra)
+    assert result.exit_code == 2
+    assert f"cannot read field CSV {src}" in result.output
+    assert "'x1'" in result.output
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "verify", "harmonic", "render", "walk"])
 def test_values_near_the_float_range_exit_2(runner, tmp_path, command):
     # log radii of +-1e308 overflow the angle kernels' differences
     signs = np.where(np.indices((5, 5)).sum(axis=0) % 2, -1.0, 1.0)

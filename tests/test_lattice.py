@@ -5,6 +5,7 @@ enumeration oracle and orientation against the planar embedding."""
 
 import gc
 import math
+import re
 import sys
 
 import numpy as np
@@ -505,11 +506,13 @@ class TestFieldCsv:
         assert "".join(parts) == write_field_csv(f) == whole_field_csv(f)
 
     def test_round_trip_bit_exact(self):
-        w = Window(-3, 4, -2, 2)
         rng = np.random.default_rng(13)
-        f = ScalarField(w, rng.normal(scale=5.0, size=(w.n_count, w.m_count)))
-        again = read_field_csv(write_field_csv(f))
-        assert again == f
+        # a one-row, a one-column and a one-vertex window too
+        for w in (Window(-3, 4, -2, 2), Window(0, 6, 5, 5), Window(3, 3, -4, 2),
+                  Window(1, 1, 1, 1)):
+            f = ScalarField(w, rng.normal(scale=5.0, size=(w.n_count, w.m_count)))
+            again = read_field_csv(write_field_csv(f))
+            assert again == f
 
     def test_header_and_row_order(self):
         w = Window(0, 2, 0, 1)
@@ -556,6 +559,12 @@ class TestFieldCsv:
             text = write_field_csv(f).replace("0.0000000000000000e+00", repr(value), 1)
             with pytest.raises(ValueError, match=r"at \(-1, 1\)"):
                 read_field_csv(text)
+
+    @pytest.mark.parametrize("token", ["x1", "", "1.0.0", "0x10", "#", "1_0"])
+    def test_a_cell_that_is_not_a_number_names_its_token(self, token):
+        # numpy's reader, unlike float, also rejects digit-grouping underscores
+        with pytest.raises(ValueError, match=f"'{re.escape(token)}'"):
+            read_field_csv(f"# window 0 2 0 1\n0,0,0\n0,{token},0\n")
 
     def test_malformed_inputs(self):
         with pytest.raises(ValueError):

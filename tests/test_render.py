@@ -10,7 +10,7 @@ from hexpack.lattice import ScalarField, Window, read_field_csv, write_field_csv
 from hexpack.harmonic import compute_edge_weights, harmonic_residuals
 from hexpack.layout import Anchor, Layout, develop
 from hexpack.render import RenderStyle, render_svg
-from hexpack.solver import solve_patch
+from hexpack.solver import SolveOptions, solve_patch
 from hexpack.spiral import SpiralParams, spiral_field
 
 CIRCLE_RE = re.compile(r'<circle cx="([^"]+)" cy="([^"]+)" r="([^"]+)" stroke="([^"]+)"/>')
@@ -121,7 +121,8 @@ class TestRenderSvg:
         u0 = spiral_field(SpiralParams(1.0, 1.2, 0.9), w)
         for v in w.interior_vertices():
             u0[v] = 0.0
-        u, _ = solve_patch(u0)
+        # solved to 1e-9, so the residuals (up to 8e-10) are not rounding noise
+        u, _ = solve_patch(u0, SolveOptions(tolerance=1e-9, mode="gauss-seidel", init="zero"))
         residuals = harmonic_residuals(u, compute_edge_weights(u))
         lay = develop(u)
         svg = render_svg(lay, RenderStyle(color_map="residual"), values=residuals)
@@ -133,6 +134,35 @@ class TestRenderSvg:
         assert all(colors[v] == "#f7f7f7" for v in at if v not in known)
         assert colors[min(known, key=known.get)] == "#2166ac"
         assert colors[max(known, key=known.get)] == "#b2182b"
+
+    @pytest.mark.parametrize("half, x, y, init", [(4, 1.2, 0.9, "harmonic"),
+                                                  (30, 1.2, 0.85, "zero")])
+    def test_residual_map_of_a_solved_spiral_is_flat(self, half, x, y, init):
+        w = Window(-half, half, -half, half)
+        u0 = spiral_field(SpiralParams(1.0, x, y), w)
+        u0.values[1:-1, 1:-1] = 0.0
+        u, report = solve_patch(u0, SolveOptions(mode="newton", init=init))
+        assert report.converged
+        residuals = harmonic_residuals(u, compute_edge_weights(u))
+        assert 0.0 < np.nanmax(np.abs(residuals)) < 1e-13
+        lay = develop(u)
+
+        def colors(color_map, values=None):
+            svg = render_svg(lay, RenderStyle(color_map=color_map), values)
+            return {c for (_, _, _, c) in CIRCLE_RE.findall(svg)}
+
+        assert colors("residual", residuals) == {"#f7f7f7"}
+        # the log radii are signal and D1u = ln x is constant: neither map moves
+        assert {"#2166ac", "#b2182b"} <= colors("log-radius")
+        assert colors("d1u") == {"#f7f7f7"}
+
+    @pytest.mark.parametrize("scale, flat", [(1e-13, True), (4e-13, True), (1e-11, False)])
+    def test_residual_map_has_an_absolute_noise_floor(self, scale, flat):
+        values = np.full((5, 5), np.nan)
+        values[2, 2:4] = scale, -scale
+        svg = render_svg(regular_layout(), RenderStyle(color_map="residual"), values=values)
+        colors = {c for (_, _, _, c) in CIRCLE_RE.findall(svg)}
+        assert colors == ({"#f7f7f7"} if flat else {"#f7f7f7", "#2166ac", "#b2182b"})
 
     def test_residual_values_of_the_wrong_shape_raise(self):
         with pytest.raises(ValueError, match="needs values of shape"):

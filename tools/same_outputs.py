@@ -26,13 +26,14 @@ solves ``random-81`` seed 1's boundary, then runs ``harmonic``,
 ``verify``, ``walk`` and ``render --color-map residual`` on the solved
 field: none of its faces has a short step, so every weight takes the
 Gauss-Legendre sum, which the spiral workloads never reach.  The "input
-errors" case writes a 5x5 spiral, then runs 13 invocations that exit 2
+errors" case writes a 5x5 spiral, then runs 14 invocations that exit 2
 on their input:
 a missing field CSV (``solve``, ``render``), a ``nan`` cell (``verify``,
-``walk``), a window without interior (``solve``), ``--max-iter 0``, a
-``--start`` (``walk``) and a ``--base`` (``render``) outside the window,
-a negative ``--stroke-width``, an unwritable ``--out`` (``harmonic``), a
-missing ``--in`` and a missing ``--config`` file.  One more case runs
+``walk``), a cell that is not a number (``verify``), a window without
+interior (``solve``), ``--max-iter 0``, a ``--start`` (``walk``) and a
+``--base`` (``render``) outside the window, a negative
+``--stroke-width``, an unwritable ``--out`` (``harmonic``), a missing
+``--in`` and a missing ``--config`` file.  One more case runs
 ``--help`` and each command's ``--help``.  The exit codes, stdout and
 stderr (with the directory's path replaced) and every file left in the
 directory must be equal byte for byte.  Prints one line per case and
@@ -193,6 +194,8 @@ def input_error_outputs(tree: Path) -> dict[str, bytes]:
         work = Path(tmp)
         (work / "nan.csv").write_text(field_csv((0, 2, 0, 2), [[0, 0, 0], [0, "nan", 0],
                                                                [0, 0, 0]]))
+        (work / "word.csv").write_text(field_csv((0, 2, 0, 2), [[0, 0, 0], [0, "x", 0],
+                                                                 [0, 0, 0]]))
         (work / "row.csv").write_text(field_csv((0, 2, 0, 0), [[0, 0, 0]]))
         steps = [("spiral", ["spiral", "--x", "1.2", "--y", "0.85", "--window", "-2:2,-2:2",
                              "--out", "u.csv"]),
@@ -200,6 +203,7 @@ def input_error_outputs(tree: Path) -> dict[str, bytes]:
                  ("render missing file", ["render", "--in", "missing.csv", "--out", "f.svg"]),
                  ("verify nan cell", ["verify", "--in", "nan.csv"]),
                  ("walk nan cell", ["walk", "--in", "nan.csv"]),
+                 ("verify word cell", ["verify", "--in", "word.csv"]),
                  ("solve no interior", ["solve", "--in", "row.csv", "--out", "s.csv"]),
                  ("solve --max-iter 0", ["solve", "--in", "u.csv", "--out", "s.csv",
                                          "--max-iter", "0"]),
